@@ -134,11 +134,6 @@ class FeatureSpec:
             out |= self.skill_required[s]
         return frozenset(out)
 
-    def marker_carriers(self, marker: int) -> tuple[int, ...]:
-        return tuple(
-            t for t, ms in enumerate(self.token_markers) if marker in ms
-        )
-
 
 def _entropy(p: np.ndarray) -> float:
     return float(-np.sum(p * np.log(p)))
@@ -148,6 +143,31 @@ def _masked(p: np.ndarray, banned: int) -> np.ndarray:
     q = p.copy()
     q[banned] = 0.0
     return q / q.sum()
+
+
+def _sequence_terms(
+    p: np.ndarray,
+    symbols: list[int],
+    banned: int,
+    pg_coeff: float,
+    entropy_coeff: float,
+) -> tuple[float, float, np.ndarray]:
+    """Teacher-forced terms shared by both policies' losses.
+
+    ``p`` holds one distribution per step of a realized symbol sequence.
+    Returns the sequence's log-probability under the sampling law (``banned``
+    masked on the first step), the summed raw per-step entropies, and the
+    gradient of ``-pg_coeff * log_prob - entropy_coeff * entropy`` with
+    respect to ``p``."""
+    steps = np.arange(len(symbols))
+    log_p = np.log(p)
+    p_sym = p[steps, symbols]
+    log_prob = float(np.sum(log_p[steps, symbols]) - np.log(1.0 - p[0, banned]))
+    entropy = float(-np.sum(p * log_p))
+    u = entropy_coeff * (log_p + 1.0)
+    u[steps, symbols] -= pg_coeff / p_sym
+    u[0, banned] -= pg_coeff / (1.0 - p[0, banned])
+    return log_prob, entropy, u
 
 
 # --- planner ------------------------------------------------------------------
@@ -224,7 +244,10 @@ def expert_loss(
 ) -> tuple[float, np.ndarray]:
     """Entropy-regularized policy-gradient loss for one decision:
     ``-advantage * log pi(action|state) - entropy_coeff * H(pi(.|state))``,
-    with its analytic gradient over the actor parameters."""
+    with its analytic gradient over the actor parameters.
+
+    Teacher-forced: the slot inputs along the realized sequence are stacked
+    into one batch, so the actor runs one forward and one backward pass."""
     feat = policy.spec.expert_features(state)
     alpha = policy.entropy_coeff
     stop = policy.stop_index
@@ -232,25 +255,16 @@ def expert_loss(
     if len(symbols) < MAX_SKILL_SEQUENCE_LEN:
         symbols.append(stop)
     chosen = np.zeros(policy.spec.n_skills)
-    loss = 0.0
-    grad = np.zeros(policy.actor.n_params)
+    rows = []
     for slot, sym in enumerate(symbols):
-        x = policy.slot_input(feat, chosen, slot)
-        p = policy.actor.forward(x)
-        if slot == 0:
-            log_q = float(np.log(p[sym]) - np.log(1.0 - p[stop]))
-        else:
-            log_q = float(np.log(p[sym]))
-        h = _entropy(p)
-        loss += -advantage * log_q - alpha * h
-        u = alpha * (np.log(p) + 1.0)  # d(-alpha*H)/dp
-        u[sym] += -advantage / p[sym]
-        if slot == 0:
-            u[stop] += -advantage / (1.0 - p[stop])
-        grad += policy.actor.backward(x, u)
+        rows.append(policy.slot_input(feat, chosen, slot))
         if sym != stop:
             chosen[sym] = 1.0
-    return loss, grad
+    x = np.stack(rows)
+    p = policy.actor.forward(x)
+    log_q, entropy, u = _sequence_terms(p, symbols, stop, advantage, alpha)
+    loss = -advantage * log_q - alpha * entropy
+    return loss, policy.actor.backward(x, u)
 
 
 def critic_value(policy: ExpertPolicy, state: ExpertState) -> float:
@@ -295,6 +309,10 @@ class CsaPolicy:
         self.generator = Mlp(
             [in_dim, hidden, spec.vocab_size + 1], head="softmax", seed=seed
         )
+        # carriers[w, m] = 1 if output symbol w emits marker m (END emits none)
+        self.carriers = np.zeros((spec.vocab_size + 1, spec.n_markers))
+        for t, markers in enumerate(spec.token_markers):
+            self.carriers[t, sorted(markers)] = 1.0
 
     def step_input(
         self,
@@ -380,65 +398,41 @@ def csa_loss(
     tokens = list(action.tokens)
     symbols = tokens + ([end] if len(tokens) < spec.max_response_len else [])
 
-    # Teacher-forced forward pass along the realized response.
-    inputs: list[np.ndarray] = []
-    probs: list[np.ndarray] = []
+    # Teacher forcing: the step inputs along the realized response form one
+    # batch, so the generator runs one forward and one backward pass.
+    rows = []
     emitted = np.zeros(spec.n_markers)
     prev: int | None = None
     for step, sym in enumerate(symbols):
-        x = policy.step_input(feat, prev, emitted, step)
-        inputs.append(x)
-        probs.append(policy.generator.forward(x))
+        rows.append(policy.step_input(feat, prev, emitted, step))
         if sym != end:
             for m in spec.token_markers[sym]:
                 emitted[m] = 1.0
             prev = sym
-
-    log_pi = 0.0
-    for step, sym in enumerate(symbols):
-        p = probs[step]
-        if step == 0:
-            log_pi += float(np.log(p[sym]) - np.log(1.0 - p[end]))
-        else:
-            log_pi += float(np.log(p[sym]))
+    x = np.stack(rows)
+    p = policy.generator.forward(x)
+    lam_p, lam_s, lam_d = policy.lambda_pg, policy.lambda_skill, policy.lambda_div
+    log_pi, entropy, u = _sequence_terms(p, symbols, end, lam_p * r_a, lam_d)
     loss_pg = -r_a * log_pi
-    loss_div = -sum(_entropy(p) for p in probs)
+    loss_div = -entropy
 
     required = sorted(spec.required_markers(state.constraint))
     n_tok = len(tokens)
     if required and n_tok > 0:
-        carriers = [spec.marker_carriers(m) for m in required]
+        carriers = policy.carriers[:, required]
         # miss[t, j]: probability step t does not emit a carrier of marker j
-        miss = np.empty((n_tok, len(required)))
-        for t in range(n_tok):
-            for j, carrier in enumerate(carriers):
-                miss[t, j] = 1.0 - sum(probs[t][w] for w in carrier)
-        prefix = np.ones((n_tok + 1, len(required)))
-        for t in range(n_tok):
-            prefix[t + 1] = prefix[t] * miss[t]
-        suffix = np.ones((n_tok + 1, len(required)))
-        for t in reversed(range(n_tok)):
-            suffix[t] = suffix[t + 1] * miss[t]
+        miss = 1.0 - p[:n_tok] @ carriers
+        ones = np.ones((1, len(required)))
+        prefix = np.concatenate([ones, np.cumprod(miss, axis=0)])
+        suffix = np.concatenate([np.cumprod(miss[::-1], axis=0)[::-1], ones])
         loss_skill = float(np.mean(prefix[n_tok]))
+        # d(mean_j prod_t miss)/d q_t(m_j), with q = 1 - miss
+        g_q = -(prefix[:-1] * suffix[1:]) / len(required)
+        u[:n_tok] += lam_s * (g_q @ carriers.T)
     else:
         loss_skill = 0.0
 
-    grad = np.zeros(policy.generator.n_params)
-    lam_p, lam_s, lam_d = policy.lambda_pg, policy.lambda_skill, policy.lambda_div
-    for step, sym in enumerate(symbols):
-        p = probs[step]
-        u = lam_d * (np.log(p) + 1.0)  # d(-H)/dp per step
-        u[sym] += lam_p * (-r_a / p[sym])
-        if step == 0:
-            u[end] += lam_p * (-r_a / (1.0 - p[end]))
-        if required and step < n_tok:
-            for j, carrier in enumerate(carriers):
-                # d(mean_j prod_t miss)/d q_t(m_j), with q = 1 - miss
-                g_q = -(prefix[step, j] * suffix[step + 1, j]) / len(required)
-                for w in carrier:
-                    u[w] += lam_s * g_q
-        grad += policy.generator.backward(inputs[step], u)
-
+    grad = policy.generator.backward(x, u)
     total = lam_p * loss_pg + lam_s * loss_skill + lam_d * loss_div
     components = {"L_p": loss_pg, "L_s": loss_skill, "L_d": loss_div}
     return total, grad, components

@@ -22,7 +22,7 @@ from pathlib import Path
 
 from .metrics import METRIC_CSV_HEADER, TseConfig
 from .rewards import RewardConfig
-from .simenv import ConfigError, EnvConfig
+from .simenv import ConfigError, EnvConfig, check_scalar
 from .trainer import CURVES_CSV_HEADER, TrainConfig, TrainingDiverged, ablate, train
 
 log = logging.getLogger("gopo")
@@ -67,21 +67,27 @@ class GlobalConfig:
 
 def _parse_flat_section(cls, data: dict, path: str, tuple_fields: set[str]):
     """Strict parse of a flat dataclass section: all keys required, unknown
-    keys rejected, list-valued keys coerced to tuples."""
+    keys rejected, scalars checked against the type of the field's default,
+    list-valued keys coerced to tuples."""
     data = dict(data)
     kwargs = {}
     for f in dataclasses.fields(cls):
+        key = f"{path}.{f.name}"
         if f.name not in data:
-            raise ConfigError(f"missing key {path}.{f.name}")
+            raise ConfigError(f"missing key {key}")
         value = data.pop(f.name)
         if f.name in tuple_fields:
+            if not isinstance(value, list):
+                raise ConfigError(f"{key} must be a list, got {value!r}")
             value = tuple(value)
+        else:
+            check_scalar(value, type(f.default), key)
         kwargs[f.name] = value
     if data:
         raise ConfigError(f"unknown key {path}.{sorted(data)[0]}")
     try:
         return cls(**kwargs)
-    except ValueError as exc:
+    except (TypeError, ValueError) as exc:
         raise ConfigError(f"{path}: {exc}") from exc
 
 

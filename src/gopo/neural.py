@@ -6,9 +6,17 @@ and a flat parameter view so every gradient in the package can be verified
 against central finite differences.  Everything is float64 numpy; no
 autograd framework.
 
+Networks are batch-first: ``forward`` and ``backward`` take either one input
+vector of shape ``(d,)`` or a batch of ``N`` rows of shape ``(N, d)`` through
+the same code path.  A batch is ``N`` independent rows: ``forward`` returns
+one output row per input row, and ``backward`` returns the flat parameter
+gradient summed over the rows, i.e. the gradient of the sum of the per-row
+losses.  A single vector gives the same bytes as a one-row batch.
+
 ``backward`` takes the upstream gradient with respect to the network OUTPUT
 (probabilities for a softmax head), so losses can be written directly in
-terms of probabilities and values.
+terms of probabilities and values.  It recomputes the forward pass, once per
+call whatever the batch size.
 """
 
 from __future__ import annotations
@@ -24,14 +32,17 @@ PROB_FLOOR = 1e-12
 CHECKPOINT_VERSION = 1
 
 
-def stable_softmax(logits: np.ndarray) -> np.ndarray:
-    """Max-shifted softmax with a strictly-positive floor; sums to 1 exactly
-    up to rounding."""
-    z = logits - np.max(logits)
+def _softmax_raw(logits: np.ndarray) -> np.ndarray:
+    z = logits - logits.max(axis=-1, keepdims=True)
     e = np.exp(z)
-    p = e / e.sum()
-    k = p.size
-    return (p + PROB_FLOOR) / (1.0 + k * PROB_FLOOR)
+    return e / e.sum(axis=-1, keepdims=True)
+
+
+def stable_softmax(logits: np.ndarray) -> np.ndarray:
+    """Max-shifted softmax over the last axis, row by row, with a
+    strictly-positive floor; each row sums to 1 exactly up to rounding."""
+    p = _softmax_raw(logits)
+    return (p + PROB_FLOOR) / (1.0 + p.shape[-1] * PROB_FLOOR)
 
 
 class Mlp:
@@ -62,24 +73,25 @@ class Mlp:
     # -- forward / backward --------------------------------------------------
 
     def _forward_cached(self, x: np.ndarray) -> list[np.ndarray]:
-        """Activations per layer, input included; last entry is the raw head
-        pre-activation (logits or value)."""
-        a = [np.asarray(x, dtype=float)]
-        if a[0].shape != (self.layer_sizes[0],):
+        """Activations per layer, input included, each with the input's rank;
+        last entry is the raw head pre-activation (logits or value)."""
+        x = np.asarray(x, dtype=float)
+        if x.ndim not in (1, 2) or x.shape[-1] != self.layer_sizes[0]:
             raise ValueError(
-                f"input shape {a[0].shape} incompatible with input size "
+                f"input shape {x.shape} incompatible with input size "
                 f"{self.layer_sizes[0]}"
             )
-        h = a[0]
-        for i in range(self.n_layers):
-            z = h @ self.weights[i] + self.biases[i]
-            h = np.tanh(z) if i < self.n_layers - 1 else z
-            a.append(h)
-        return a
+        acts = [x]
+        last = self.n_layers - 1
+        for i, (w, b) in enumerate(zip(self.weights, self.biases)):
+            z = acts[-1] @ w + b
+            acts.append(np.tanh(z) if i < last else z)
+        return acts
 
     def forward(self, x: np.ndarray) -> np.ndarray:
-        """Output for a single input vector: probabilities (softmax head) or
-        raw values (linear head)."""
+        """Output per input row: probabilities (softmax head) or raw values
+        (linear head); shape ``(out,)`` for a vector, ``(N, out)`` for a
+        batch."""
         out = self._forward_cached(x)[-1]
         if self.head == "softmax":
             return stable_softmax(out)
@@ -87,33 +99,33 @@ class Mlp:
 
     def backward(self, x: np.ndarray, upstream: np.ndarray) -> np.ndarray:
         """Flat parameter gradient of the scalar loss whose gradient with
-        respect to the network output is ``upstream``."""
-        acts = self._forward_cached(x)
+        respect to the network output is ``upstream`` (same shape as
+        ``forward(x)``); for a batch, the gradients of the rows are summed."""
+        x = np.asarray(x, dtype=float)
+        # a vector is a batch of one row
+        acts = self._forward_cached(x[None, :] if x.ndim == 1 else x)
         upstream = np.asarray(upstream, dtype=float)
-        if upstream.shape != acts[-1].shape:
+        out_shape = acts[-1].shape[1:] if x.ndim == 1 else acts[-1].shape
+        if upstream.shape != out_shape:
             raise ValueError(
                 f"upstream shape {upstream.shape} incompatible with output "
-                f"shape {acts[-1].shape}"
+                f"shape {out_shape}"
             )
+        g = upstream.reshape(acts[-1].shape)
         if self.head == "softmax":
-            logits = acts[-1]
-            z = logits - np.max(logits)
-            e = np.exp(z)
-            p_raw = e / e.sum()
-            u = upstream / (1.0 + p_raw.size * PROB_FLOOR)
-            g = p_raw * u - p_raw * (p_raw @ u)
-        else:
-            g = upstream
-        grads_w: list[np.ndarray] = [None] * self.n_layers  # type: ignore[list-item]
-        grads_b: list[np.ndarray] = [None] * self.n_layers  # type: ignore[list-item]
+            p_raw = _softmax_raw(acts[-1])
+            u = g / (1.0 + p_raw.shape[-1] * PROB_FLOOR)
+            # row-wise dot as one BLAS dot per row, so a one-row batch
+            # matches the vector product bitwise
+            pu = (p_raw[:, None, :] @ u[:, :, None])[:, :, 0]
+            g = p_raw * u - p_raw * pu
+        grads: list[np.ndarray] = []
         for i in reversed(range(self.n_layers)):
-            grads_w[i] = np.outer(acts[i], g)
-            grads_b[i] = g.copy()
+            grads.append(g.sum(axis=0))
+            grads.append((acts[i].T @ g).ravel())
             if i > 0:
-                g = (self.weights[i] @ g) * (1.0 - acts[i] ** 2)
-        return np.concatenate(
-            [np.concatenate([w.ravel(), b]) for w, b in zip(grads_w, grads_b)]
-        )
+                g = (g @ self.weights[i].T) * (1.0 - acts[i] ** 2)
+        return np.concatenate(grads[::-1])
 
     # -- flat parameter view ---------------------------------------------------
 

@@ -46,6 +46,16 @@ class ConfigError(ValueError):
     offending key or entry."""
 
 
+def check_scalar(value, kind: type, key: str):
+    """``value`` if it is a JSON scalar of type ``kind`` (an integer is
+    accepted where a float is expected, a boolean never stands in for a
+    number); otherwise a ConfigError naming ``key``."""
+    accepted = (int, float) if kind is float else kind
+    if not isinstance(value, accepted) or isinstance(value, bool) != (kind is bool):
+        raise ConfigError(f"{key} must be of type {kind.__name__}, got {value!r}")
+    return value
+
+
 # --- configuration -----------------------------------------------------------
 
 
@@ -126,19 +136,25 @@ class EnvConfig:
     def from_dict(cls, data: dict, path: str = "env", base_dir=None) -> "EnvConfig":
         data = dict(data)
 
-        def take(key):
+        def take(key, kind: type | None = None):
             if key not in data:
                 raise ConfigError(f"missing key {path}.{key}")
-            return data.pop(key)
+            value = data.pop(key)
+            return value if kind is None else check_scalar(value, kind, f"{path}.{key}")
 
-        skill_pool = tuple(
-            Skill(
-                id=entry["id"],
-                name=entry["name"],
-                required_markers=frozenset(entry["required_markers"]),
+        skills = []
+        for i, entry in enumerate(take("skill_pool")):
+            for field in ("id", "name", "required_markers"):
+                if field not in entry:
+                    raise ConfigError(f"missing key {path}.skill_pool[{i}].{field}")
+            skills.append(
+                Skill(
+                    id=entry["id"],
+                    name=entry["name"],
+                    required_markers=frozenset(entry["required_markers"]),
+                )
             )
-            for entry in take("skill_pool")
-        )
+        skill_pool = tuple(skills)
         scenario_raw = take("scenario_table")
         if isinstance(scenario_raw, dict) and set(scenario_raw) == {"file"}:
             # table referenced as a separate JSON file, resolved against the
@@ -155,18 +171,21 @@ class EnvConfig:
         scenario: dict[tuple[str, str, int], tuple[int, ...]] = {}
         for key, seq in scenario_raw.items():
             parts = key.split("|")
-            if len(parts) != 3:
-                raise ConfigError(f"malformed scenario key {path}.scenario_table[{key!r}]")
+            if len(parts) != 3 or not parts[2].isdigit():
+                raise ConfigError(
+                    f"malformed scenario key {path}.scenario_table[{key!r}]: "
+                    "expected intent|emotion|phase with an integer phase"
+                )
             scenario[(parts[0], parts[1], int(parts[2]))] = tuple(seq)
         emo_raw = take("emotion_transition")
         cfg = cls(
             skill_pool=skill_pool,
             intents=tuple(take("intents")),
             emotions=tuple(take("emotions")),
-            vocab_size=take("vocab_size"),
-            horizon=take("horizon"),
-            history_window=take("history_window"),
-            marker_count=take("marker_count"),
+            vocab_size=take("vocab_size", int),
+            horizon=take("horizon", int),
+            history_window=take("history_window", int),
+            marker_count=take("marker_count", int),
             token_markers=tuple(frozenset(m) for m in take("token_markers")),
             politeness_markers=frozenset(take("politeness_markers")),
             phase_markers=tuple(frozenset(m) for m in take("phase_markers")),
@@ -180,9 +199,9 @@ class EnvConfig:
             initial_emotion_dist=tuple(take("initial_emotion_dist")),
             scenario_table=scenario,
             milestone_rules=tuple(tuple(r) for r in take("milestone_rules")),
-            compliance_threshold=take("compliance_threshold"),
-            max_response_len=take("max_response_len"),
-            seed=take("seed"),
+            compliance_threshold=take("compliance_threshold", float),
+            max_response_len=take("max_response_len", int),
+            seed=take("seed", int),
         )
         if data:
             raise ConfigError(f"unknown key {path}.{sorted(data)[0]}")

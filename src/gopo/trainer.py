@@ -4,11 +4,13 @@ Per turn of a rollout the reference sequence is fetched, the planner picks a
 skill sequence (scored against the reference by the normalized ranking
 gain), the responder generates under that constraint (scored by the judge),
 and the two rewards are mixed by the turn-indexed schedule into the joint
-reward that both agents learn from: a TD(0) advantage on the joint reward
-drives the planner's policy gradient, the critic regresses the TD target,
-and the same advantage is the responder's policy-gradient coefficient.  In
-the no-planner ablation the responder conditions on a null constraint and
-learns from its own reward alone.
+reward.  The planner learns from the joint reward: a TD(0) advantage drives
+its policy gradient and the critic regresses the TD target.  The responder
+learns from its own judge reward: its policy-gradient coefficient is
+``r_csa`` minus a running baseline, an exponential moving average (decay
+0.99, starting at 0.5) updated turn by turn in rollout order.  The baseline
+lives only for the duration of ``train`` and is not checkpointed.  In the
+no-planner ablation the responder conditions on a null constraint.
 
 Reference sequences shape rewards only; they are never supervised targets.
 Milestone and task-efficiency signals are never read during training, so

@@ -17,7 +17,13 @@ from gopo.agents import (
 from gopo.core import BusinessContext, CsaState, SkillSequence
 from gopo.neural import AdamState, adam_step
 from conftest import random_csa_state, random_expert_state, random_response
-from oracles import central_difference_grad, max_rel_error
+from oracles import (
+    central_difference_grad,
+    max_rel_error,
+    oracle_csa_loss,
+    oracle_expert_loss,
+    scaled_diff,
+)
 
 
 @pytest.fixture(scope="module")
@@ -303,6 +309,71 @@ class TestCsaLoss:
         resp, log_prob, _ = csa_act(policy, state, rng)
         _, _, comps = csa_loss(policy, state, resp, r_a=1.0)
         assert comps["L_p"] == pytest.approx(-log_prob, abs=1e-12)
+
+
+class TestBatchedLossesMatchOracles:
+    """The one-pass losses against their term-by-term, per-step oracles;
+    batched and per-row products round differently, so within 1e-12."""
+
+    TOL = 1e-12
+
+    def _check_expert(self, policy, state, action, adv):
+        loss, grad = expert_loss(policy, state, action, adv)
+        want_loss, want_grad = oracle_expert_loss(policy, state, action, adv)
+        assert loss == pytest.approx(want_loss, rel=self.TOL, abs=self.TOL)
+        assert scaled_diff(grad, want_grad) <= self.TOL
+
+    def test_expert_random_instances(self, spec):
+        rng = np.random.default_rng(31)
+        for trial in range(20):
+            policy = _expert(spec, seed=200 + trial, entropy_coeff=float(rng.uniform(0, 0.1)))
+            policy.actor.set_params(rng.normal(0, 0.5, policy.actor.n_params))
+            state = random_expert_state(spec, rng)
+            action, _, _ = expert_act(policy, state, rng)
+            self._check_expert(policy, state, action, float(rng.normal(0, 1)))
+
+    def test_expert_single_skill_and_full_length(self, spec):
+        rng = np.random.default_rng(32)
+        policy = _expert(spec, seed=210, entropy_coeff=0.05)
+        policy.actor.set_params(rng.normal(0, 0.5, policy.actor.n_params))
+        state = random_expert_state(spec, rng)
+        # one skill then STOP; five skills and no STOP slot
+        for action in (SkillSequence((2,)), SkillSequence((0, 1, 2, 3, 1))):
+            self._check_expert(policy, state, action, -0.8)
+
+    def _check_csa(self, policy, state, action, r_a):
+        loss, grad, comps = csa_loss(policy, state, action, r_a)
+        want_loss, want_grad, want_comps = oracle_csa_loss(policy, state, action, r_a)
+        assert loss == pytest.approx(want_loss, rel=self.TOL, abs=self.TOL)
+        for key in ("L_p", "L_s", "L_d"):
+            assert comps[key] == pytest.approx(want_comps[key], rel=self.TOL, abs=self.TOL)
+        assert scaled_diff(grad, want_grad) <= self.TOL
+
+    def _csa_instance(self, spec, rng, seed, constraint):
+        policy = _csa(spec, seed=seed, weights=(1.0, 1.5, 0.05))
+        policy.generator.set_params(rng.normal(0, 0.4, policy.generator.n_params))
+        state = random_csa_state(spec, rng)
+        return policy, CsaState(state.utterance, constraint, state.business_ctx)
+
+    @pytest.mark.parametrize("constrained", [True, False])
+    def test_csa_random_instances(self, spec, constrained):
+        rng = np.random.default_rng(33 + constrained)
+        for trial in range(20):
+            constraint = SkillSequence((0, 3)) if constrained else None
+            policy, state = self._csa_instance(spec, rng, 220 + trial, constraint)
+            self._check_csa(policy, state, random_response(spec, rng), float(rng.normal(0, 1)))
+
+    @pytest.mark.parametrize("constrained", [True, False])
+    def test_csa_one_token_and_full_length_without_end(self, spec, constrained):
+        from gopo.core import Response, response_markers
+
+        rng = np.random.default_rng(35 + constrained)
+        constraint = SkillSequence((1, 0)) if constrained else None
+        policy, state = self._csa_instance(spec, rng, 240, constraint)
+        full = tuple(int(t) for t in rng.integers(0, spec.vocab_size, spec.max_response_len))
+        for tokens in ((5,), full):
+            resp = Response(tokens, response_markers(tokens, spec.token_markers))
+            self._check_csa(policy, state, resp, 0.6)
 
 
 class TestDiversityDirection:

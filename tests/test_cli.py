@@ -99,6 +99,39 @@ class TestTrainCommand:
         assert "GOPO_LOG_LEVEL" in capsys.readouterr().err
 
 
+class TestConfigErrorsExitCleanly:
+    """Malformed configs end with one ``error: <key>`` line and exit 1."""
+
+    def _run(self, tiny_config, capsys, mutate):
+        data = json.loads(tiny_config.read_text())
+        mutate(data)
+        tiny_config.write_text(json.dumps(data))
+        rc = main(["train", str(tiny_config)])
+        err = capsys.readouterr().err
+        assert rc == 1
+        assert err.startswith("error: ") and "Traceback" not in err
+        return err
+
+    def test_skill_without_name(self, tiny_config, capsys):
+        err = self._run(tiny_config, capsys, lambda d: d["env"]["skill_pool"][1].pop("name"))
+        assert "env.skill_pool[1].name" in err
+
+    def test_scenario_key_with_non_integer_phase(self, tiny_config, capsys):
+        def mutate(data):
+            data["env"]["scenario_table"]["a|b|x"] = [0]
+
+        err = self._run(tiny_config, capsys, mutate)
+        assert "env.scenario_table['a|b|x']" in err
+
+    def test_fractional_episode_count(self, tiny_config, capsys):
+        err = self._run(tiny_config, capsys, lambda d: d["train"].update(episodes=1.5))
+        assert "train.episodes must be of type int, got 1.5" in err
+
+    def test_string_horizon(self, tiny_config, capsys):
+        err = self._run(tiny_config, capsys, lambda d: d["env"].update(horizon="4"))
+        assert "env.horizon must be of type int, got '4'" in err
+
+
 class TestEvalCommand:
     def _trained(self, tiny_config, tmp_path):
         assert main(["train", str(tiny_config)]) == 0

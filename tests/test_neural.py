@@ -12,7 +12,7 @@ from gopo.neural import (
     save_checkpoint,
     stable_softmax,
 )
-from oracles import central_difference_grad, max_rel_error
+from oracles import central_difference_grad, max_rel_error, scaled_diff
 
 RNG = np.random.default_rng(20240817)
 
@@ -108,6 +108,76 @@ class TestBackward:
         net = Mlp([3, 5, 2], head="linear", seed=7)
         with pytest.raises(ValueError):
             net.backward(np.zeros(3), np.zeros(4))
+
+
+class TestBatch:
+    # BLAS rounds a batched product differently from per-row products, so
+    # batch and rows agree to rounding, not bitwise
+    TOL = 1e-12
+
+    @pytest.mark.parametrize("head", ["softmax", "linear"])
+    def test_forward_matches_per_row_forwards(self, head):
+        for trial in range(5):
+            net = Mlp([6, 9, 7, 4], head=head, seed=40 + trial)
+            x = RNG.normal(0, 1, (11, 6))
+            batch = net.forward(x)
+            rows = np.stack([net.forward(r) for r in x])
+            assert batch.shape == (11, 4)
+            assert scaled_diff(batch, rows) <= self.TOL
+
+    @pytest.mark.parametrize("head", ["softmax", "linear"])
+    def test_backward_is_sum_of_per_row_backwards(self, head):
+        for trial in range(5):
+            net = Mlp([6, 9, 7, 4], head=head, seed=50 + trial)
+            x = RNG.normal(0, 1, (11, 6))
+            upstream = RNG.normal(0, 1, (11, 4))
+            batch = net.backward(x, upstream)
+            summed = sum(net.backward(r, u) for r, u in zip(x, upstream))
+            assert batch.shape == (net.n_params,)
+            assert scaled_diff(batch, summed) <= self.TOL
+
+    @pytest.mark.parametrize("head", ["softmax", "linear"])
+    def test_one_row_batch_is_bitwise_the_vector(self, head):
+        net = Mlp([5, 8, 3], head=head, seed=60)
+        x = RNG.normal(0, 1, 5)
+        u = RNG.normal(0, 1, 3)
+        assert np.array_equal(net.forward(x[None, :])[0], net.forward(x))
+        assert np.array_equal(net.backward(x[None, :], u[None, :]), net.backward(x, u))
+
+    def test_batch_backward_matches_finite_differences(self):
+        net = Mlp([4, 7, 5], head="softmax", seed=70)
+        x = RNG.normal(0, 1, (6, 4))
+        upstream = RNG.normal(0, 1, (6, 5))
+
+        def scalar_loss(params):
+            old = net.get_params()
+            net.set_params(params)
+            val = float(np.sum(net.forward(x) * upstream))
+            net.set_params(old)
+            return val
+
+        fd = central_difference_grad(scalar_loss, net.get_params())
+        assert max_rel_error(net.backward(x, upstream), fd) < 1e-4
+
+    def test_softmax_is_row_wise(self):
+        logits = RNG.normal(0, 3, (5, 6))
+        batch = stable_softmax(logits)
+        for row, lg in zip(batch, logits):
+            assert np.array_equal(row, stable_softmax(lg))
+        assert batch.sum(axis=1) == pytest.approx(np.ones(5), abs=1e-12)
+
+    def test_shapes_checked(self):
+        net = Mlp([3, 5, 2], head="softmax", seed=7)
+        with pytest.raises(ValueError):
+            net.forward(np.zeros((2, 2, 3)))
+        with pytest.raises(ValueError):
+            net.forward(np.zeros((4, 5)))
+        with pytest.raises(ValueError):
+            net.backward(np.zeros((2, 2, 3)), np.zeros((2, 2, 2)))
+        with pytest.raises(ValueError):
+            net.backward(np.zeros((4, 3)), np.zeros((3, 2)))
+        with pytest.raises(ValueError):
+            net.backward(np.zeros((4, 3)), np.zeros(2))
 
 
 class TestParameterVector:
