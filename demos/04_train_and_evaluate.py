@@ -23,7 +23,7 @@ quick = dataclasses.replace(
 
 out = pathlib.Path(tempfile.mkdtemp()) / "quick-run"
 print(f"training {quick.episodes} episodes into {out} ...")
-result = train(quick, cfg.env, cfg.reward, cfg.tse, out)
+report, _ = train(quick, cfg.env, cfg.reward, cfg.tse, out)
 
 print("\nrun directory:")
 for p in sorted(out.rglob("*")):
@@ -32,7 +32,7 @@ for p in sorted(out.rglob("*")):
 
 print("\nfinal greedy evaluation:")
 print(METRIC_CSV_HEADER)
-print(result.final_report.csv_row())
+print(report.csv_row())
 
 trajs = read_trajectories(out / "trajectories.jsonl")
 completed = sum(sum(t.milestones.completed) for t in trajs[-100:]) / 100

@@ -17,17 +17,20 @@ import logging
 import os
 import sys
 from dataclasses import dataclass
-from importlib import resources
 from pathlib import Path
 
 from .metrics import METRIC_CSV_HEADER, TseConfig
 from .rewards import RewardConfig
-from .simenv import ConfigError, EnvConfig, check_scalar
+from .simenv import (
+    ConfigError,
+    EnvConfig,
+    check_list,
+    check_scalar,
+    default_env_config,
+)
 from .trainer import CURVES_CSV_HEADER, TrainConfig, TrainingDiverged, ablate, train
 
 log = logging.getLogger("gopo")
-
-DEFAULT_CONFIG_RESOURCE = "default_config.json"
 
 
 @dataclass(frozen=True)
@@ -68,7 +71,7 @@ class GlobalConfig:
 def _parse_flat_section(cls, data: dict, path: str, tuple_fields: set[str]):
     """Strict parse of a flat dataclass section: all keys required, unknown
     keys rejected, scalars checked against the type of the field's default,
-    list-valued keys coerced to tuples."""
+    list-valued keys checked as lists of numbers and coerced to tuples."""
     data = dict(data)
     kwargs = {}
     for f in dataclasses.fields(cls):
@@ -77,9 +80,7 @@ def _parse_flat_section(cls, data: dict, path: str, tuple_fields: set[str]):
             raise ConfigError(f"missing key {key}")
         value = data.pop(f.name)
         if f.name in tuple_fields:
-            if not isinstance(value, list):
-                raise ConfigError(f"{key} must be a list, got {value!r}")
-            value = tuple(value)
+            value = check_list(value, key, float)
         else:
             check_scalar(value, type(f.default), key)
         kwargs[f.name] = value
@@ -117,26 +118,18 @@ def load_config(path) -> tuple[GlobalConfig, str]:
     return GlobalConfig.from_dict(data, base_dir=p.parent), text
 
 
-def default_config_text() -> str:
-    """The packaged default configuration, verbatim."""
-    return (
-        resources.files("gopo")
-        .joinpath("data")
-        .joinpath(DEFAULT_CONFIG_RESOURCE)
-        .read_text(encoding="utf-8")
+def default_global_config() -> GlobalConfig:
+    """The default world and training run, built from the section defaults;
+    ``configs/default.json`` spells out the same configuration."""
+    return GlobalConfig(
+        default_env_config(), RewardConfig(), TseConfig(), TrainConfig(), "runs/default"
     )
 
 
-def default_global_config() -> GlobalConfig:
-    return GlobalConfig.from_dict(json.loads(default_config_text()))
-
-
-def _apply_overrides(cfg: GlobalConfig, seed=None, out=None, workers=None) -> GlobalConfig:
+def _apply_overrides(cfg: GlobalConfig, seed=None, out=None) -> GlobalConfig:
     train_cfg = cfg.train
     if seed is not None:
         train_cfg = dataclasses.replace(train_cfg, seed=seed)
-    if workers is not None:
-        train_cfg = dataclasses.replace(train_cfg, workers=workers)
     out_dir = out if out is not None else cfg.output_dir
     return dataclasses.replace(cfg, train=train_cfg, output_dir=str(out_dir))
 
@@ -158,13 +151,13 @@ def _setup_logging() -> None:
 
 def cmd_train(args) -> int:
     cfg, text = load_config(args.config)
-    cfg = _apply_overrides(cfg, seed=args.seed, out=args.out, workers=args.workers)
-    if args.seed is not None or args.workers is not None:
+    cfg = _apply_overrides(cfg, seed=args.seed, out=args.out)
+    if args.seed is not None:
         text = json.dumps(cfg.to_dict(), indent=2)
-    result = train(cfg.train, cfg.env, cfg.reward, cfg.tse, cfg.output_dir, config_text=text)
-    log.info("run directory: %s", result.run_dir)
+    report, _ = train(cfg.train, cfg.env, cfg.reward, cfg.tse, cfg.output_dir, config_text=text)
+    log.info("run directory: %s", cfg.output_dir)
     log.info(METRIC_CSV_HEADER)
-    log.info(result.final_report.csv_row())
+    log.info(report.csv_row())
     return 0
 
 
@@ -177,9 +170,26 @@ def _latest_step(ckpt_dir: Path, name: str) -> int | None:
     return max(steps) if steps else None
 
 
+def _load_net(ckpt_dir: Path, name: str, step: int, like, role: str):
+    """The network saved as ``{name}-{step}.ckpt``, checked to have the shape
+    of ``like``, the network the config builds for ``role``."""
+    from .neural import load_checkpoint
+
+    path = ckpt_dir / f"{name}-{step}.ckpt"
+    try:
+        net, _ = load_checkpoint(path)
+    except (ValueError, OSError) as exc:
+        raise ConfigError(f"cannot load checkpoint {path}: {exc}") from exc
+    if net.layer_sizes != like.layer_sizes:
+        raise ConfigError(
+            f"{role} checkpoint shape {net.layer_sizes} does not match "
+            f"config shape {like.layer_sizes}"
+        )
+    return net
+
+
 def cmd_eval(args) -> int:
     from .agents import CsaPolicy, ExpertPolicy, FeatureSpec
-    from .neural import load_checkpoint
     from .trainer import _evaluate
 
     cfg, _ = load_config(args.config)
@@ -188,47 +198,29 @@ def cmd_eval(args) -> int:
         raise ConfigError(f"checkpoint directory not found: {ckpt_dir}")
     spec = FeatureSpec.from_env_config(cfg.env)
     variant = cfg.train.variant
-    try:
-        csa_step = _latest_step(ckpt_dir, "csa")
-        if csa_step is None:
-            raise ConfigError(f"no responder checkpoint in {ckpt_dir}")
-        csa = CsaPolicy(
-            spec,
-            hidden=cfg.train.hidden_size,
-            loss_weights=(
-                cfg.train.lambda_pg,
-                cfg.train.lambda_skill,
-                cfg.train.lambda_diversity,
-            ),
+    csa_step = _latest_step(ckpt_dir, "csa")
+    if csa_step is None:
+        raise ConfigError(f"no responder checkpoint in {ckpt_dir}")
+    csa = CsaPolicy(
+        spec,
+        hidden=cfg.train.hidden_size,
+        loss_weights=(
+            cfg.train.lambda_pg,
+            cfg.train.lambda_skill,
+            cfg.train.lambda_diversity,
+        ),
+    )
+    csa.generator = _load_net(ckpt_dir, "csa", csa_step, csa.generator, "responder")
+    expert = None
+    if variant != "no-expert":
+        expert_step = _latest_step(ckpt_dir, "expert")
+        if expert_step is None:
+            raise ConfigError(f"no planner checkpoint in {ckpt_dir} for variant {variant!r}")
+        expert = ExpertPolicy(
+            spec, hidden=cfg.train.hidden_size, entropy_coeff=cfg.train.entropy_coeff
         )
-        net, _ = load_checkpoint(ckpt_dir / f"csa-{csa_step}.ckpt")
-        if net.layer_sizes != csa.generator.layer_sizes:
-            raise ConfigError(
-                f"responder checkpoint shape {net.layer_sizes} does not match "
-                f"config shape {csa.generator.layer_sizes}"
-            )
-        csa.generator = net
-        expert = None
-        if variant != "no-expert":
-            expert_step = _latest_step(ckpt_dir, "expert")
-            if expert_step is None:
-                raise ConfigError(
-                    f"no planner checkpoint in {ckpt_dir} for variant {variant!r}"
-                )
-            expert = ExpertPolicy(
-                spec, hidden=cfg.train.hidden_size, entropy_coeff=cfg.train.entropy_coeff
-            )
-            net, _ = load_checkpoint(ckpt_dir / f"expert-{expert_step}.ckpt")
-            if net.layer_sizes != expert.actor.layer_sizes:
-                raise ConfigError(
-                    f"planner checkpoint shape {net.layer_sizes} does not match "
-                    f"config shape {expert.actor.layer_sizes}"
-                )
-            expert.actor = net
-            critic_net, _ = load_checkpoint(ckpt_dir / f"critic-{expert_step}.ckpt")
-            expert.critic = critic_net
-    except (ValueError, OSError) as exc:
-        raise ConfigError(f"cannot load checkpoints: {exc}") from exc
+        expert.actor = _load_net(ckpt_dir, "expert", expert_step, expert.actor, "planner")
+        expert.critic = _load_net(ckpt_dir, "critic", expert_step, expert.critic, "critic")
 
     seed = args.seed if args.seed is not None else cfg.train.seed
     report, _ = _evaluate(
@@ -299,7 +291,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("config", help="path to the JSON config file")
     p.add_argument("--seed", type=int, default=None, help="override train.seed")
     p.add_argument("--out", default=None, help="override output_dir")
-    p.add_argument("--workers", type=int, default=None, help="parallel rollout workers")
     p.set_defaults(func=cmd_train)
 
     p = sub.add_parser("eval", help="greedy evaluation of saved checkpoints")

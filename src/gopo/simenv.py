@@ -56,6 +56,36 @@ def check_scalar(value, kind: type, key: str):
     return value
 
 
+def check_list(value, key: str, item) -> tuple:
+    """``value`` as a tuple if it is a JSON list whose entries pass ``item``,
+    either a scalar type for ``check_scalar`` or a function of (entry, key)
+    for nested values; otherwise a ConfigError naming the key or entry."""
+    if not isinstance(value, list):
+        raise ConfigError(f"{key} must be a list, got {value!r}")
+    if isinstance(item, type):
+        return tuple(check_scalar(v, item, f"{key}[{i}]") for i, v in enumerate(value))
+    return tuple(item(v, f"{key}[{i}]") for i, v in enumerate(value))
+
+
+def check_object(value, key: str) -> dict:
+    """``value`` if it is a JSON object; otherwise a ConfigError naming the key."""
+    if not isinstance(value, dict):
+        raise ConfigError(f"{key} must be an object, got {value!r}")
+    return value
+
+
+def _ints(value, key: str) -> tuple[int, ...]:
+    return check_list(value, key, int)
+
+
+def _marker_set(value, key: str) -> frozenset[int]:
+    return frozenset(_ints(value, key))
+
+
+def _matrix(value, key: str) -> tuple[tuple[float, ...], ...]:
+    return check_list(value, key, lambda row, k: check_list(row, k, float))
+
+
 # --- configuration -----------------------------------------------------------
 
 
@@ -142,63 +172,76 @@ class EnvConfig:
             value = data.pop(key)
             return value if kind is None else check_scalar(value, kind, f"{path}.{key}")
 
-        skills = []
-        for i, entry in enumerate(take("skill_pool")):
+        def skill(entry, key: str) -> Skill:
+            check_object(entry, key)
             for field in ("id", "name", "required_markers"):
                 if field not in entry:
-                    raise ConfigError(f"missing key {path}.skill_pool[{i}].{field}")
-            skills.append(
-                Skill(
-                    id=entry["id"],
-                    name=entry["name"],
-                    required_markers=frozenset(entry["required_markers"]),
-                )
+                    raise ConfigError(f"missing key {key}.{field}")
+            return Skill(
+                id=check_scalar(entry["id"], int, f"{key}.id"),
+                name=check_scalar(entry["name"], str, f"{key}.name"),
+                required_markers=_marker_set(
+                    entry["required_markers"], f"{key}.required_markers"
+                ),
             )
-        skill_pool = tuple(skills)
-        scenario_raw = take("scenario_table")
-        if isinstance(scenario_raw, dict) and set(scenario_raw) == {"file"}:
+
+        skill_pool = check_list(take("skill_pool"), f"{path}.skill_pool", skill)
+        table_key = f"{path}.scenario_table"
+        scenario_raw = check_object(take("scenario_table"), table_key)
+        if set(scenario_raw) == {"file"}:
             # table referenced as a separate JSON file, resolved against the
             # config file's directory
             import json
             from pathlib import Path
 
-            ref = Path(scenario_raw["file"])
+            ref = Path(check_scalar(scenario_raw["file"], str, f"{table_key}.file"))
             if base_dir is not None and not ref.is_absolute():
                 ref = Path(base_dir) / ref
             if not ref.is_file():
-                raise ConfigError(f"{path}.scenario_table file not found: {ref}")
-            scenario_raw = json.loads(ref.read_text(encoding="utf-8"))
+                raise ConfigError(f"{table_key} file not found: {ref}")
+            try:
+                scenario_raw = json.loads(ref.read_text(encoding="utf-8"))
+            except json.JSONDecodeError as exc:
+                raise ConfigError(f"{table_key} file {ref} is not valid JSON: {exc}") from exc
+            check_object(scenario_raw, table_key)
         scenario: dict[tuple[str, str, int], tuple[int, ...]] = {}
         for key, seq in scenario_raw.items():
             parts = key.split("|")
             if len(parts) != 3 or not parts[2].isdigit():
                 raise ConfigError(
-                    f"malformed scenario key {path}.scenario_table[{key!r}]: "
+                    f"malformed scenario key {table_key}[{key!r}]: "
                     "expected intent|emotion|phase with an integer phase"
                 )
-            scenario[(parts[0], parts[1], int(parts[2]))] = tuple(seq)
-        emo_raw = take("emotion_transition")
+            scenario[(parts[0], parts[1], int(parts[2]))] = _ints(
+                seq, f"{table_key}[{key!r}]"
+            )
+        emo_key = f"{path}.emotion_transition"
+        emo_raw = check_object(take("emotion_transition"), emo_key)
+
+        def listed(key, item):
+            return check_list(take(key), f"{path}.{key}", item)
+
         cfg = cls(
             skill_pool=skill_pool,
-            intents=tuple(take("intents")),
-            emotions=tuple(take("emotions")),
+            intents=listed("intents", str),
+            emotions=listed("emotions", str),
             vocab_size=take("vocab_size", int),
             horizon=take("horizon", int),
             history_window=take("history_window", int),
             marker_count=take("marker_count", int),
-            token_markers=tuple(frozenset(m) for m in take("token_markers")),
-            politeness_markers=frozenset(take("politeness_markers")),
-            phase_markers=tuple(frozenset(m) for m in take("phase_markers")),
-            emotion_transition={
-                key: tuple(tuple(row) for row in mat) for key, mat in emo_raw.items()
-            },
-            intent_transition=tuple(
-                tuple(tuple(row) for row in mat) for mat in take("intent_transition")
+            token_markers=listed("token_markers", _marker_set),
+            politeness_markers=_marker_set(
+                take("politeness_markers"), f"{path}.politeness_markers"
             ),
-            initial_intent_dist=tuple(take("initial_intent_dist")),
-            initial_emotion_dist=tuple(take("initial_emotion_dist")),
+            phase_markers=listed("phase_markers", _marker_set),
+            emotion_transition={
+                key: _matrix(mat, f"{emo_key}.{key}") for key, mat in emo_raw.items()
+            },
+            intent_transition=listed("intent_transition", _matrix),
+            initial_intent_dist=listed("initial_intent_dist", float),
+            initial_emotion_dist=listed("initial_emotion_dist", float),
             scenario_table=scenario,
-            milestone_rules=tuple(tuple(r) for r in take("milestone_rules")),
+            milestone_rules=listed("milestone_rules", _ints),
             compliance_threshold=take("compliance_threshold", float),
             max_response_len=take("max_response_len", int),
             seed=take("seed", int),
@@ -495,8 +538,9 @@ TERMINAL_HORIZON = "horizon"
 
 
 class DialogueEnv:
-    """One episode-at-a-time scripted dialogue.  An instance is owned by a
-    single rollout worker; independent instances never share state."""
+    """One episode-at-a-time scripted dialogue.  ``reset`` rebuilds all
+    episode state, so one instance plays any number of episodes in turn;
+    independent instances never share state."""
 
     def __init__(self, cfg: EnvConfig):
         validate_env_config(cfg)

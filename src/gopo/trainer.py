@@ -19,8 +19,7 @@ evaluation gains are attributable to the reward stack.
 All randomness derives from the training seed: episode i uses generators
 seeded from (seed, i), evaluation episodes from a disjoint stream shared
 across variants, so identical configurations reproduce byte-identical run
-directories.  Rollouts within a batch can run on parallel workers; results
-are ordered by episode id, so parallelism never changes outputs.
+directories.
 
 Run directory layout::
 
@@ -36,9 +35,7 @@ from __future__ import annotations
 
 import dataclasses
 import json
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
-from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -61,15 +58,7 @@ from .core import (
     TurnRecord,
     trajectory_to_json,
 )
-from .metrics import (
-    METRIC_CSV_HEADER,
-    MetricReport,
-    TseConfig,
-    aggregate,
-    bleu,
-    gre,
-    tse,
-)
+from .metrics import METRIC_CSV_HEADER, MetricReport, TseConfig, aggregate
 from .neural import AdamState, adam_step, clip_grad_norm, save_checkpoint
 from .rewards import RewardConfig, csa_reward, esndcg, joint_reward, joint_weights
 from .simenv import ConfigError, DialogueEnv, EnvConfig, reference_responses
@@ -96,7 +85,6 @@ class TrainConfig:
     """Optimization and run-control parameters."""
 
     episodes: int = 2400
-    horizon: int = 12
     discount: float = 0.5
     batch_size: int = 8
     lr_expert_actor: float = 0.015
@@ -112,7 +100,6 @@ class TrainConfig:
     eval_episodes: int = 200
     seed: int = 0
     variant: str = "full"
-    workers: int = 1
 
     def __post_init__(self) -> None:
         if not 0.0 < self.discount <= 1.0:
@@ -130,10 +117,6 @@ class TrainConfig:
             raise ConfigError("train batch/eval sizes must be positive")
         if self.critic_warmup < 0:
             raise ConfigError("train.critic_warmup must be non-negative")
-        if self.horizon < 1:
-            raise ConfigError("train.horizon must be positive")
-        if self.workers < 1:
-            raise ConfigError("train.workers must be positive")
 
 
 def episode_seeds(base_seed: int, stream: int, episode_id: int) -> tuple[int, int]:
@@ -204,48 +187,38 @@ def rollout(
 
 def compute_advantages(
     traj: Trajectory, policy: ExpertPolicy, discount: float
-) -> np.ndarray:
-    """One-step TD advantages on the joint reward, with terminal value 0."""
+) -> tuple[np.ndarray, np.ndarray]:
+    """One-step TD targets on the joint reward, with terminal value 0, and
+    the advantages ``target - value`` of every turn."""
     values = [critic_value(policy, t.expert_state) for t in traj.turns] + [0.0]
-    return np.array(
-        [
-            t.reward.joint + discount * values[i + 1] - values[i]
-            for i, t in enumerate(traj.turns)
-        ]
+    targets = np.array(
+        [t.reward.joint + discount * values[i + 1] for i, t in enumerate(traj.turns)]
     )
+    return targets, targets - np.array(values[:-1])
 
 
-def _rollout_task(
-    env_cfg: EnvConfig,
+def _play(
+    env: DialogueEnv,
     expert: ExpertPolicy | None,
     csa: CsaPolicy,
     reward_cfg: RewardConfig,
     base_seed: int,
     stream: int,
+    episode_ids: range,
     greedy: bool,
-    episode_id: int,
-) -> Trajectory:
-    env = DialogueEnv(env_cfg)
-    env_seed, agent_seed = episode_seeds(base_seed, stream, episode_id)
-    rng = np.random.default_rng(agent_seed)
-    return rollout(
-        env, expert, csa, reward_cfg, rng,
-        episode_id=episode_id, env_seed=env_seed, greedy=greedy,
-    )
-
-
-@dataclass
-class TrainResult:
-    """Everything a caller needs beyond the files on disk: the final report
-    plus the per-episode evaluation values for cross-run pooling."""
-
-    run_dir: Path
-    final_report: MetricReport
-    eval_tse: list[float]
-    eval_gre: list[float]
-    eval_joint: list[float]
-    eval_candidates: list[tuple[int, ...]]
-    eval_references: list[tuple[int, ...]]
+) -> list[Trajectory]:
+    """Play the given episodes of one seed stream on ``env``, in order."""
+    trajs = []
+    for i in episode_ids:
+        env_seed, agent_seed = episode_seeds(base_seed, stream, i)
+        rng = np.random.default_rng(agent_seed)
+        trajs.append(
+            rollout(
+                env, expert, csa, reward_cfg, rng,
+                episode_id=i, env_seed=env_seed, greedy=greedy,
+            )
+        )
+    return trajs
 
 
 def _evaluate(
@@ -257,35 +230,15 @@ def _evaluate(
     variant: str,
     n_episodes: int,
     base_seed: int,
-) -> tuple[MetricReport, TrainResult]:
-    """Greedy evaluation over fresh episodes from the shared eval stream."""
+) -> tuple[MetricReport, list[Trajectory]]:
+    """Greedy evaluation over fresh episodes from the shared eval stream;
+    returns the report row and the evaluated trajectories."""
     env = DialogueEnv(env_cfg)
-    trajs: list[Trajectory] = []
-    all_refs: list[list[tuple[int, ...]]] = []
-    for i in range(n_episodes):
-        env_seed, agent_seed = episode_seeds(base_seed, _STREAM_EVAL, i)
-        rng = np.random.default_rng(agent_seed)
-        traj = rollout(
-            env, expert, csa, reward_cfg, rng,
-            episode_id=i, env_seed=env_seed, greedy=True,
-        )
-        trajs.append(traj)
-        all_refs.append(reference_responses(traj, env_cfg))
-    report = aggregate(trajs, tse_cfg, all_refs, variant=variant)
-    cands = [turn.response.tokens for t in trajs for turn in t.turns]
-    refs = [tuple(r) for rs in all_refs for r in rs]
-    result = TrainResult(
-        run_dir=Path(),
-        final_report=report,
-        eval_tse=[tse(t.milestones, tse_cfg) for t in trajs],
-        eval_gre=[gre(t) for t in trajs],
-        eval_joint=[
-            float(np.mean([turn.reward.joint for turn in t.turns])) for t in trajs
-        ],
-        eval_candidates=cands,
-        eval_references=refs,
+    trajs = _play(
+        env, expert, csa, reward_cfg, base_seed, _STREAM_EVAL, range(n_episodes), True
     )
-    return report, result
+    refs = [reference_responses(t, env_cfg) for t in trajs]
+    return aggregate(trajs, tse_cfg, refs, variant=variant), trajs
 
 
 def train(
@@ -295,19 +248,17 @@ def train(
     tse_cfg: TseConfig,
     out_dir,
     config_text: str | None = None,
-) -> TrainResult:
+) -> tuple[MetricReport, list[Trajectory]]:
     """Run one training job and populate its run directory.
 
     Batches of rollouts are turned into accumulated gradients (mean over the
     batch's turns, clipped at global norm 5) and Adam steps; every
     ``eval_every`` updates, and once at the end, the greedy policies are
     evaluated and checkpointed.  The ``untrained`` variant skips the update
-    loop entirely and just evaluates the random initialization.
+    loop entirely and just evaluates the random initialization.  Returns the
+    final evaluation's report row and trajectories.
     """
-    if train_cfg.horizon != env_cfg.horizon:
-        raise ConfigError(
-            f"train.horizon {train_cfg.horizon} != env.horizon {env_cfg.horizon}"
-        )
+    env = DialogueEnv(env_cfg)
     run_dir = Path(out_dir)
     run_dir.mkdir(parents=True, exist_ok=True)
     ckpt_dir = run_dir / "checkpoints"
@@ -351,20 +302,10 @@ def train(
     csa_adam = AdamState.zeros(csa.generator.n_params)
 
     episodes = 0 if variant == "untrained" else train_cfg.episodes
-    batches: list[list[int]] = [
-        list(range(start, min(start + train_cfg.batch_size, episodes)))
+    batches: list[range] = [
+        range(start, min(start + train_cfg.batch_size, episodes))
         for start in range(0, episodes, train_cfg.batch_size)
     ]
-
-    executor = None
-    if train_cfg.workers > 1:
-        import multiprocessing
-
-        # fork keeps worker startup cheap and avoids re-importing __main__;
-        # fall back to spawn where fork does not exist
-        methods = multiprocessing.get_all_start_methods()
-        ctx = multiprocessing.get_context("fork" if "fork" in methods else "spawn")
-        executor = ProcessPoolExecutor(max_workers=train_cfg.workers, mp_context=ctx)
 
     traj_fh = open(run_dir / "trajectories.jsonl", "w", encoding="utf-8")
     metrics_fh = open(run_dir / "metrics.csv", "w", encoding="utf-8")
@@ -384,8 +325,6 @@ def train(
     # centering the coefficient, and keeps the responder's signal free of
     # planner and bootstrap noise.
     csa_baseline = 0.5
-    final_report: MetricReport | None = None
-    result: TrainResult | None = None
     try:
         for update, episode_ids in enumerate(batches):
             # During warmup the planner's actor is frozen while the critic
@@ -394,15 +333,10 @@ def train(
             # the actor then starts from centered advantages against an
             # already-compliant responder.
             warm = update < train_cfg.critic_warmup
-            task = partial(
-                _rollout_task,
-                env_cfg, expert, csa, reward_cfg,
-                train_cfg.seed, _STREAM_TRAIN, False,
+            batch = _play(
+                env, expert, csa, reward_cfg,
+                train_cfg.seed, _STREAM_TRAIN, episode_ids, False,
             )
-            if executor is not None:
-                batch = list(executor.map(task, episode_ids))
-            else:
-                batch = [task(i) for i in episode_ids]
             for traj in batch:
                 traj_fh.write(trajectory_to_json(traj) + "\n")
 
@@ -415,16 +349,16 @@ def train(
             sum_joint = 0.0
             for traj in batch:
                 if train_expert:
-                    values = [
-                        critic_value(expert, t.expert_state) for t in traj.turns
-                    ] + [0.0]
+                    targets, advantages = compute_advantages(
+                        traj, expert, train_cfg.discount
+                    )
                 for i, turn in enumerate(traj.turns):
                     sum_joint += turn.reward.joint
                     if train_expert:
-                        target = turn.reward.joint + train_cfg.discount * values[i + 1]
-                        advantage = target - values[i]
-                        el, eg = expert_loss(expert, turn.expert_state, turn.skills, advantage)
-                        cl, cg = critic_loss(expert, turn.expert_state, target)
+                        el, eg = expert_loss(
+                            expert, turn.expert_state, turn.skills, advantages[i]
+                        )
+                        cl, cg = critic_loss(expert, turn.expert_state, targets[i])
                         actor_grad += eg
                         critic_grad += cg
                         sum_expert_loss += el
@@ -441,7 +375,7 @@ def train(
                     "update": update,
                     "expert_loss": mean_expert_loss,
                     "csa_loss": mean_csa_loss,
-                    "episode_ids": episode_ids,
+                    "episode_ids": list(episode_ids),
                 }
                 (run_dir / "diagnostics.json").write_text(json.dumps(diag, indent=2))
                 raise TrainingDiverged(
@@ -478,7 +412,7 @@ def train(
                 metrics_fh.write(report.csv_row() + "\n")
                 save_ckpts(step)
 
-        final_report, result = _evaluate(
+        final_report, final_trajs = _evaluate(
             env_cfg, expert, csa, reward_cfg, tse_cfg,
             variant, train_cfg.eval_episodes, train_cfg.seed,
         )
@@ -488,43 +422,11 @@ def train(
         traj_fh.close()
         metrics_fh.close()
         curves_fh.close()
-        if executor is not None:
-            executor.shutdown()
 
     (run_dir / "final_report.csv").write_text(
         METRIC_CSV_HEADER + "\n" + final_report.csv_row() + "\n", encoding="utf-8"
     )
-    result.run_dir = run_dir
-    return result
-
-
-def _mean(xs) -> float:
-    return sum(xs) / len(xs)
-
-
-def _std(xs) -> float:
-    if len(xs) < 2:
-        return 0.0
-    m = _mean(xs)
-    return float(np.sqrt(sum((x - m) ** 2 for x in xs) / (len(xs) - 1)))
-
-
-def _pooled_report(variant: str, results: list[TrainResult]) -> MetricReport:
-    tses = [x for r in results for x in r.eval_tse]
-    gres = [x for r in results for x in r.eval_gre]
-    joints = [x for r in results for x in r.eval_joint]
-    cands = [c for r in results for c in r.eval_candidates]
-    refs = [c for r in results for c in r.eval_references]
-    return MetricReport(
-        variant=variant,
-        episodes=len(tses),
-        tse_mean=_mean(tses),
-        tse_std=_std(tses),
-        gre_mean=_mean(gres),
-        gre_std=_std(gres),
-        bleu=bleu(cands, refs),
-        joint_mean=_mean(joints),
-    )
+    return final_report, final_trajs
 
 
 def ablate(
@@ -538,22 +440,24 @@ def ablate(
     """Train and evaluate the three variants with shared seeds.
 
     Every variant sees the same seed list (hence the same evaluation episode
-    stream); evaluation episodes are pooled across seeds into one row per
-    variant, written to ``ablation.csv`` in full / no-expert / untrained
-    order."""
+    stream); the final evaluation episodes of all seeds are pooled into one
+    ``aggregate`` row per variant, written to ``ablation.csv`` in full /
+    no-expert / untrained order."""
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     if seeds is None:
         seeds = [train_cfg.seed]
     rows: list[MetricReport] = []
     for variant in VARIANTS:
-        results = []
+        trajs: list[Trajectory] = []
         for seed in seeds:
             cfg = dataclasses.replace(train_cfg, variant=variant, seed=seed)
-            results.append(
-                train(cfg, env_cfg, reward_cfg, tse_cfg, out / f"{variant}-seed{seed}")
+            _, final_trajs = train(
+                cfg, env_cfg, reward_cfg, tse_cfg, out / f"{variant}-seed{seed}"
             )
-        rows.append(_pooled_report(variant, results))
+            trajs += final_trajs
+        refs = [reference_responses(t, env_cfg) for t in trajs]
+        rows.append(aggregate(trajs, tse_cfg, refs, variant=variant))
     with open(out / "ablation.csv", "w", encoding="utf-8") as fh:
         fh.write(METRIC_CSV_HEADER + "\n")
         for row in rows:

@@ -149,7 +149,6 @@ def write_tiny_config(path, out_dir, **train_overrides):
     from gopo.trainer import TrainConfig
 
     train = dict(
-        horizon=4,
         episodes=16,
         batch_size=8,
         critic_warmup=1,

@@ -1,4 +1,5 @@
 import json
+from pathlib import Path
 
 import pytest
 
@@ -9,6 +10,8 @@ from gopo.simenv import ConfigError, default_env_config
 from gopo.trainer import CURVES_CSV_HEADER, TrainConfig
 from conftest import write_tiny_config
 
+REPO = Path(__file__).resolve().parents[1]
+
 
 @pytest.fixture
 def tiny_config(tmp_path):
@@ -17,7 +20,8 @@ def tiny_config(tmp_path):
 
 class TestConfigLoading:
     def test_packaged_default_matches_builders(self):
-        cfg = default_global_config()
+        cfg, _ = load_config(REPO / "configs" / "default.json")
+        assert cfg == default_global_config()
         assert cfg.env == default_env_config()
         assert cfg.reward == RewardConfig()
         assert cfg.tse == TseConfig()
@@ -63,6 +67,14 @@ class TestConfigLoading:
         tiny_config.write_text(json.dumps(data))
         cfg, _ = load_config(tiny_config)
         assert len(cfg.env.scenario_table) == len(table)
+
+    def test_scenario_file_that_is_not_json_rejected(self, tiny_config, tmp_path):
+        (tmp_path / "table.json").write_text("{not json")
+        data = json.loads(tiny_config.read_text())
+        data["env"]["scenario_table"] = {"file": "table.json"}
+        tiny_config.write_text(json.dumps(data))
+        with pytest.raises(ConfigError, match="env.scenario_table file .*table.json"):
+            load_config(tiny_config)
 
     def test_missing_scenario_file_rejected(self, tiny_config):
         data = json.loads(tiny_config.read_text())
@@ -131,6 +143,35 @@ class TestConfigErrorsExitCleanly:
         err = self._run(tiny_config, capsys, lambda d: d["env"].update(horizon="4"))
         assert "env.horizon must be of type int, got '4'" in err
 
+    @pytest.mark.parametrize(
+        "key, value, message",
+        [
+            pytest.param(key, value, message, id=key)
+            for key, value, message in [
+                ("skill_pool", [1], "env.skill_pool[0] must be an object, got 1"),
+                ("intents", 3, "env.intents must be a list, got 3"),
+                ("phase_markers", [1, 2, 3], "env.phase_markers[0] must be a list, got 1"),
+                ("emotion_transition", [], "env.emotion_transition must be an object, got []"),
+                ("scenario_table", [], "env.scenario_table must be an object, got []"),
+            ]
+        ],
+    )
+    def test_mistyped_list_valued_env_field(self, tiny_config, capsys, key, value, message):
+        err = self._run(tiny_config, capsys, lambda d: d["env"].update({key: value}))
+        assert message in err
+
+    def test_integer_token_marker_set(self, tiny_config, capsys):
+        def mutate(data):
+            data["env"]["token_markers"][0] = 3
+
+        err = self._run(tiny_config, capsys, mutate)
+        assert "env.token_markers[0] must be a list, got 3" in err
+
+    @pytest.mark.parametrize("key, value", [("workers", 1), ("horizon", 4)])
+    def test_removed_train_keys_are_unknown(self, tiny_config, capsys, key, value):
+        err = self._run(tiny_config, capsys, lambda d: d["train"].update({key: value}))
+        assert f"error: unknown key train.{key}" in err
+
 
 class TestEvalCommand:
     def _trained(self, tiny_config, tmp_path):
@@ -168,6 +209,23 @@ class TestEvalCommand:
         ])
         assert rc == 1
         assert "shape" in capsys.readouterr().err
+
+    def test_critic_shape_mismatch_exits_1(self, tiny_config, tmp_path, capsys):
+        from gopo.neural import Mlp, load_checkpoint, save_checkpoint
+
+        ckpts = self._trained(tiny_config, tmp_path)
+        (critic_path,) = ckpts.glob("critic-*.ckpt")
+        critic, _ = load_checkpoint(critic_path)
+        sizes = critic.layer_sizes
+        save_checkpoint(critic_path, Mlp((sizes[0], sizes[1] + 3, sizes[-1])))
+        capsys.readouterr()
+        rc = main([
+            "eval", "--checkpoint-dir", str(ckpts), "--config", str(tiny_config),
+            "--episodes", "1",
+        ])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: critic checkpoint shape")
 
     def test_missing_checkpoints_exit_1(self, tiny_config, tmp_path):
         (tmp_path / "empty").mkdir()
