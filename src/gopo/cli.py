@@ -1,11 +1,14 @@
 """Command-line surface: train, eval, ablate, report.
 
 The configuration is one JSON file with four sections (env, reward, tse,
-train) plus an output directory.  Parsing is strict both ways: an unknown
-key fails fast naming the key, and every key must be present, so a config
-file pins a run completely.  Exit codes: 0 success, 1 invalid
-configuration/usage, 2 runtime failure.  Log verbosity comes from the
-GOPO_LOG_LEVEL environment variable (error, info, or debug).
+train) plus an output directory, parsed by ``GlobalConfig.from_dict``
+through the one strict parser ``simenv.parse_fields``: every key must be
+present, an unknown key fails naming the key, and every value is checked,
+so a config file pins a run completely.  Exit codes: 0 success; 1 invalid
+configuration, checkpoint or command-line usage, reported as one
+``error: ...`` line on stderr; 2 runtime failure (a diverged loss or an
+I/O error).  Log verbosity comes from the GOPO_LOG_LEVEL environment
+variable (error, info, or debug).
 """
 
 from __future__ import annotations
@@ -16,92 +19,21 @@ import json
 import logging
 import os
 import sys
-from dataclasses import dataclass
 from pathlib import Path
 
 from .metrics import METRIC_CSV_HEADER, TseConfig
 from .rewards import RewardConfig
-from .simenv import (
-    ConfigError,
-    EnvConfig,
-    check_list,
-    check_scalar,
-    default_env_config,
+from .simenv import ConfigError, default_env_config
+from .trainer import (
+    CURVES_CSV_HEADER,
+    GlobalConfig,
+    TrainConfig,
+    TrainingDiverged,
+    ablate,
+    train,
 )
-from .trainer import CURVES_CSV_HEADER, TrainConfig, TrainingDiverged, ablate, train
 
 log = logging.getLogger("gopo")
-
-
-@dataclass(frozen=True)
-class GlobalConfig:
-    """The four config sections and the output directory."""
-
-    env: EnvConfig
-    reward: RewardConfig
-    tse: TseConfig
-    train: TrainConfig
-    output_dir: str
-
-    def to_dict(self) -> dict:
-        return {
-            "env": self.env.to_dict(),
-            "reward": dataclasses.asdict(self.reward),
-            "tse": dataclasses.asdict(self.tse),
-            "train": dataclasses.asdict(self.train),
-            "output_dir": self.output_dir,
-        }
-
-    @classmethod
-    def from_dict(cls, data: dict, base_dir=None) -> "GlobalConfig":
-        data = dict(data)
-        for section in ("env", "reward", "tse", "train", "output_dir"):
-            if section not in data:
-                raise ConfigError(f"missing key {section}")
-        env = EnvConfig.from_dict(data.pop("env"), path="env", base_dir=base_dir)
-        reward = _reward_from_dict(data.pop("reward"))
-        tse = _tse_from_dict(data.pop("tse"))
-        train_cfg = _train_from_dict(data.pop("train"))
-        output_dir = data.pop("output_dir")
-        if data:
-            raise ConfigError(f"unknown key {sorted(data)[0]}")
-        return cls(env=env, reward=reward, tse=tse, train=train_cfg, output_dir=output_dir)
-
-
-def _parse_flat_section(cls, data: dict, path: str, tuple_fields: set[str]):
-    """Strict parse of a flat dataclass section: all keys required, unknown
-    keys rejected, scalars checked against the type of the field's default,
-    list-valued keys checked as lists of numbers and coerced to tuples."""
-    data = dict(data)
-    kwargs = {}
-    for f in dataclasses.fields(cls):
-        key = f"{path}.{f.name}"
-        if f.name not in data:
-            raise ConfigError(f"missing key {key}")
-        value = data.pop(f.name)
-        if f.name in tuple_fields:
-            value = check_list(value, key, float)
-        else:
-            check_scalar(value, type(f.default), key)
-        kwargs[f.name] = value
-    if data:
-        raise ConfigError(f"unknown key {path}.{sorted(data)[0]}")
-    try:
-        return cls(**kwargs)
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"{path}: {exc}") from exc
-
-
-def _reward_from_dict(data: dict) -> RewardConfig:
-    return _parse_flat_section(RewardConfig, data, "reward", {"dim_weights"})
-
-
-def _tse_from_dict(data: dict) -> TseConfig:
-    return _parse_flat_section(TseConfig, data, "tse", {"task_weights"})
-
-
-def _train_from_dict(data: dict) -> TrainConfig:
-    return _parse_flat_section(TrainConfig, data, "train", set())
 
 
 def load_config(path) -> tuple[GlobalConfig, str]:
@@ -110,10 +42,10 @@ def load_config(path) -> tuple[GlobalConfig, str]:
     p = Path(path)
     if not p.is_file():
         raise ConfigError(f"config file not found: {p}")
-    text = p.read_text(encoding="utf-8")
     try:
+        text = p.read_text(encoding="utf-8")
         data = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:
         raise ConfigError(f"config file {p} is not valid JSON: {exc}") from exc
     return GlobalConfig.from_dict(data, base_dir=p.parent), text
 
@@ -237,12 +169,7 @@ def cmd_eval(args) -> int:
 def cmd_ablate(args) -> int:
     cfg, _ = load_config(args.config)
     out_dir = Path(args.out) if args.out else Path(cfg.output_dir)
-    seeds = None
-    if args.seeds:
-        seeds = [int(s) for s in args.seeds.split(",") if s.strip()]
-        if not seeds:
-            raise ConfigError(f"--seeds has no usable entries: {args.seeds!r}")
-    rows = ablate(cfg.train, cfg.env, cfg.reward, cfg.tse, out_dir, seeds=seeds)
+    rows = ablate(cfg.train, cfg.env, cfg.reward, cfg.tse, out_dir, seeds=args.seeds)
     print(METRIC_CSV_HEADER)
     for row in rows:
         print(row.csv_row())
@@ -254,8 +181,6 @@ def cmd_report(args) -> int:
     runs_dir = Path(args.runs)
     if not runs_dir.is_dir():
         raise ConfigError(f"runs directory not found: {runs_dir}")
-    if args.format != "csv":
-        raise ConfigError(f"unsupported report format {args.format!r}")
     run_dirs = sorted(
         p for p in runs_dir.iterdir() if p.is_dir() and (p / "metrics.csv").is_file()
     )
@@ -280,8 +205,39 @@ def cmd_report(args) -> int:
     return 0
 
 
+class _Parser(argparse.ArgumentParser):
+    """An argument parser whose usage errors raise ConfigError, so they end
+    like every other invalid input: one ``error:`` line and exit 1."""
+
+    def error(self, message):
+        raise ConfigError(message)
+
+
+def _int_at_least(low: int):
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"not an integer: {text!r}") from None
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be at least {low}, got {value}")
+        return value
+
+    return parse
+
+
+def _seed_list(text: str) -> list[int]:
+    """A comma-separated list of distinct non-negative seeds."""
+    seeds = [_int_at_least(0)(s.strip()) for s in text.split(",") if s.strip()]
+    if not seeds:
+        raise argparse.ArgumentTypeError(f"no seeds in {text!r}")
+    if len(set(seeds)) != len(seeds):
+        raise argparse.ArgumentTypeError(f"repeated seed in {text!r}")
+    return seeds
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="gopo",
         description="Hierarchical dialogue-policy lab: train, evaluate, ablate, report.",
     )
@@ -289,27 +245,28 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("train", help="train one variant and populate a run directory")
     p.add_argument("config", help="path to the JSON config file")
-    p.add_argument("--seed", type=int, default=None, help="override train.seed")
+    p.add_argument("--seed", type=_int_at_least(0), default=None, help="override train.seed")
     p.add_argument("--out", default=None, help="override output_dir")
     p.set_defaults(func=cmd_train)
 
     p = sub.add_parser("eval", help="greedy evaluation of saved checkpoints")
     p.add_argument("--checkpoint-dir", required=True)
-    p.add_argument("--episodes", type=int, default=200)
+    p.add_argument("--episodes", type=_int_at_least(1), default=200)
     p.add_argument("--config", required=True)
-    p.add_argument("--seed", type=int, default=None)
+    p.add_argument("--seed", type=_int_at_least(0), default=None)
     p.add_argument("--out", default=None, help="CSV output path")
     p.set_defaults(func=cmd_eval)
 
     p = sub.add_parser("ablate", help="run full / no-expert / untrained with shared seeds")
     p.add_argument("--config", required=True)
     p.add_argument("--out", default=None)
-    p.add_argument("--seeds", default=None, help="comma-separated seed list")
+    p.add_argument(
+        "--seeds", type=_seed_list, default=None, help="comma-separated distinct seeds"
+    )
     p.set_defaults(func=cmd_ablate)
 
     p = sub.add_parser("report", help="merge run directories into report tables")
     p.add_argument("--runs", required=True)
-    p.add_argument("--format", default="csv", choices=["csv"])
     p.set_defaults(func=cmd_report)
     return parser
 

@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Sequence
+from typing import Iterator, Sequence
 
 MAX_SKILL_SEQUENCE_LEN = 5
 NUM_MILESTONES = 3
@@ -417,13 +417,6 @@ def trajectory_to_json(traj: Trajectory) -> str:
 
 def trajectory_from_json(line: str) -> Trajectory:
     return trajectory_from_dict(json.loads(line))
-
-
-def write_trajectories(path, trajectories: Iterable[Trajectory]) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        for traj in trajectories:
-            fh.write(trajectory_to_json(traj))
-            fh.write("\n")
 
 
 def read_trajectories(path) -> list[Trajectory]:

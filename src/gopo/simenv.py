@@ -23,8 +23,12 @@ the planner is scored against on later turns.
 
 from __future__ import annotations
 
+import dataclasses
+import json
+import math
 from dataclasses import dataclass
-from typing import Mapping, Sequence
+from pathlib import Path
+from typing import Mapping
 
 import numpy as np
 
@@ -49,22 +53,27 @@ class ConfigError(ValueError):
 def check_scalar(value, kind: type, key: str):
     """``value`` if it is a JSON scalar of type ``kind`` (an integer is
     accepted where a float is expected, a boolean never stands in for a
-    number); otherwise a ConfigError naming ``key``."""
+    number, a float must be finite); otherwise a ConfigError naming ``key``."""
     accepted = (int, float) if kind is float else kind
     if not isinstance(value, accepted) or isinstance(value, bool) != (kind is bool):
         raise ConfigError(f"{key} must be of type {kind.__name__}, got {value!r}")
+    if isinstance(value, float) and not math.isfinite(value):
+        raise ConfigError(f"{key} must be finite, got {value!r}")
     return value
 
 
+def _check(value, item, key: str):
+    """``value`` checked by ``item``: a scalar type for ``check_scalar`` or a
+    function of (value, key) that returns the parsed value."""
+    return check_scalar(value, item, key) if isinstance(item, type) else item(value, key)
+
+
 def check_list(value, key: str, item) -> tuple:
-    """``value`` as a tuple if it is a JSON list whose entries pass ``item``,
-    either a scalar type for ``check_scalar`` or a function of (entry, key)
-    for nested values; otherwise a ConfigError naming the key or entry."""
+    """``value`` as a tuple if it is a JSON list whose entries pass ``item``
+    (see ``_check``); otherwise a ConfigError naming the key or entry."""
     if not isinstance(value, list):
         raise ConfigError(f"{key} must be a list, got {value!r}")
-    if isinstance(item, type):
-        return tuple(check_scalar(v, item, f"{key}[{i}]") for i, v in enumerate(value))
-    return tuple(item(v, f"{key}[{i}]") for i, v in enumerate(value))
+    return tuple(_check(v, item, f"{key}[{i}]") for i, v in enumerate(value))
 
 
 def check_object(value, key: str) -> dict:
@@ -74,16 +83,102 @@ def check_object(value, key: str) -> dict:
     return value
 
 
-def _ints(value, key: str) -> tuple[int, ...]:
-    return check_list(value, key, int)
+def parse_fields(cls, data, path: str, items: Mapping | None = None):
+    """``cls(**fields)`` from ``data``, the JSON object at ``path`` (``""`` for
+    the top level of a config file).
+
+    ``data`` must hold every field of the dataclass ``cls`` and no other key.
+    Each value is checked by ``items[name]`` (see ``_check``), by default the
+    type of the field's default.  A TypeError or ValueError raised by ``cls``
+    becomes a ConfigError naming ``path``; a ConfigError passes unchanged."""
+    check_object(data, path or "config")
+    prefix = f"{path}." if path else ""
+    items = items or {}
+    kwargs = {}
+    for f in dataclasses.fields(cls):
+        if f.name not in data:
+            raise ConfigError(f"missing key {prefix}{f.name}")
+        check = items.get(f.name, type(f.default))
+        kwargs[f.name] = _check(data[f.name], check, prefix + f.name)
+    unknown = sorted(set(data) - set(kwargs))
+    if unknown:
+        raise ConfigError(f"unknown key {prefix}{unknown[0]}")
+    try:
+        return cls(**kwargs)
+    except ConfigError:
+        raise
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"{path}: {exc}") from exc
+
+
+def list_of(item):
+    """A check for a JSON list whose entries pass ``item``."""
+    return lambda value, key: check_list(value, key, item)
 
 
 def _marker_set(value, key: str) -> frozenset[int]:
-    return frozenset(_ints(value, key))
+    return frozenset(check_list(value, key, int))
 
 
-def _matrix(value, key: str) -> tuple[tuple[float, ...], ...]:
-    return check_list(value, key, lambda row, k: check_list(row, k, float))
+def _skill(value, key: str) -> Skill:
+    return parse_fields(
+        Skill, value, key, {"id": int, "name": str, "required_markers": _marker_set}
+    )
+
+
+_matrix = list_of(list_of(float))
+
+
+def _named_matrices(value, key: str) -> dict[str, tuple[tuple[float, ...], ...]]:
+    return {name: _matrix(m, f"{key}.{name}") for name, m in check_object(value, key).items()}
+
+
+def _scenario_table(value, key: str, base_dir) -> dict[tuple[str, str, int], tuple[int, ...]]:
+    """The table given inline, or as ``{"file": path}`` naming a JSON file
+    resolved against ``base_dir`` (the config file's directory)."""
+    table = check_object(value, key)
+    if set(table) == {"file"}:
+        ref = Path(check_scalar(table["file"], str, f"{key}.file"))
+        if base_dir is not None and not ref.is_absolute():
+            ref = Path(base_dir) / ref
+        if not ref.is_file():
+            raise ConfigError(f"{key} file not found: {ref}")
+        try:
+            table = json.loads(ref.read_text(encoding="utf-8"))
+        except ValueError as exc:
+            raise ConfigError(f"{key} file {ref} is not valid JSON: {exc}") from exc
+        check_object(table, key)
+    out = {}
+    for entry, seq in table.items():
+        parts = entry.split("|")
+        if len(parts) != 3 or not parts[2].isdecimal():
+            raise ConfigError(
+                f"malformed scenario key {key}[{entry!r}]: "
+                "expected intent|emotion|phase with an integer phase"
+            )
+        out[(parts[0], parts[1], int(parts[2]))] = check_list(seq, f"{key}[{entry!r}]", int)
+    return out
+
+
+# How each ``env`` field is parsed; ``compliance_threshold`` and
+# ``max_response_len`` are checked against their defaults' types.
+_ENV_FIELDS = {
+    "skill_pool": list_of(_skill),
+    "intents": list_of(str),
+    "emotions": list_of(str),
+    "vocab_size": int,
+    "horizon": int,
+    "history_window": int,
+    "marker_count": int,
+    "token_markers": list_of(_marker_set),
+    "politeness_markers": _marker_set,
+    "phase_markers": list_of(_marker_set),
+    "emotion_transition": _named_matrices,
+    "intent_transition": list_of(_matrix),
+    "initial_intent_dist": list_of(float),
+    "initial_emotion_dist": list_of(float),
+    "milestone_rules": list_of(list_of(int)),
+}
 
 
 # --- configuration -----------------------------------------------------------
@@ -91,7 +186,8 @@ def _matrix(value, key: str) -> tuple[tuple[float, ...], ...]:
 
 @dataclass(frozen=True)
 class EnvConfig:
-    """Full definition of the scripted environment.
+    """Full definition of the scripted environment, validated on
+    construction by ``validate_env_config``.
 
     ``scenario_table`` maps every (intent, emotion, phase) combination to the
     reference skill sequence used for reward shaping.  ``milestone_rules``
@@ -120,7 +216,9 @@ class EnvConfig:
     milestone_rules: tuple[tuple[int, ...], ...]
     compliance_threshold: float = 0.5
     max_response_len: int = 16
-    seed: int = 0
+
+    def __post_init__(self) -> None:
+        validate_env_config(self)
 
     # -- serialization ----------------------------------------------------
 
@@ -159,96 +257,14 @@ class EnvConfig:
             "milestone_rules": [list(r) for r in self.milestone_rules],
             "compliance_threshold": self.compliance_threshold,
             "max_response_len": self.max_response_len,
-            "seed": self.seed,
         }
 
     @classmethod
-    def from_dict(cls, data: dict, path: str = "env", base_dir=None) -> "EnvConfig":
-        data = dict(data)
-
-        def take(key, kind: type | None = None):
-            if key not in data:
-                raise ConfigError(f"missing key {path}.{key}")
-            value = data.pop(key)
-            return value if kind is None else check_scalar(value, kind, f"{path}.{key}")
-
-        def skill(entry, key: str) -> Skill:
-            check_object(entry, key)
-            for field in ("id", "name", "required_markers"):
-                if field not in entry:
-                    raise ConfigError(f"missing key {key}.{field}")
-            return Skill(
-                id=check_scalar(entry["id"], int, f"{key}.id"),
-                name=check_scalar(entry["name"], str, f"{key}.name"),
-                required_markers=_marker_set(
-                    entry["required_markers"], f"{key}.required_markers"
-                ),
-            )
-
-        skill_pool = check_list(take("skill_pool"), f"{path}.skill_pool", skill)
-        table_key = f"{path}.scenario_table"
-        scenario_raw = check_object(take("scenario_table"), table_key)
-        if set(scenario_raw) == {"file"}:
-            # table referenced as a separate JSON file, resolved against the
-            # config file's directory
-            import json
-            from pathlib import Path
-
-            ref = Path(check_scalar(scenario_raw["file"], str, f"{table_key}.file"))
-            if base_dir is not None and not ref.is_absolute():
-                ref = Path(base_dir) / ref
-            if not ref.is_file():
-                raise ConfigError(f"{table_key} file not found: {ref}")
-            try:
-                scenario_raw = json.loads(ref.read_text(encoding="utf-8"))
-            except json.JSONDecodeError as exc:
-                raise ConfigError(f"{table_key} file {ref} is not valid JSON: {exc}") from exc
-            check_object(scenario_raw, table_key)
-        scenario: dict[tuple[str, str, int], tuple[int, ...]] = {}
-        for key, seq in scenario_raw.items():
-            parts = key.split("|")
-            if len(parts) != 3 or not parts[2].isdigit():
-                raise ConfigError(
-                    f"malformed scenario key {table_key}[{key!r}]: "
-                    "expected intent|emotion|phase with an integer phase"
-                )
-            scenario[(parts[0], parts[1], int(parts[2]))] = _ints(
-                seq, f"{table_key}[{key!r}]"
-            )
-        emo_key = f"{path}.emotion_transition"
-        emo_raw = check_object(take("emotion_transition"), emo_key)
-
-        def listed(key, item):
-            return check_list(take(key), f"{path}.{key}", item)
-
-        cfg = cls(
-            skill_pool=skill_pool,
-            intents=listed("intents", str),
-            emotions=listed("emotions", str),
-            vocab_size=take("vocab_size", int),
-            horizon=take("horizon", int),
-            history_window=take("history_window", int),
-            marker_count=take("marker_count", int),
-            token_markers=listed("token_markers", _marker_set),
-            politeness_markers=_marker_set(
-                take("politeness_markers"), f"{path}.politeness_markers"
-            ),
-            phase_markers=listed("phase_markers", _marker_set),
-            emotion_transition={
-                key: _matrix(mat, f"{emo_key}.{key}") for key, mat in emo_raw.items()
-            },
-            intent_transition=listed("intent_transition", _matrix),
-            initial_intent_dist=listed("initial_intent_dist", float),
-            initial_emotion_dist=listed("initial_emotion_dist", float),
-            scenario_table=scenario,
-            milestone_rules=listed("milestone_rules", _ints),
-            compliance_threshold=take("compliance_threshold", float),
-            max_response_len=take("max_response_len", int),
-            seed=take("seed", int),
-        )
-        if data:
-            raise ConfigError(f"unknown key {path}.{sorted(data)[0]}")
-        return cfg
+    def from_dict(cls, data, path: str = "env", base_dir=None) -> "EnvConfig":
+        """Strict parse of the JSON object at ``path`` (see ``parse_fields``);
+        a scenario table file is resolved against ``base_dir``."""
+        items = dict(_ENV_FIELDS, scenario_table=lambda v, k: _scenario_table(v, k, base_dir))
+        return parse_fields(cls, data, path, items)
 
 
 _ROW_SUM_TOL = 1e-9
@@ -287,6 +303,8 @@ def validate_env_config(cfg: EnvConfig) -> None:
         raise ConfigError("env.intents must be non-empty and unique")
     if len(set(cfg.emotions)) != len(cfg.emotions) or not cfg.emotions:
         raise ConfigError("env.emotions must be non-empty and unique")
+    if cfg.vocab_size < 1:
+        raise ConfigError("env.vocab_size must be positive")
     if cfg.vocab_size != len(cfg.token_markers):
         raise ConfigError(
             f"env.token_markers has {len(cfg.token_markers)} entries for "
@@ -295,6 +313,12 @@ def validate_env_config(cfg: EnvConfig) -> None:
     for t, markers in enumerate(cfg.token_markers):
         if not markers <= set(range(cfg.marker_count)):
             raise ConfigError(f"env.token_markers[{t}] outside marker alphabet")
+    carried = frozenset().union(*cfg.token_markers)
+    for s in cfg.skill_pool:
+        if not s.required_markers <= carried:
+            raise ConfigError(
+                f"env.skill_pool[{s.name}].required_markers has a marker no token carries"
+            )
     if not cfg.politeness_markers <= set(range(cfg.marker_count)):
         raise ConfigError("env.politeness_markers outside marker alphabet")
     if len(cfg.phase_markers) != NUM_MILESTONES:
@@ -304,6 +328,9 @@ def validate_env_config(cfg: EnvConfig) -> None:
             raise ConfigError(f"env.phase_markers[{p}] is empty")
         if not markers <= set(range(cfg.marker_count)):
             raise ConfigError(f"env.phase_markers[{p}] outside marker alphabet")
+    unknown = sorted(set(cfg.emotion_transition) - {"compliant", "noncompliant"})
+    if unknown:
+        raise ConfigError(f"unknown key env.emotion_transition.{unknown[0]}")
     for key in ("compliant", "noncompliant"):
         if key not in cfg.emotion_transition:
             raise ConfigError(f"env.emotion_transition missing {key!r} matrix")
@@ -489,18 +516,18 @@ _INTENT_PHASE3 = (
 )
 
 
-def default_env_config(seed: int = 0, horizon: int = 12) -> EnvConfig:
+def default_env_config() -> EnvConfig:
     pool = default_skill_pool()
     phase_markers = tuple(
         frozenset().union(*(pool[s].required_markers for s in core))
         for core in _PHASE_CORE_SKILLS
     )
-    cfg = EnvConfig(
+    return EnvConfig(
         skill_pool=pool,
         intents=DEFAULT_INTENTS,
         emotions=DEFAULT_EMOTIONS,
         vocab_size=64,
-        horizon=horizon,
+        horizon=12,
         history_window=4,
         marker_count=24,
         token_markers=default_token_markers(64, 24),
@@ -515,10 +542,7 @@ def default_env_config(seed: int = 0, horizon: int = 12) -> EnvConfig:
         initial_emotion_dist=(0.50, 0.30, 0.15, 0.05),
         scenario_table=default_scenario_table(),
         milestone_rules=tuple((s,) for s in _MILESTONE_SKILLS),
-        seed=seed,
     )
-    validate_env_config(cfg)
-    return cfg
 
 
 # --- environment -------------------------------------------------------------
@@ -543,7 +567,6 @@ class DialogueEnv:
     independent instances never share state."""
 
     def __init__(self, cfg: EnvConfig):
-        validate_env_config(cfg)
         self.cfg = cfg
         self._required = tuple(s.required_markers for s in cfg.skill_pool)
         emo = cfg.emotion_transition
@@ -554,16 +577,13 @@ class DialogueEnv:
         self._intent_mats = tuple(_normalized_rows(m) for m in cfg.intent_transition)
         self._init_intent = _normalized_vec(cfg.initial_intent_dist)
         self._init_emotion = _normalized_vec(cfg.initial_emotion_dist)
-        self._marker_token = _marker_first_tokens(cfg)
         self._active = False
         self._done = False
 
     # -- lifecycle -------------------------------------------------------
 
-    def reset(self, seed: int | None = None) -> EnvObservation:
+    def reset(self, seed: int) -> EnvObservation:
         """Start a fresh episode; fully determined by (config, seed)."""
-        if seed is None:
-            seed = self.cfg.seed
         self._rng = np.random.default_rng(seed)
         self._turn = 0
         self._phase = 1
@@ -652,10 +672,6 @@ class DialogueEnv:
         return self._obs, scores, tuple(delta), self._done
 
     @property
-    def done(self) -> bool:
-        return self._done
-
-    @property
     def terminal_reason(self) -> str | None:
         return self._terminal_reason
 
@@ -698,11 +714,6 @@ class DialogueEnv:
         s3 = len(markers & phase_markers) / len(phase_markers)
         s4 = len(set(response.tokens)) / len(response.tokens)
         return (s1, s2, s3, s4)
-
-    def reference_response(self, teacher: SkillSequence) -> tuple[int, ...]:
-        """Canonical token realization of a skill sequence: each skill's
-        required markers rendered through their first carrier tokens."""
-        return _render_reference(teacher, self._required, self._marker_token)
 
     # -- internals ---------------------------------------------------------
 
@@ -749,41 +760,27 @@ def _normalized_vec(vec) -> np.ndarray:
     return a / a.sum()
 
 
-def _marker_first_tokens(cfg: EnvConfig) -> dict[int, int]:
-    first: dict[int, int] = {}
-    for t, markers in enumerate(cfg.token_markers):
-        for m in markers:
-            first.setdefault(m, t)
-    return first
-
-
-def _render_reference(
-    teacher: SkillSequence,
-    required: Sequence[frozenset[int]],
-    marker_token: Mapping[int, int],
-) -> tuple[int, ...]:
-    toks: list[int] = []
-    for s in teacher:
-        for m in sorted(required[s]):
-            toks.append(marker_token[m])
-    return tuple(toks)
-
-
 def reference_responses(traj: Trajectory, cfg: EnvConfig) -> list[tuple[int, ...]]:
     """Per-turn reference token sequences for a logged trajectory.
 
     The reference at each turn realizes the scenario entry for the recorded
-    (intent, emotion, phase); phases reconstructed from the milestone record
-    make this computable from the wire format alone.
+    (intent, emotion, phase): each skill's required markers, in order,
+    rendered through their first carrier tokens.  Phases reconstructed from
+    the milestone record make this computable from the wire format alone.
     """
-    required = tuple(s.required_markers for s in cfg.skill_pool)
-    marker_token = _marker_first_tokens(cfg)
+    marker_token: dict[int, int] = {}
+    for t, markers in enumerate(cfg.token_markers):
+        for m in markers:
+            marker_token.setdefault(m, t)
     out = []
     for turn in traj.turns:
         st = turn.expert_state
         key = (st.intent, st.emotion, st.phase)
         if key not in cfg.scenario_table:
             raise KeyError(f"no scenario entry for {key}")
-        teacher = SkillSequence(cfg.scenario_table[key])
-        out.append(_render_reference(teacher, required, marker_token))
+        out.append(tuple(
+            marker_token[m]
+            for s in cfg.scenario_table[key]
+            for m in sorted(cfg.skill_pool[s].required_markers)
+        ))
     return out

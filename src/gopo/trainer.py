@@ -61,7 +61,14 @@ from .core import (
 from .metrics import METRIC_CSV_HEADER, MetricReport, TseConfig, aggregate
 from .neural import AdamState, adam_step, clip_grad_norm, save_checkpoint
 from .rewards import RewardConfig, csa_reward, esndcg, joint_reward, joint_weights
-from .simenv import ConfigError, DialogueEnv, EnvConfig, reference_responses
+from .simenv import (
+    ConfigError,
+    DialogueEnv,
+    EnvConfig,
+    list_of,
+    parse_fields,
+    reference_responses,
+)
 
 VARIANTS = ("full", "no-expert", "untrained")
 
@@ -117,6 +124,44 @@ class TrainConfig:
             raise ConfigError("train batch/eval sizes must be positive")
         if self.critic_warmup < 0:
             raise ConfigError("train.critic_warmup must be non-negative")
+        if self.seed < 0:
+            raise ConfigError("train.seed must be non-negative")
+        if self.hidden_size < 1:
+            raise ConfigError("train.hidden_size must be positive")
+
+
+@dataclass(frozen=True)
+class GlobalConfig:
+    """The four config sections and the output directory: one config file."""
+
+    env: EnvConfig
+    reward: RewardConfig
+    tse: TseConfig
+    train: TrainConfig
+    output_dir: str
+
+    def to_dict(self) -> dict:
+        return {
+            "env": self.env.to_dict(),
+            "reward": dataclasses.asdict(self.reward),
+            "tse": dataclasses.asdict(self.tse),
+            "train": dataclasses.asdict(self.train),
+            "output_dir": self.output_dir,
+        }
+
+    @classmethod
+    def from_dict(cls, data, base_dir=None) -> "GlobalConfig":
+        """Strict parse of a whole config file's JSON value (see
+        ``parse_fields``); ``base_dir`` resolves a scenario table file."""
+        return parse_fields(cls, data, "", {
+            "env": lambda v, k: EnvConfig.from_dict(v, k, base_dir),
+            "reward": lambda v, k: parse_fields(
+                RewardConfig, v, k, {"dim_weights": list_of(float)}
+            ),
+            "tse": lambda v, k: parse_fields(TseConfig, v, k, {"task_weights": list_of(float)}),
+            "train": lambda v, k: parse_fields(TrainConfig, v, k),
+            "output_dir": str,
+        })
 
 
 def episode_seeds(base_seed: int, stream: int, episode_id: int) -> tuple[int, int]:
@@ -133,11 +178,13 @@ def rollout(
     csa: CsaPolicy,
     reward_cfg: RewardConfig,
     rng: np.random.Generator,
+    *,
+    env_seed: int,
     episode_id: int = 0,
-    env_seed: int | None = None,
     greedy: bool = False,
 ) -> Trajectory:
-    """Play one full episode and return the scored trajectory.
+    """Play one full episode from ``env.reset(env_seed)`` and return the
+    scored trajectory.
 
     With ``expert=None`` (the no-planner ablation) the responder receives a
     null constraint and the planner reward is fixed at 0.
@@ -180,7 +227,7 @@ def rollout(
         episode_id=episode_id,
         turns=tuple(turns),
         milestones=env.milestone_record(),
-        seed=env_seed if env_seed is not None else env.cfg.seed,
+        seed=env_seed,
         terminal_reason=env.terminal_reason or "horizon",
     )
 
@@ -264,16 +311,8 @@ def train(
     ckpt_dir = run_dir / "checkpoints"
     ckpt_dir.mkdir(exist_ok=True)
     if config_text is None:
-        config_text = json.dumps(
-            {
-                "env": env_cfg.to_dict(),
-                "reward": dataclasses.asdict(reward_cfg),
-                "tse": dataclasses.asdict(tse_cfg),
-                "train": dataclasses.asdict(train_cfg),
-                "output_dir": str(run_dir),
-            },
-            indent=2,
-        )
+        config = GlobalConfig(env_cfg, reward_cfg, tse_cfg, train_cfg, str(run_dir))
+        config_text = json.dumps(config.to_dict(), indent=2)
     (run_dir / "config.copy").write_text(config_text, encoding="utf-8")
 
     spec = FeatureSpec.from_env_config(env_cfg)

@@ -1,7 +1,11 @@
+import contextlib
+import io
 import json
+import tempfile
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from gopo.cli import default_global_config, load_config, main
 from gopo.metrics import METRIC_CSV_HEADER, TseConfig
@@ -117,6 +121,9 @@ class TestConfigErrorsExitCleanly:
     def _run(self, tiny_config, capsys, mutate):
         data = json.loads(tiny_config.read_text())
         mutate(data)
+        return self._run_on(tiny_config, capsys, data)
+
+    def _run_on(self, tiny_config, capsys, data):
         tiny_config.write_text(json.dumps(data))
         rc = main(["train", str(tiny_config)])
         err = capsys.readouterr().err
@@ -167,10 +174,158 @@ class TestConfigErrorsExitCleanly:
         err = self._run(tiny_config, capsys, mutate)
         assert "env.token_markers[0] must be a list, got 3" in err
 
-    @pytest.mark.parametrize("key, value", [("workers", 1), ("horizon", 4)])
-    def test_removed_train_keys_are_unknown(self, tiny_config, capsys, key, value):
-        err = self._run(tiny_config, capsys, lambda d: d["train"].update({key: value}))
-        assert f"error: unknown key train.{key}" in err
+    @pytest.mark.parametrize("section, key", [
+        pytest.param("train", "workers", id="train.workers"),
+        pytest.param("train", "horizon", id="train.horizon"),
+        pytest.param("env", "seed", id="env.seed"),
+    ])
+    def test_removed_keys_are_unknown(self, tiny_config, capsys, section, key):
+        err = self._run(tiny_config, capsys, lambda d: d[section].update({key: 1}))
+        assert f"error: unknown key {section}.{key}" in err
+
+    def test_top_level_list(self, tiny_config, capsys):
+        err = self._run_on(tiny_config, capsys, [1, 2])
+        assert "error: config must be an object, got [1, 2]" in err
+
+    @pytest.mark.parametrize("mutate, message", [
+        pytest.param(lambda d: d.update(env=3), "env must be an object, got 3", id="env-scalar"),
+        pytest.param(lambda d: d.update(reward=3), "reward must be an object", id="reward-scalar"),
+        pytest.param(lambda d: d.update(train=[1]), "train must be an object", id="train-list"),
+        pytest.param(
+            lambda d: d["env"]["skill_pool"][0].update(id=-1),
+            "env.skill_pool[0]: skill id must be non-negative", id="negative-skill-id",
+        ),
+        pytest.param(
+            lambda d: d["env"]["skill_pool"][0].update(required_markers=[]),
+            "env.skill_pool[0]: skill 'open' has no required markers", id="skill-without-markers",
+        ),
+        pytest.param(
+            lambda d: d["env"]["skill_pool"][0].update(colour="red"),
+            "unknown key env.skill_pool[0].colour", id="unknown-skill-key",
+        ),
+        pytest.param(
+            lambda d: d["env"]["emotion_transition"].update(
+                bored=d["env"]["emotion_transition"]["compliant"]
+            ),
+            "unknown key env.emotion_transition.bored", id="unknown-emotion-matrix",
+        ),
+        pytest.param(
+            lambda d: d["env"].update(vocab_size=0, token_markers=[]),
+            "env.vocab_size must be positive", id="empty-vocabulary",
+        ),
+        pytest.param(
+            lambda d: d["env"]["token_markers"].__setitem__(3, []),
+            "env.skill_pool[done].required_markers has a marker no token carries",
+            id="marker-without-carrier",
+        ),
+        pytest.param(lambda d: d["train"].update(seed=-1), "train.seed must be non-negative",
+                     id="negative-seed"),
+        pytest.param(lambda d: d["train"].update(lr_csa=float("nan")),
+                     "train.lr_csa must be finite, got nan", id="nan-learning-rate"),
+        pytest.param(lambda d: d["train"].update(hidden_size=0),
+                     "train.hidden_size must be positive", id="zero-hidden-size"),
+    ])
+    def test_malformed_config_names_key(self, tiny_config, capsys, mutate, message):
+        assert message in self._run(tiny_config, capsys, mutate)
+
+
+class TestUsageErrors:
+    """Bad flags end like bad configs: one ``error:`` line and exit 1, before
+    anything runs or any output directory is made."""
+
+    @pytest.mark.parametrize("argv, message", [
+        pytest.param(["eval", "--config", "{cfg}"],
+                     "required: --checkpoint-dir", id="eval-without-checkpoint-dir"),
+        pytest.param(["eval", "--checkpoint-dir", "{out}", "--config", "{cfg}", "--episodes", "0"],
+                     "argument --episodes: must be at least 1, got 0", id="eval-zero-episodes"),
+        pytest.param(["eval", "--checkpoint-dir", "{out}", "--config", "{cfg}", "--episodes", "-3"],
+                     "argument --episodes: must be at least 1, got -3", id="eval-negative-episodes"),
+        pytest.param(["eval", "--checkpoint-dir", "{out}", "--config", "{cfg}", "--seed", "-1"],
+                     "argument --seed: must be at least 0, got -1", id="eval-negative-seed"),
+        pytest.param(["train", "{cfg}", "--seed", "-1"],
+                     "argument --seed: must be at least 0, got -1", id="train-negative-seed"),
+        pytest.param(["ablate", "--config", "{cfg}", "--seeds", "a,b"],
+                     "argument --seeds: not an integer: 'a'", id="ablate-non-integer-seeds"),
+        pytest.param(["ablate", "--config", "{cfg}", "--seeds", "1,1"],
+                     "argument --seeds: repeated seed in '1,1'", id="ablate-repeated-seed"),
+        pytest.param(["report", "--runs", "{out}", "--format", "csv"],
+                     "unrecognized arguments: --format csv", id="report-format-removed"),
+    ])
+    def test_exits_1_before_running(self, tiny_config, tmp_path, capsys, argv, message):
+        out = tmp_path / "out"
+        rc = main([a.format(cfg=tiny_config, out=out) for a in argv])
+        err = capsys.readouterr().err
+        assert rc == 1
+        assert err.startswith("error: ") and message in err
+        assert not out.exists()
+
+
+DEFAULT_CONFIG = json.loads((REPO / "configs" / "default.json").read_text())
+
+
+def _key_paths(value, prefix=()):
+    """One key path per position of the config schema: every object key, and
+    the first entry of each list and of the scenario table (their entries all
+    share one form, and would otherwise make up most paths)."""
+    if isinstance(value, dict):
+        entries = list(value.items())
+        if prefix == ("env", "scenario_table"):
+            entries = entries[:1]
+    elif isinstance(value, list):
+        entries = list(enumerate(value))[:1]
+    else:
+        return []
+    paths = []
+    for key, child in entries:
+        paths.append(prefix + (key,))
+        paths += _key_paths(child, prefix + (key,))
+    return paths
+
+
+def _at(data, path):
+    for key in path:
+        data = data[key]
+    return data
+
+
+_PATHS = _key_paths(DEFAULT_CONFIG)
+# an unknown sibling key can only be added next to an object key
+_OBJECT_KEY_PATHS = [p for p in _PATHS if isinstance(_at(DEFAULT_CONFIG, p[:-1]), dict)]
+_FUZZ_VALUES = [None, True, "x", [], {}, -1, 0, 1, 0.5, float("nan"), float("inf")]
+
+
+class TestDefaultConfigFuzz:
+    """One mutation of ``configs/default.json`` (a deleted key or entry, an
+    unknown sibling key, or a replaced value) either trains or ends in one
+    ``error:`` line with exit 1; no exception escapes ``main``."""
+
+    @settings(derandomize=True, deadline=None, max_examples=150, database=None)
+    @given(st.one_of(
+        st.tuples(st.just("delete"), st.sampled_from(_PATHS), st.none()),
+        st.tuples(st.just("add"), st.sampled_from(_OBJECT_KEY_PATHS), st.none()),
+        st.tuples(st.just("replace"), st.sampled_from(_PATHS), st.sampled_from(_FUZZ_VALUES)),
+    ))
+    def test_train_runs_or_exits_1(self, mutation):
+        kind, path, value = mutation
+        data = json.loads(json.dumps(DEFAULT_CONFIG))
+        # a short run, unless the mutation itself targets these keys
+        data["train"].update(episodes=8, eval_episodes=2)
+        parent = _at(data, path[:-1])
+        if kind == "delete":
+            del parent[path[-1]]
+        elif kind == "add":
+            parent["fuzz_unknown_key"] = 1
+        else:
+            parent[path[-1]] = value
+        with tempfile.TemporaryDirectory() as tmp:
+            config = Path(tmp) / "config.json"
+            config.write_text(json.dumps(data), encoding="utf-8")
+            err = io.StringIO()
+            with contextlib.redirect_stderr(err):
+                rc = main(["train", str(config), "--out", str(Path(tmp) / "run")])
+        assert rc == 0 or (rc == 1 and err.getvalue().startswith("error: ")), (
+            rc, err.getvalue()
+        )
 
 
 class TestEvalCommand:
@@ -254,7 +409,7 @@ class TestReportCommand:
     def test_merges_runs_and_writes_series(self, tiny_config, tmp_path, capsys):
         assert main(["train", str(tiny_config), "--out", str(tmp_path / "runs" / "r1")]) == 0
         assert main(["train", str(tiny_config), "--out", str(tmp_path / "runs" / "r2"), "--seed", "5"]) == 0
-        rc = main(["report", "--runs", str(tmp_path / "runs"), "--format", "csv"])
+        rc = main(["report", "--runs", str(tmp_path / "runs")])
         assert rc == 0
         out = capsys.readouterr().out.strip().splitlines()
         assert out[0] == "run," + METRIC_CSV_HEADER

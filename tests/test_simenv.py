@@ -11,7 +11,6 @@ from gopo.simenv import (
     TERMINAL_HORIZON,
     default_env_config,
     reference_responses,
-    validate_env_config,
 )
 
 
@@ -275,12 +274,23 @@ class TestJudge:
 
 class TestReferences:
     def test_reference_realizes_required_markers(self, env_cfg):
+        from gopo.rewards import RewardConfig
+        from gopo.trainer import rollout
+        from gopo.agents import CsaPolicy, ExpertPolicy, FeatureSpec
+        import numpy as np
+
+        spec = FeatureSpec.from_env_config(env_cfg)
+        expert = ExpertPolicy(spec, hidden=8, seed=2)
+        csa = CsaPolicy(spec, hidden=8, seed=3)
         env = DialogueEnv(env_cfg)
-        teacher = SkillSequence((0, 1, 2))
-        ref = env.reference_response(teacher)
-        got = response_markers(ref, env_cfg.token_markers)
-        want = set().union(*(env_cfg.skill_pool[s].required_markers for s in teacher))
-        assert got == frozenset(want)
+        traj = rollout(env, expert, csa, RewardConfig(), np.random.default_rng(4), env_seed=29)
+        refs = reference_responses(traj, env_cfg)
+        assert len(refs) == len(traj.turns) > 1
+        for turn, ref in zip(traj.turns, refs):
+            st = turn.expert_state
+            teacher = env_cfg.scenario_table[(st.intent, st.emotion, st.phase)]
+            want = set().union(*(env_cfg.skill_pool[s].required_markers for s in teacher))
+            assert response_markers(ref, env_cfg.token_markers) == frozenset(want)
 
     def test_reference_responses_from_logged_trajectory(self, env_cfg):
         from gopo.rewards import RewardConfig
@@ -305,18 +315,16 @@ class TestConfig:
     def test_missing_scenario_entry_rejected(self, env_cfg):
         table = dict(env_cfg.scenario_table)
         table.pop(("inquire", "calm", 1))
-        bad = dataclasses.replace(env_cfg, scenario_table=table)
         with pytest.raises(ConfigError, match="scenario_table"):
-            validate_env_config(bad)
+            dataclasses.replace(env_cfg, scenario_table=table)
 
     def test_non_stochastic_rows_rejected(self, env_cfg):
         mats = {
             "compliant": tuple(tuple(0.5 for _ in env_cfg.emotions) for _ in env_cfg.emotions),
             "noncompliant": env_cfg.emotion_transition["noncompliant"],
         }
-        bad = dataclasses.replace(env_cfg, emotion_transition=mats)
         with pytest.raises(ConfigError, match="emotion_transition"):
-            validate_env_config(bad)
+            dataclasses.replace(env_cfg, emotion_transition=mats)
 
     def test_unknown_key_rejected(self, env_cfg):
         data = env_cfg.to_dict()
@@ -335,15 +343,13 @@ class TestConfig:
 
         pool = list(env_cfg.skill_pool)
         pool[1] = Skill(1, pool[0].name, frozenset({1}))
-        bad = dataclasses.replace(env_cfg, skill_pool=tuple(pool))
         with pytest.raises(ConfigError, match="duplicate"):
-            validate_env_config(bad)
+            dataclasses.replace(env_cfg, skill_pool=tuple(pool))
 
     def test_required_markers_within_alphabet(self, env_cfg):
         from gopo.core import Skill
 
         pool = list(env_cfg.skill_pool)
         pool[0] = Skill(0, "greet", frozenset({99}))
-        bad = dataclasses.replace(env_cfg, skill_pool=tuple(pool))
         with pytest.raises(ConfigError, match="marker"):
-            validate_env_config(bad)
+            dataclasses.replace(env_cfg, skill_pool=tuple(pool))
