@@ -23,7 +23,7 @@ quick = dataclasses.replace(
 
 out = pathlib.Path(tempfile.mkdtemp()) / "quick-run"
 print(f"training {quick.episodes} episodes into {out} ...")
-report, _ = train(quick, cfg.env, cfg.reward, cfg.tse, out)
+report, _ = train(dataclasses.replace(cfg, train=quick), out)
 
 print("\nrun directory:")
 for p in sorted(out.rglob("*")):

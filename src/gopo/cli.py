@@ -4,7 +4,12 @@ The configuration is one JSON file with four sections (env, reward, tse,
 train) plus an output directory, parsed by ``GlobalConfig.from_dict``
 through the one strict parser ``simenv.parse_fields``: every key must be
 present, an unknown key fails naming the key, and every value is checked,
-so a config file pins a run completely.  Exit codes: 0 success; 1 invalid
+so a config file pins a run completely.  ``gopo train`` writes the parsed
+config back as the run directory's ``config.copy`` (self-contained; ``--out``
+places the run directory and leaves the copy's ``output_dir`` as the file
+gave it), and ``gopo eval`` evaluates the latest step at which every network
+of the variant has a checkpoint; the trainer module lays out the run
+directory.  Exit codes: 0 success; 1 invalid
 configuration, checkpoint or command-line usage, reported as one
 ``error: ...`` line on stderr; 2 runtime failure (a diverged loss or an
 I/O error).  Log verbosity comes from the GOPO_LOG_LEVEL environment
@@ -29,7 +34,10 @@ from .trainer import (
     GlobalConfig,
     TrainConfig,
     TrainingDiverged,
+    _evaluate,
     ablate,
+    build_policies,
+    load_checkpoints,
     train,
 )
 
@@ -38,7 +46,7 @@ log = logging.getLogger("gopo")
 
 def load_config(path) -> tuple[GlobalConfig, str]:
     """Read and strictly parse a config file; returns the config and the raw
-    file text (preserved verbatim in run directories)."""
+    file text."""
     p = Path(path)
     if not p.is_file():
         raise ConfigError(f"config file not found: {p}")
@@ -58,14 +66,6 @@ def default_global_config() -> GlobalConfig:
     )
 
 
-def _apply_overrides(cfg: GlobalConfig, seed=None, out=None) -> GlobalConfig:
-    train_cfg = cfg.train
-    if seed is not None:
-        train_cfg = dataclasses.replace(train_cfg, seed=seed)
-    out_dir = out if out is not None else cfg.output_dir
-    return dataclasses.replace(cfg, train=train_cfg, output_dir=str(out_dir))
-
-
 _LOG_LEVELS = {"error": logging.ERROR, "info": logging.INFO, "debug": logging.DEBUG}
 
 
@@ -82,85 +82,27 @@ def _setup_logging() -> None:
 
 
 def cmd_train(args) -> int:
-    cfg, text = load_config(args.config)
-    cfg = _apply_overrides(cfg, seed=args.seed, out=args.out)
+    cfg, _ = load_config(args.config)
     if args.seed is not None:
-        text = json.dumps(cfg.to_dict(), indent=2)
-    report, _ = train(cfg.train, cfg.env, cfg.reward, cfg.tse, cfg.output_dir, config_text=text)
-    log.info("run directory: %s", cfg.output_dir)
+        cfg = dataclasses.replace(cfg, train=dataclasses.replace(cfg.train, seed=args.seed))
+    out_dir = args.out if args.out is not None else cfg.output_dir
+    report, _ = train(cfg, out_dir)
+    log.info("run directory: %s", out_dir)
     log.info(METRIC_CSV_HEADER)
     log.info(report.csv_row())
     return 0
 
 
-def _latest_step(ckpt_dir: Path, name: str) -> int | None:
-    steps = []
-    for p in ckpt_dir.glob(f"{name}-*.ckpt"):
-        suffix = p.stem.split("-")[-1]
-        if suffix.isdigit():
-            steps.append(int(suffix))
-    return max(steps) if steps else None
-
-
-def _load_net(ckpt_dir: Path, name: str, step: int, like, role: str):
-    """The network saved as ``{name}-{step}.ckpt``, checked to have the shape
-    of ``like``, the network the config builds for ``role``."""
-    from .neural import load_checkpoint
-
-    path = ckpt_dir / f"{name}-{step}.ckpt"
-    try:
-        net, _ = load_checkpoint(path)
-    except (ValueError, OSError) as exc:
-        raise ConfigError(f"cannot load checkpoint {path}: {exc}") from exc
-    if net.layer_sizes != like.layer_sizes:
-        raise ConfigError(
-            f"{role} checkpoint shape {net.layer_sizes} does not match "
-            f"config shape {like.layer_sizes}"
-        )
-    return net
-
-
 def cmd_eval(args) -> int:
-    from .agents import CsaPolicy, ExpertPolicy, FeatureSpec
-    from .trainer import _evaluate
-
     cfg, _ = load_config(args.config)
-    ckpt_dir = Path(args.checkpoint_dir)
-    if not ckpt_dir.is_dir():
-        raise ConfigError(f"checkpoint directory not found: {ckpt_dir}")
-    spec = FeatureSpec.from_env_config(cfg.env)
-    variant = cfg.train.variant
-    csa_step = _latest_step(ckpt_dir, "csa")
-    if csa_step is None:
-        raise ConfigError(f"no responder checkpoint in {ckpt_dir}")
-    csa = CsaPolicy(
-        spec,
-        hidden=cfg.train.hidden_size,
-        loss_weights=(
-            cfg.train.lambda_pg,
-            cfg.train.lambda_skill,
-            cfg.train.lambda_diversity,
-        ),
-    )
-    csa.generator = _load_net(ckpt_dir, "csa", csa_step, csa.generator, "responder")
-    expert = None
-    if variant != "no-expert":
-        expert_step = _latest_step(ckpt_dir, "expert")
-        if expert_step is None:
-            raise ConfigError(f"no planner checkpoint in {ckpt_dir} for variant {variant!r}")
-        expert = ExpertPolicy(
-            spec, hidden=cfg.train.hidden_size, entropy_coeff=cfg.train.entropy_coeff
-        )
-        expert.actor = _load_net(ckpt_dir, "expert", expert_step, expert.actor, "planner")
-        expert.critic = _load_net(ckpt_dir, "critic", expert_step, expert.critic, "critic")
-
+    expert, csa = build_policies(cfg.env, cfg.train)
+    step = load_checkpoints(args.checkpoint_dir, expert, csa)
+    log.info("evaluating the checkpoints of step %d in %s", step, args.checkpoint_dir)
     seed = args.seed if args.seed is not None else cfg.train.seed
-    report, _ = _evaluate(
-        cfg.env, expert, csa, cfg.reward, cfg.tse, variant, args.episodes, seed
-    )
+    report, _ = _evaluate(cfg, expert, csa, args.episodes, seed)
     csv_text = METRIC_CSV_HEADER + "\n" + report.csv_row() + "\n"
     print(csv_text, end="")
-    out = Path(args.out) if args.out else ckpt_dir.parent / "eval_report.csv"
+    out = Path(args.out) if args.out else Path(args.checkpoint_dir).parent / "eval_report.csv"
     out.write_text(csv_text, encoding="utf-8")
     log.info("wrote %s", out)
     return 0
@@ -169,7 +111,7 @@ def cmd_eval(args) -> int:
 def cmd_ablate(args) -> int:
     cfg, _ = load_config(args.config)
     out_dir = Path(args.out) if args.out else Path(cfg.output_dir)
-    rows = ablate(cfg.train, cfg.env, cfg.reward, cfg.tse, out_dir, seeds=args.seeds)
+    rows = ablate(cfg, out_dir, seeds=args.seeds)
     print(METRIC_CSV_HEADER)
     for row in rows:
         print(row.csv_row())
@@ -181,21 +123,21 @@ def cmd_report(args) -> int:
     runs_dir = Path(args.runs)
     if not runs_dir.is_dir():
         raise ConfigError(f"runs directory not found: {runs_dir}")
-    run_dirs = sorted(
-        p for p in runs_dir.iterdir() if p.is_dir() and (p / "metrics.csv").is_file()
-    )
-    if not run_dirs:
-        raise ConfigError(f"no run directories with metrics.csv under {runs_dir}")
     merged_rows = ["run," + METRIC_CSV_HEADER]
     curve_rows = ["run," + CURVES_CSV_HEADER]
-    for run in run_dirs:
+    for run in sorted(p for p in runs_dir.iterdir() if (p / "metrics.csv").is_file()):
         metric_lines = (run / "metrics.csv").read_text(encoding="utf-8").strip().splitlines()
-        if metric_lines:
-            merged_rows.append(f"{run.name},{metric_lines[-1]}")
+        if len(metric_lines) < 2:
+            # header only: the run ended before its first evaluation
+            log.info("skipping %s: no evaluation row in metrics.csv", run)
+            continue
+        merged_rows.append(f"{run.name},{metric_lines[-1]}")
         curves_file = run / "curves.csv"
         if curves_file.is_file():
             for line in curves_file.read_text(encoding="utf-8").strip().splitlines()[1:]:
                 curve_rows.append(f"{run.name},{line}")
+    if len(merged_rows) == 1:
+        raise ConfigError(f"no run directories with evaluation rows under {runs_dir}")
     merged = "\n".join(merged_rows) + "\n"
     curves = "\n".join(curve_rows) + "\n"
     print(merged, end="")
@@ -246,7 +188,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("train", help="train one variant and populate a run directory")
     p.add_argument("config", help="path to the JSON config file")
     p.add_argument("--seed", type=_int_at_least(0), default=None, help="override train.seed")
-    p.add_argument("--out", default=None, help="override output_dir")
+    p.add_argument("--out", default=None, help="run directory (default: output_dir)")
     p.set_defaults(func=cmd_train)
 
     p = sub.add_parser("eval", help="greedy evaluation of saved checkpoints")

@@ -23,18 +23,23 @@ directories.
 
 Run directory layout::
 
-    config.copy                          verbatim copy of the config
+    config.copy                          the run's config as parsed, as JSON
     trajectories.jsonl                   every training rollout, in order
     metrics.csv                          periodic greedy evaluation rows
     curves.csv                           step,mean_joint_reward,expert_loss,csa_loss
     checkpoints/{expert,critic,csa}-{step}.ckpt
     final_report.csv                     final evaluation row
+
+``gopo eval`` rebuilds the policies with ``build_policies`` and reads the
+latest step saved for every network back with ``load_checkpoints``.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import json
+import re
+import zipfile
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -59,7 +64,7 @@ from .core import (
     trajectory_to_json,
 )
 from .metrics import METRIC_CSV_HEADER, MetricReport, TseConfig, aggregate
-from .neural import AdamState, adam_step, clip_grad_norm, save_checkpoint
+from .neural import AdamState, Mlp, adam_step, clip_grad_norm, load_checkpoint, save_checkpoint
 from .rewards import RewardConfig, csa_reward, esndcg, joint_reward, joint_weights
 from .simenv import (
     ConfigError,
@@ -114,6 +119,9 @@ class TrainConfig:
         for name in ("lr_expert_actor", "lr_expert_critic", "lr_csa"):
             if getattr(self, name) <= 0:
                 raise ConfigError(f"train.{name} must be positive")
+        for name in ("entropy_coeff", "lambda_pg", "lambda_skill", "lambda_diversity"):
+            if getattr(self, name) < 0:
+                raise ConfigError(f"train.{name} must be non-negative")
         if self.variant not in VARIANTS:
             raise ConfigError(
                 f"train.variant must be one of {VARIANTS}, got {self.variant!r}"
@@ -269,56 +277,32 @@ def _play(
 
 
 def _evaluate(
-    env_cfg: EnvConfig,
+    cfg: GlobalConfig,
     expert: ExpertPolicy | None,
     csa: CsaPolicy,
-    reward_cfg: RewardConfig,
-    tse_cfg: TseConfig,
-    variant: str,
     n_episodes: int,
     base_seed: int,
 ) -> tuple[MetricReport, list[Trajectory]]:
     """Greedy evaluation over fresh episodes from the shared eval stream;
-    returns the report row and the evaluated trajectories."""
-    env = DialogueEnv(env_cfg)
+    returns the report row (labelled with ``cfg.train.variant``) and the
+    evaluated trajectories."""
+    env = DialogueEnv(cfg.env)
     trajs = _play(
-        env, expert, csa, reward_cfg, base_seed, _STREAM_EVAL, range(n_episodes), True
+        env, expert, csa, cfg.reward, base_seed, _STREAM_EVAL, range(n_episodes), True
     )
-    refs = [reference_responses(t, env_cfg) for t in trajs]
-    return aggregate(trajs, tse_cfg, refs, variant=variant), trajs
+    refs = [reference_responses(t, cfg.env) for t in trajs]
+    return aggregate(trajs, cfg.tse, refs, variant=cfg.train.variant), trajs
 
 
-def train(
-    train_cfg: TrainConfig,
-    env_cfg: EnvConfig,
-    reward_cfg: RewardConfig,
-    tse_cfg: TseConfig,
-    out_dir,
-    config_text: str | None = None,
-) -> tuple[MetricReport, list[Trajectory]]:
-    """Run one training job and populate its run directory.
-
-    Batches of rollouts are turned into accumulated gradients (mean over the
-    batch's turns, clipped at global norm 5) and Adam steps; every
-    ``eval_every`` updates, and once at the end, the greedy policies are
-    evaluated and checkpointed.  The ``untrained`` variant skips the update
-    loop entirely and just evaluates the random initialization.  Returns the
-    final evaluation's report row and trajectories.
-    """
-    env = DialogueEnv(env_cfg)
-    run_dir = Path(out_dir)
-    run_dir.mkdir(parents=True, exist_ok=True)
-    ckpt_dir = run_dir / "checkpoints"
-    ckpt_dir.mkdir(exist_ok=True)
-    if config_text is None:
-        config = GlobalConfig(env_cfg, reward_cfg, tse_cfg, train_cfg, str(run_dir))
-        config_text = json.dumps(config.to_dict(), indent=2)
-    (run_dir / "config.copy").write_text(config_text, encoding="utf-8")
-
+def build_policies(
+    env_cfg: EnvConfig, train_cfg: TrainConfig
+) -> tuple[ExpertPolicy | None, CsaPolicy]:
+    """The policies of ``train_cfg.variant``, initialised from its seed: a
+    planner for ``full`` and ``untrained`` (None for ``no-expert``) and the
+    responder."""
     spec = FeatureSpec.from_env_config(env_cfg)
-    variant = train_cfg.variant
-    expert: ExpertPolicy | None = None
-    if variant in ("full", "untrained"):
+    expert = None
+    if train_cfg.variant != "no-expert":
         expert = ExpertPolicy(
             spec,
             hidden=train_cfg.hidden_size,
@@ -335,12 +319,86 @@ def train(
         ),
         seed=np.random.SeedSequence((train_cfg.seed, _STREAM_CSA_INIT)),
     )
+    return expert, csa
 
-    actor_adam = AdamState.zeros(expert.actor.n_params) if expert else None
-    critic_adam = AdamState.zeros(expert.critic.n_params) if expert else None
-    csa_adam = AdamState.zeros(csa.generator.n_params)
 
-    episodes = 0 if variant == "untrained" else train_cfg.episodes
+def _networks(expert: ExpertPolicy | None, csa: CsaPolicy) -> dict[str, Mlp]:
+    """The networks of a run by checkpoint name, in saving order."""
+    nets = {} if expert is None else {"expert": expert.actor, "critic": expert.critic}
+    nets["csa"] = csa.generator
+    return nets
+
+
+def load_checkpoints(ckpt_dir, expert: ExpertPolicy | None, csa: CsaPolicy) -> int:
+    """Load the latest step at which every network of ``expert`` and ``csa``
+    has a checkpoint in ``ckpt_dir`` into those networks; returns the step.
+
+    A missing directory or common step, an unreadable file, or a saved
+    network whose layer sizes or head differ from the built one raises
+    ``ConfigError`` naming the directory or file."""
+    ckpt_dir = Path(ckpt_dir)
+    if not ckpt_dir.is_dir():
+        raise ConfigError(f"checkpoint directory not found: {ckpt_dir}")
+    nets = _networks(expert, csa)
+    files = [p.name for p in ckpt_dir.iterdir()]
+    steps = set.intersection(*(
+        {int(m[1]) for f in files if (m := re.fullmatch(rf"{name}-([0-9]+)\.ckpt", f))}
+        for name in nets
+    ))
+    if not steps:
+        raise ConfigError(
+            f"no step in {ckpt_dir} has a checkpoint of each of {', '.join(nets)}"
+        )
+    step = max(steps)
+    for name, net in nets.items():
+        path = ckpt_dir / f"{name}-{step}.ckpt"
+        try:
+            saved_net, _ = load_checkpoint(path)
+        except (
+            OSError, EOFError, ValueError, LookupError, TypeError, zipfile.BadZipFile
+        ) as exc:
+            raise ConfigError(f"cannot load checkpoint {path}: {exc}") from exc
+        if (saved_net.layer_sizes, saved_net.head) != (net.layer_sizes, net.head):
+            raise ConfigError(
+                f"{name} checkpoint shape {saved_net.layer_sizes} ({saved_net.head} "
+                f"head) in {path} does not match config shape {net.layer_sizes} "
+                f"({net.head} head)"
+            )
+        net.set_params(saved_net.get_params())
+    return step
+
+
+def train(cfg: GlobalConfig, out_dir=None) -> tuple[MetricReport, list[Trajectory]]:
+    """Run one training job and populate its run directory, ``out_dir`` or
+    else ``cfg.output_dir``; ``config.copy`` is ``cfg`` as given, so where a
+    run is placed changes none of its files.
+
+    Batches of rollouts are turned into accumulated gradients (mean over the
+    batch's turns, clipped at global norm 5) and Adam steps, one per network
+    the variant built; every ``eval_every`` updates, and once at the end,
+    the greedy policies are evaluated and checkpointed.  The ``untrained``
+    variant skips the update loop entirely and just evaluates the random
+    initialization.  Returns the final evaluation's report row and
+    trajectories.
+    """
+    train_cfg = cfg.train
+    env = DialogueEnv(cfg.env)
+    run_dir = Path(cfg.output_dir if out_dir is None else out_dir)
+    run_dir.mkdir(parents=True, exist_ok=True)
+    ckpt_dir = run_dir / "checkpoints"
+    ckpt_dir.mkdir(exist_ok=True)
+    (run_dir / "config.copy").write_text(
+        json.dumps(cfg.to_dict(), indent=2) + "\n", encoding="utf-8"
+    )
+
+    expert, csa = build_policies(cfg.env, train_cfg)
+    nets = _networks(expert, csa)
+    lrs = dict(
+        expert=train_cfg.lr_expert_actor, critic=train_cfg.lr_expert_critic, csa=train_cfg.lr_csa
+    )
+    adam = {name: AdamState.zeros(net.n_params) for name, net in nets.items()}
+
+    episodes = 0 if train_cfg.variant == "untrained" else train_cfg.episodes
     batches: list[range] = [
         range(start, min(start + train_cfg.batch_size, episodes))
         for start in range(0, episodes, train_cfg.batch_size)
@@ -353,12 +411,9 @@ def train(
     curves_fh.write(CURVES_CSV_HEADER + "\n")
 
     def save_ckpts(step: int) -> None:
-        if expert is not None:
-            save_checkpoint(ckpt_dir / f"expert-{step}.ckpt", expert.actor, actor_adam)
-            save_checkpoint(ckpt_dir / f"critic-{step}.ckpt", expert.critic, critic_adam)
-        save_checkpoint(ckpt_dir / f"csa-{step}.ckpt", csa.generator, csa_adam)
+        for name, net in nets.items():
+            save_checkpoint(ckpt_dir / f"{name}-{step}.ckpt", net, adam[name])
 
-    train_expert = variant == "full"
     # Running-mean baseline for the responder's own reward; subtracting a
     # baseline leaves the policy-gradient expectation unchanged while
     # centering the coefficient, and keeps the responder's signal free of
@@ -366,48 +421,40 @@ def train(
     csa_baseline = 0.5
     try:
         for update, episode_ids in enumerate(batches):
-            # During warmup the planner's actor is frozen while the critic
-            # fits the random-policy values and the responder learns to
-            # comply with the diverse constraints random planning produces;
-            # the actor then starts from centered advantages against an
-            # already-compliant responder.
-            warm = update < train_cfg.critic_warmup
             batch = _play(
-                env, expert, csa, reward_cfg,
+                env, expert, csa, cfg.reward,
                 train_cfg.seed, _STREAM_TRAIN, episode_ids, False,
             )
             for traj in batch:
                 traj_fh.write(trajectory_to_json(traj) + "\n")
 
             n_turns = sum(len(t.turns) for t in batch)
-            actor_grad = np.zeros(expert.actor.n_params) if expert else None
-            critic_grad = np.zeros(expert.critic.n_params) if expert else None
-            csa_grad = np.zeros(csa.generator.n_params)
+            grads = {name: np.zeros(net.n_params) for name, net in nets.items()}
             sum_expert_loss = 0.0
             sum_csa_loss = 0.0
             sum_joint = 0.0
             for traj in batch:
-                if train_expert:
+                if expert is not None:
                     targets, advantages = compute_advantages(
                         traj, expert, train_cfg.discount
                     )
                 for i, turn in enumerate(traj.turns):
                     sum_joint += turn.reward.joint
-                    if train_expert:
+                    if expert is not None:
                         el, eg = expert_loss(
                             expert, turn.expert_state, turn.skills, advantages[i]
                         )
                         cl, cg = critic_loss(expert, turn.expert_state, targets[i])
-                        actor_grad += eg
-                        critic_grad += cg
+                        grads["expert"] += eg
+                        grads["critic"] += cg
                         sum_expert_loss += el
                     coeff = turn.reward.r_csa - csa_baseline
                     csa_baseline = 0.99 * csa_baseline + 0.01 * turn.reward.r_csa
                     sl, sg, _ = csa_loss(csa, turn.csa_state, turn.response, coeff)
-                    csa_grad += sg
+                    grads["csa"] += sg
                     sum_csa_loss += sl
 
-            mean_expert_loss = sum_expert_loss / n_turns if train_expert else 0.0
+            mean_expert_loss = sum_expert_loss / n_turns if expert is not None else 0.0
             mean_csa_loss = sum_csa_loss / n_turns
             if not (np.isfinite(mean_expert_loss) and np.isfinite(mean_csa_loss)):
                 diag = {
@@ -421,23 +468,17 @@ def train(
                     f"non-finite loss at update {update}; diagnostics dumped"
                 )
 
-            if train_expert:
-                if not warm:
-                    g = clip_grad_norm(actor_grad / n_turns, GRAD_CLIP_NORM)
-                    new_params, actor_adam = adam_step(
-                        expert.actor.get_params(), g, actor_adam, train_cfg.lr_expert_actor
-                    )
-                    expert.actor.set_params(new_params)
-                g = clip_grad_norm(critic_grad / n_turns, GRAD_CLIP_NORM)
-                new_params, critic_adam = adam_step(
-                    expert.critic.get_params(), g, critic_adam, train_cfg.lr_expert_critic
-                )
-                expert.critic.set_params(new_params)
-            g = clip_grad_norm(csa_grad / n_turns, GRAD_CLIP_NORM)
-            new_params, csa_adam = adam_step(
-                csa.generator.get_params(), g, csa_adam, train_cfg.lr_csa
-            )
-            csa.generator.set_params(new_params)
+            for name, net in nets.items():
+                # During warmup the planner's actor is frozen while the
+                # critic fits the random-policy values and the responder
+                # learns to comply with the diverse constraints random
+                # planning produces; the actor then starts from centered
+                # advantages against an already-compliant responder.
+                if name == "expert" and update < train_cfg.critic_warmup:
+                    continue
+                g = clip_grad_norm(grads[name] / n_turns, GRAD_CLIP_NORM)
+                params, adam[name] = adam_step(net.get_params(), g, adam[name], lrs[name])
+                net.set_params(params)
 
             step = update + 1
             curves_fh.write(
@@ -445,15 +486,13 @@ def train(
             )
             if step % train_cfg.eval_every == 0 and step < len(batches):
                 report, _ = _evaluate(
-                    env_cfg, expert, csa, reward_cfg, tse_cfg,
-                    variant, train_cfg.eval_episodes, train_cfg.seed,
+                    cfg, expert, csa, train_cfg.eval_episodes, train_cfg.seed
                 )
                 metrics_fh.write(report.csv_row() + "\n")
                 save_ckpts(step)
 
         final_report, final_trajs = _evaluate(
-            env_cfg, expert, csa, reward_cfg, tse_cfg,
-            variant, train_cfg.eval_episodes, train_cfg.seed,
+            cfg, expert, csa, train_cfg.eval_episodes, train_cfg.seed
         )
         metrics_fh.write(final_report.csv_row() + "\n")
         save_ckpts(len(batches))
@@ -468,35 +507,33 @@ def train(
     return final_report, final_trajs
 
 
-def ablate(
-    train_cfg: TrainConfig,
-    env_cfg: EnvConfig,
-    reward_cfg: RewardConfig,
-    tse_cfg: TseConfig,
-    out_dir,
-    seeds=None,
-) -> list[MetricReport]:
-    """Train and evaluate the three variants with shared seeds.
+def ablate(cfg: GlobalConfig, out_dir=None, seeds=None) -> list[MetricReport]:
+    """Train and evaluate the three variants with shared seeds under
+    ``out_dir`` (else ``cfg.output_dir``), one run directory
+    ``{variant}-seed{seed}`` each, whose ``config.copy`` names it as
+    ``output_dir``.
 
     Every variant sees the same seed list (hence the same evaluation episode
     stream); the final evaluation episodes of all seeds are pooled into one
     ``aggregate`` row per variant, written to ``ablation.csv`` in full /
     no-expert / untrained order."""
-    out = Path(out_dir)
+    out = Path(cfg.output_dir if out_dir is None else out_dir)
     out.mkdir(parents=True, exist_ok=True)
     if seeds is None:
-        seeds = [train_cfg.seed]
+        seeds = [cfg.train.seed]
     rows: list[MetricReport] = []
     for variant in VARIANTS:
         trajs: list[Trajectory] = []
         for seed in seeds:
-            cfg = dataclasses.replace(train_cfg, variant=variant, seed=seed)
-            _, final_trajs = train(
-                cfg, env_cfg, reward_cfg, tse_cfg, out / f"{variant}-seed{seed}"
+            run_cfg = dataclasses.replace(
+                cfg,
+                train=dataclasses.replace(cfg.train, variant=variant, seed=seed),
+                output_dir=str(out / f"{variant}-seed{seed}"),
             )
+            _, final_trajs = train(run_cfg)
             trajs += final_trajs
-        refs = [reference_responses(t, env_cfg) for t in trajs]
-        rows.append(aggregate(trajs, tse_cfg, refs, variant=variant))
+        refs = [reference_responses(t, cfg.env) for t in trajs]
+        rows.append(aggregate(trajs, cfg.tse, refs, variant=variant))
     with open(out / "ablation.csv", "w", encoding="utf-8") as fh:
         fh.write(METRIC_CSV_HEADER + "\n")
         for row in rows:

@@ -47,7 +47,7 @@ def ablation(tmp_path_factory):
     cfg = default_global_config()
     out = tmp_path_factory.mktemp("ablation")
     start = time.monotonic()
-    rows = ablate(cfg.train, cfg.env, cfg.reward, cfg.tse, out, seeds=[0, 1, 2])
+    rows = ablate(cfg, out, seeds=[0, 1, 2])
     elapsed = time.monotonic() - start
     return rows, out, elapsed
 
@@ -279,7 +279,7 @@ class TestDeterminism:
             cfg.train, episodes=64, eval_episodes=20, critic_warmup=2, eval_every=4
         )
         for name in ("a", "b"):
-            train(train_cfg, cfg.env, cfg.reward, cfg.tse, tmp_path / name)
+            train(dataclasses.replace(cfg, train=train_cfg), tmp_path / name)
         for fname in ("trajectories.jsonl", "metrics.csv"):
             assert (
                 (tmp_path / "a" / fname).read_bytes()

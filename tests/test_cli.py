@@ -98,7 +98,28 @@ class TestTrainCommand:
         rc = main(["train", str(tiny_config)])
         assert rc == 0
         assert (tmp_path / "out" / "metrics.csv").is_file()
-        assert (tmp_path / "out" / "config.copy").read_text() == tiny_config.read_text()
+        copy, _ = load_config(tmp_path / "out" / "config.copy")
+        assert copy == load_config(tiny_config)[0]
+
+    def test_config_copy_keeps_output_dir_under_out(self, tiny_config, tmp_path):
+        # --out places the run; the copy is the config as the file gave it
+        assert main(["train", str(tiny_config), "--out", str(tmp_path / "elsewhere")]) == 0
+        copy, _ = load_config(tmp_path / "elsewhere" / "config.copy")
+        given, _ = load_config(tiny_config)
+        assert copy == given
+
+    def test_config_copy_of_scenario_file_config_reruns(self, tiny_config, tmp_path):
+        data = json.loads(tiny_config.read_text())
+        (tmp_path / "table.json").write_text(json.dumps(data["env"]["scenario_table"]))
+        data["env"]["scenario_table"] = {"file": "table.json"}
+        tiny_config.write_text(json.dumps(data))
+        first, second = tmp_path / "first", tmp_path / "second"
+        assert main(["train", str(tiny_config), "--out", str(first)]) == 0
+        assert main(["train", str(first / "config.copy"), "--out", str(second)]) == 0
+        assert (
+            (first / "trajectories.jsonl").read_bytes()
+            == (second / "trajectories.jsonl").read_bytes()
+        )
 
     def test_seed_override_changes_trajectories(self, tiny_config, tmp_path):
         assert main(["train", str(tiny_config), "--out", str(tmp_path / "a")]) == 0
@@ -224,6 +245,11 @@ class TestConfigErrorsExitCleanly:
                      "train.lr_csa must be finite, got nan", id="nan-learning-rate"),
         pytest.param(lambda d: d["train"].update(hidden_size=0),
                      "train.hidden_size must be positive", id="zero-hidden-size"),
+        *[
+            pytest.param(lambda d, k=key: d["train"].update({k: -1.0}),
+                         f"train.{key} must be non-negative", id=f"negative-{key}")
+            for key in ("lambda_pg", "lambda_skill", "lambda_diversity", "entropy_coeff")
+        ],
     ])
     def test_malformed_config_names_key(self, tiny_config, capsys, mutate, message):
         assert message in self._run(tiny_config, capsys, mutate)
@@ -382,6 +408,93 @@ class TestEvalCommand:
         err = capsys.readouterr().err
         assert err.startswith("error: critic checkpoint shape")
 
+    def test_csa_head_mismatch_exits_1(self, tiny_config, tmp_path, capsys):
+        from gopo.neural import Mlp, load_checkpoint, save_checkpoint
+
+        ckpts = self._trained(tiny_config, tmp_path)
+        (csa_path,) = ckpts.glob("csa-*.ckpt")
+        csa, _ = load_checkpoint(csa_path)
+        save_checkpoint(csa_path, Mlp(csa.layer_sizes, head="linear"))
+        capsys.readouterr()
+        rc = main([
+            "eval", "--checkpoint-dir", str(ckpts), "--config", str(tiny_config),
+            "--episodes", "1",
+        ])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: csa checkpoint shape") and "linear head" in err
+
+    @pytest.mark.parametrize("damage", [
+        pytest.param(lambda b: b"", id="empty"),
+        pytest.param(lambda b: b[: len(b) // 2], id="truncated"),
+        pytest.param(lambda b: b"not a checkpoint", id="text"),
+    ])
+    def test_unreadable_checkpoint_exits_1_naming_file(
+        self, tiny_config, tmp_path, capsys, damage
+    ):
+        ckpts = self._trained(tiny_config, tmp_path)
+        (expert_path,) = ckpts.glob("expert-*.ckpt")
+        expert_path.write_bytes(damage(expert_path.read_bytes()))
+        capsys.readouterr()
+        rc = main([
+            "eval", "--checkpoint-dir", str(ckpts), "--config", str(tiny_config),
+            "--episodes", "1",
+        ])
+        err = capsys.readouterr().err
+        assert rc == 1
+        assert err.startswith(f"error: cannot load checkpoint {expert_path}")
+
+    def test_mixed_steps_evaluate_latest_common_step(self, tmp_path, capsys):
+        # two updates, checkpointed after each: steps 1 and 2
+        config = write_tiny_config(tmp_path / "config.json", tmp_path / "out", eval_every=1)
+        assert main(["train", str(config)]) == 0
+        ckpts = tmp_path / "out" / "checkpoints"
+        only_1 = tmp_path / "only-1"
+        only_1.mkdir()
+        for name in ("expert", "critic", "csa"):
+            (only_1 / f"{name}-1.ckpt").write_bytes((ckpts / f"{name}-1.ckpt").read_bytes())
+            if name != "csa":
+                (ckpts / f"{name}-2.ckpt").unlink()
+        rows = []
+        for ckpt_dir in (ckpts, only_1):
+            capsys.readouterr()
+            assert main([
+                "eval", "--checkpoint-dir", str(ckpt_dir), "--config", str(config),
+                "--episodes", "4", "--out", str(tmp_path / "eval.csv"),
+            ]) == 0
+            rows.append(capsys.readouterr().out)
+        assert rows[0] == rows[1]
+
+    def test_no_common_step_exits_1(self, tiny_config, tmp_path, capsys):
+        ckpts = self._trained(tiny_config, tmp_path)
+        for path in ckpts.glob("critic-*.ckpt"):
+            path.unlink()
+        capsys.readouterr()
+        rc = main([
+            "eval", "--checkpoint-dir", str(ckpts), "--config", str(tiny_config),
+            "--episodes", "1",
+        ])
+        assert rc == 1
+        assert "error: no step in" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("variant", ["full", "no-expert", "untrained"])
+    def test_eval_reproduces_final_report(self, tmp_path, variant):
+        """Checkpoints round-trip exactly: evaluating a run's last
+        checkpoints over its evaluation episodes and seed rebuilds its final
+        report byte for byte."""
+        config = write_tiny_config(tmp_path / "config.json", tmp_path / "out", variant=variant)
+        assert main(["train", str(config)]) == 0
+        cfg, _ = load_config(config)
+        assert main([
+            "eval", "--checkpoint-dir", str(tmp_path / "out" / "checkpoints"),
+            "--config", str(config), "--episodes", str(cfg.train.eval_episodes),
+            "--out", str(tmp_path / "eval.csv"),
+        ]) == 0
+        assert (
+            (tmp_path / "eval.csv").read_bytes()
+            == (tmp_path / "out" / "final_report.csv").read_bytes()
+        )
+
     def test_missing_checkpoints_exit_1(self, tiny_config, tmp_path):
         (tmp_path / "empty").mkdir()
         rc = main([
@@ -426,6 +539,26 @@ class TestReportCommand:
         row_a = lines[1].split(",", 1)[1]
         row_b = lines[2].split(",", 1)[1]
         assert row_a == row_b
+
+    def test_header_only_runs_are_skipped(self, tiny_config, tmp_path, capsys):
+        runs = tmp_path / "runs"
+        assert main(["train", str(tiny_config), "--out", str(runs / "a")]) == 0
+        # a run that diverged before its first evaluation
+        (runs / "b").mkdir()
+        (runs / "b" / "metrics.csv").write_text(METRIC_CSV_HEADER + "\n")
+        (runs / "b" / "curves.csv").write_text(CURVES_CSV_HEADER + "\n1,0.5,0.1,0.2\n")
+        capsys.readouterr()
+        assert main(["report", "--runs", str(runs)]) == 0
+        out = capsys.readouterr().out.strip().splitlines()
+        assert [line.split(",")[0] for line in out] == ["run", "a"]
+        curves = (runs / "report_curves.csv").read_text().strip().splitlines()
+        assert {line.split(",")[0] for line in curves[1:]} == {"a"}
+
+    def test_only_header_only_runs_exit_1(self, tmp_path, capsys):
+        (tmp_path / "runs" / "b").mkdir(parents=True)
+        (tmp_path / "runs" / "b" / "metrics.csv").write_text(METRIC_CSV_HEADER + "\n")
+        assert main(["report", "--runs", str(tmp_path / "runs")]) == 1
+        assert capsys.readouterr().err.startswith("error: no run directories")
 
     def test_empty_runs_dir_exits_1(self, tmp_path):
         (tmp_path / "runs").mkdir()

@@ -18,14 +18,18 @@ from gopo.core import (
     validate_trajectory,
 )
 from gopo.metrics import METRIC_CSV_HEADER, TseConfig
+from gopo.neural import load_checkpoint
 from gopo.rewards import RewardConfig
 from gopo.simenv import ConfigError, DialogueEnv
 from gopo.trainer import (
     CURVES_CSV_HEADER,
+    GlobalConfig,
     TrainConfig,
     TrainingDiverged,
     ablate,
+    build_policies,
     compute_advantages,
+    load_checkpoints,
     rollout,
     train,
 )
@@ -44,6 +48,10 @@ def tiny_train_cfg(**overrides):
     )
     base.update(overrides)
     return TrainConfig(**base)
+
+
+def global_cfg(train_cfg, env_cfg, out_dir, reward_cfg=RewardConfig()):
+    return GlobalConfig(env_cfg, reward_cfg, TseConfig(), train_cfg, str(out_dir))
 
 
 @pytest.fixture
@@ -69,6 +77,46 @@ class TestTrainConfig:
     def test_positive_learning_rates(self):
         with pytest.raises(ConfigError):
             TrainConfig(lr_csa=0.0)
+
+    def test_zero_loss_weights_valid(self):
+        # negative weights are rejected (tests/test_cli.py); zero switches a
+        # term off and stays valid
+        names = ("lambda_pg", "lambda_skill", "lambda_diversity", "entropy_coeff")
+        cfg = TrainConfig(**dict.fromkeys(names, 0.0))
+        assert [getattr(cfg, name) for name in names] == [0.0] * 4
+
+
+class TestPolicies:
+    @pytest.mark.parametrize("variant, has_planner", [
+        ("full", True), ("no-expert", False), ("untrained", True),
+    ])
+    def test_variant_decides_the_planner(self, tiny_env_cfg, variant, has_planner):
+        expert, csa = build_policies(tiny_env_cfg, tiny_train_cfg(variant=variant))
+        assert (expert is not None) == has_planner
+        assert csa.generator.layer_sizes[1] == 16
+
+    @pytest.mark.parametrize("variant", ["full", "no-expert", "untrained"])
+    def test_checkpoints_round_trip(self, tiny_env_cfg, tmp_path, variant):
+        cfg = tiny_train_cfg(variant=variant, episodes=16, eval_every=1)
+        train(global_cfg(cfg, tiny_env_cfg, tmp_path / "run"))
+        ckpts = tmp_path / "run" / "checkpoints"
+        expert, csa = build_policies(tiny_env_cfg, dataclasses.replace(cfg, seed=11))
+        step = load_checkpoints(ckpts, expert, csa)
+        assert step == (0 if variant == "untrained" else 2)
+        nets = {"csa": csa.generator}
+        if expert is not None:
+            nets.update(expert=expert.actor, critic=expert.critic)
+        assert {p.name for p in ckpts.glob(f"*-{step}.ckpt")} == {
+            f"{name}-{step}.ckpt" for name in nets
+        }
+        for name, net in nets.items():
+            saved, _ = load_checkpoint(ckpts / f"{name}-{step}.ckpt")
+            assert np.array_equal(net.get_params(), saved.get_params())
+
+    def test_missing_directory_names_it(self, tiny_env_cfg, tmp_path):
+        expert, csa = build_policies(tiny_env_cfg, tiny_train_cfg())
+        with pytest.raises(ConfigError, match="absent"):
+            load_checkpoints(tmp_path / "absent", expert, csa)
 
 
 class TestRollout:
@@ -179,7 +227,7 @@ class TestAdvantages:
 class TestTrain:
     def test_run_directory_layout(self, tiny_env_cfg, tmp_path):
         cfg = tiny_train_cfg()
-        report, trajs = train(cfg, tiny_env_cfg, RewardConfig(), TseConfig(), tmp_path / "run")
+        report, trajs = train(global_cfg(cfg, tiny_env_cfg, tmp_path / "run"))
         run = tmp_path / "run"
         assert (run / "config.copy").is_file()
         assert (run / "trajectories.jsonl").is_file()
@@ -195,27 +243,27 @@ class TestTrain:
 
     def test_zero_episodes_emits_only_untrained_row(self, tiny_env_cfg, tmp_path):
         cfg = tiny_train_cfg(episodes=0)
-        train(cfg, tiny_env_cfg, RewardConfig(), TseConfig(), tmp_path / "run")
+        train(global_cfg(cfg, tiny_env_cfg, tmp_path / "run"))
         metrics = (tmp_path / "run" / "metrics.csv").read_text().strip().splitlines()
         assert len(metrics) == 2  # header plus the single evaluation row
         assert (tmp_path / "run" / "trajectories.jsonl").read_text() == ""
 
     def test_untrained_variant_never_updates(self, tiny_env_cfg, tmp_path):
         cfg = tiny_train_cfg(variant="untrained", episodes=16)
-        train(cfg, tiny_env_cfg, RewardConfig(), TseConfig(), tmp_path / "run")
+        train(global_cfg(cfg, tiny_env_cfg, tmp_path / "run"))
         curves = (tmp_path / "run" / "curves.csv").read_text().strip().splitlines()
         assert len(curves) == 1  # header only: no update steps ran
 
     def test_byte_identical_reruns(self, tiny_env_cfg, tmp_path):
         cfg = tiny_train_cfg()
-        train(cfg, tiny_env_cfg, RewardConfig(), TseConfig(), tmp_path / "a")
-        train(cfg, tiny_env_cfg, RewardConfig(), TseConfig(), tmp_path / "b")
+        train(global_cfg(cfg, tiny_env_cfg, tmp_path / "a"))
+        train(global_cfg(cfg, tiny_env_cfg, tmp_path / "b"))
         for name in ("trajectories.jsonl", "metrics.csv", "curves.csv", "final_report.csv"):
             assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
 
     def test_seed_changes_trajectories(self, tiny_env_cfg, tmp_path):
-        train(tiny_train_cfg(seed=3), tiny_env_cfg, RewardConfig(), TseConfig(), tmp_path / "a")
-        train(tiny_train_cfg(seed=4), tiny_env_cfg, RewardConfig(), TseConfig(), tmp_path / "b")
+        train(global_cfg(tiny_train_cfg(seed=3), tiny_env_cfg, tmp_path / "a"))
+        train(global_cfg(tiny_train_cfg(seed=4), tiny_env_cfg, tmp_path / "b"))
         assert (
             (tmp_path / "a" / "trajectories.jsonl").read_bytes()
             != (tmp_path / "b" / "trajectories.jsonl").read_bytes()
@@ -224,7 +272,7 @@ class TestTrain:
     def test_weight_schedule_on_training_logs(self, tiny_env_cfg, tmp_path):
         cfg = tiny_train_cfg()
         reward_cfg = RewardConfig()
-        train(cfg, tiny_env_cfg, reward_cfg, TseConfig(), tmp_path / "run")
+        train(global_cfg(cfg, tiny_env_cfg, tmp_path / "run", reward_cfg))
         trajs = read_trajectories(tmp_path / "run" / "trajectories.jsonl")
         assert trajs
         for traj in trajs:
@@ -240,32 +288,32 @@ class TestTrain:
 
         monkeypatch.setattr(trainer_mod, "csa_loss", poisoned)
         with pytest.raises(TrainingDiverged):
-            train(tiny_train_cfg(), tiny_env_cfg, RewardConfig(), TseConfig(), tmp_path / "run")
+            train(global_cfg(tiny_train_cfg(), tiny_env_cfg, tmp_path / "run"))
         assert (tmp_path / "run" / "diagnostics.json").is_file()
 
 
 class TestAblate:
     def test_three_rows_in_fixed_order(self, tiny_env_cfg, tmp_path):
-        rows = ablate(tiny_train_cfg(), tiny_env_cfg, RewardConfig(), TseConfig(), tmp_path / "ab")
+        rows = ablate(global_cfg(tiny_train_cfg(), tiny_env_cfg, tmp_path / "ab"))
         assert [r.variant for r in rows] == ["full", "no-expert", "untrained"]
         text = (tmp_path / "ab" / "ablation.csv").read_text().strip().splitlines()
         assert text[0] == METRIC_CSV_HEADER
         assert len(text) == 4
 
     def test_untrained_rows_identical_across_invocations(self, tiny_env_cfg, tmp_path):
-        r1 = ablate(tiny_train_cfg(), tiny_env_cfg, RewardConfig(), TseConfig(), tmp_path / "a")
-        r2 = ablate(tiny_train_cfg(), tiny_env_cfg, RewardConfig(), TseConfig(), tmp_path / "b")
+        r1 = ablate(global_cfg(tiny_train_cfg(), tiny_env_cfg, tmp_path / "a"))
+        r2 = ablate(global_cfg(tiny_train_cfg(), tiny_env_cfg, tmp_path / "b"))
         assert r1[2] == r2[2]
 
     def test_multi_seed_pools_episodes(self, tiny_env_cfg, tmp_path):
         cfg = tiny_train_cfg(episodes=8)
-        rows = ablate(cfg, tiny_env_cfg, RewardConfig(), TseConfig(), tmp_path / "ab", seeds=[3, 4])
+        rows = ablate(global_cfg(cfg, tiny_env_cfg, tmp_path / "ab"), seeds=[3, 4])
         assert all(r.episodes == 2 * cfg.eval_episodes for r in rows)
 
     def test_single_seed_row_is_the_run_final_report(self, tiny_env_cfg, tmp_path):
         # one seed pools nothing: each variant's row is its run's final
         # evaluation, aggregated the same way
-        rows = ablate(tiny_train_cfg(), tiny_env_cfg, RewardConfig(), TseConfig(), tmp_path / "ab", seeds=[5])
+        rows = ablate(global_cfg(tiny_train_cfg(), tiny_env_cfg, tmp_path / "ab"), seeds=[5])
         for row in rows:
             final = (tmp_path / "ab" / f"{row.variant}-seed5" / "final_report.csv").read_text()
             assert final.splitlines()[1] == row.csv_row()
