@@ -15,13 +15,22 @@ decoding-time masking.
 Sampling conventions: the first slot/step masks STOP/END so emitted
 sequences are never empty; reported log-probabilities follow the actual
 (masked, renormalized) sampling law, while reported entropies are those of
-the raw per-slot distributions including the stop symbol.  Every loss here
-is a deterministic function of (parameters, state, action), so all gradients
-are checkable against central finite differences.
+the raw per-slot distributions including the stop symbol.  A sampled step
+draws by ``Generator.choice``'s own inverse-CDF rule: one ``random()`` per
+step, searched in the cumulative distribution (``_draw``), so it picks the
+index ``rng.choice(q.size, p=q / q.sum())`` would.  Greedy steps take the
+argmax and draw nothing.  Every loss here is a deterministic function of
+(parameters, state, action), so all gradients are checkable against central
+finite differences.
+
+Acting builds the step-0 network input with ``slot_input``/``step_input``
+and then updates that one row in place after each emitted symbol; every row
+equals, bit for bit, the one the builder would make for the same prefix.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -135,8 +144,22 @@ class FeatureSpec:
         return frozenset(out)
 
 
-def _entropy(p: np.ndarray) -> float:
-    return float(-np.sum(p * np.log(p)))
+def _entropies(ps: list[np.ndarray]) -> np.ndarray:
+    """Raw entropy of each per-step distribution, in one vectorised call."""
+    p = np.stack(ps)
+    return -np.sum(p * np.log(p), axis=1)
+
+
+def _draw(q: np.ndarray, rng: np.random.Generator) -> int:
+    """One draw from ``q / q.sum()`` exactly as ``rng.choice(q.size, p=q /
+    q.sum())`` makes it: the same cumulative distribution, one ``random()``,
+    the same index.  Like ``choice``, it raises before drawing when the
+    distribution is not finite."""
+    cdf = np.cumsum(q / q.sum())
+    if not math.isfinite(cdf[-1]):
+        raise ValueError("probabilities are not finite")
+    cdf /= cdf[-1]
+    return int(cdf.searchsorted(rng.random(), side="right"))
 
 
 def _masked(p: np.ndarray, banned: int) -> np.ndarray:
@@ -215,25 +238,28 @@ def expert_act(
     the sampling law, and the summed raw per-slot distribution entropies.
     STOP is masked on the first slot, so sequences are never empty.
     """
+    n_skills = policy.spec.n_skills
     feat = policy.spec.expert_features(state)
-    chosen = np.zeros(policy.spec.n_skills)
+    x = policy.slot_input(feat, np.zeros(n_skills), 0)
+    chosen_at = feat.size  # chosen-skill bits, then the slot one-hot
+    slot_at = chosen_at + n_skills
     skills: list[int] = []
     log_prob = 0.0
-    entropy = 0.0
+    ps = []
     for slot in range(MAX_SKILL_SEQUENCE_LEN):
-        p = policy.actor.forward(policy.slot_input(feat, chosen, slot))
-        entropy += _entropy(p)
+        if slot > 0:
+            x[slot_at + slot - 1] = 0.0
+            x[slot_at + slot] = 1.0
+        p = policy.actor.forward(x)
+        ps.append(p)
         q = _masked(p, policy.stop_index) if slot == 0 else p
-        if greedy:
-            sym = int(np.argmax(q))
-        else:
-            sym = int(rng.choice(q.size, p=q / q.sum()))
+        sym = int(np.argmax(q)) if greedy else _draw(q, rng)
         log_prob += float(np.log(q[sym]))
         if sym == policy.stop_index:
             break
         skills.append(sym)
-        chosen[sym] = 1.0
-    return SkillSequence(tuple(skills)), log_prob, entropy
+        x[chosen_at + sym] = 1.0
+    return SkillSequence(tuple(skills)), log_prob, float(_entropies(ps).sum())
 
 
 def expert_loss(
@@ -347,32 +373,36 @@ def csa_act(
     Returns the response, the log-probability of the realized tokens under
     the sampling law (END masked on the first step), and the raw per-step
     distribution entropies."""
-    feat = policy.spec.csa_features(state)
+    spec = policy.spec
+    feat = spec.csa_features(state)
+    x = policy.step_input(feat, None, np.zeros(spec.n_markers), 0)
+    prev_at = feat.size  # previous-token one-hot, emitted and missing bits
+    emitted_at = prev_at + spec.vocab_size + 1
+    missing_at = emitted_at + spec.n_markers
     tokens: list[int] = []
-    emitted = np.zeros(policy.spec.n_markers)
-    prev: int | None = None
     log_prob = 0.0
-    entropies: list[float] = []
-    for step in range(policy.spec.max_response_len):
-        p = policy.generator.forward(policy.step_input(feat, prev, emitted, step))
-        entropies.append(_entropy(p))
+    ps = []
+    for step in range(spec.max_response_len):
+        x[-1] = step / spec.max_response_len
+        p = policy.generator.forward(x)
+        ps.append(p)
         q = _masked(p, policy.end_index) if step == 0 else p
-        if greedy:
-            sym = int(np.argmax(q))
-        else:
-            sym = int(rng.choice(q.size, p=q / q.sum()))
+        sym = int(np.argmax(q)) if greedy else _draw(q, rng)
         log_prob += float(np.log(q[sym]))
         if sym == policy.end_index:
             break
+        if tokens:
+            x[prev_at + tokens[-1]] = 0.0
+        x[prev_at + sym] = 1.0
         tokens.append(sym)
-        for m in policy.spec.token_markers[sym]:
-            emitted[m] = 1.0
-        prev = sym
+        for m in spec.token_markers[sym]:
+            x[emitted_at + m] = 1.0
+            x[missing_at + m] = 0.0
     response = Response(
         tokens=tuple(tokens),
-        markers=response_markers(tokens, policy.spec.token_markers),
+        markers=response_markers(tokens, spec.token_markers),
     )
-    return response, log_prob, entropies
+    return response, log_prob, _entropies(ps).tolist()
 
 
 def csa_loss(

@@ -202,11 +202,12 @@ def rollout(
     turns: list[TurnRecord] = []
     for turn_no in range(1, horizon + 1):
         state = obs.expert_state
-        teacher = env.teacher_sequence(state)
         if expert is not None:
             skills, _, _ = expert_act(expert, state, rng, greedy=greedy)
             r_e = esndcg(
-                skills.skills, teacher.skills, dedupe=reward_cfg.dedupe_predictions
+                skills.skills,
+                env.teacher_sequence(state).skills,
+                dedupe=reward_cfg.dedupe_predictions,
             )
         else:
             skills = None

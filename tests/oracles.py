@@ -3,9 +3,9 @@
 Deliberately written as literal, term-by-term evaluations with their own
 code paths (two-argument log, slice-based duplicate detection, explicit
 index search) so they share no structure with the package implementation.
-The loss oracles reuse only the policies' input builders and per-row network
-calls; every loss term and its upstream gradient is evaluated one step at a
-time.
+The loss and act oracles reuse only the policies' input builders and
+per-row network calls; every loss term, upstream gradient, draw and entropy
+is evaluated one step at a time.
 """
 
 import math
@@ -193,3 +193,60 @@ def oracle_csa_loss(policy, state, action, r_a):
 
     total = lam_p * loss_pg + lam_s * loss_skill + lam_d * loss_div
     return total, grad, {"L_p": loss_pg, "L_s": loss_skill, "L_d": loss_div}
+
+
+def _oracle_masked(p, banned):
+    q = p.copy()
+    q[banned] = 0.0
+    return q / q.sum()
+
+
+def oracle_expert_act(policy, state, rng, greedy=False):
+    """Planner act as a per-slot loop: a fresh slot input per slot, one
+    ``rng.choice`` per sampled slot, a per-slot entropy."""
+    feat = policy.spec.expert_features(state)
+    chosen = np.zeros(policy.spec.n_skills)
+    skills = []
+    log_prob = 0.0
+    entropy = 0.0
+    for slot in range(MAX_SKILL_SEQUENCE_LEN):
+        p = policy.actor.forward(policy.slot_input(feat, chosen, slot))
+        entropy += float(-np.sum(p * np.log(p)))
+        q = _oracle_masked(p, policy.stop_index) if slot == 0 else p
+        if greedy:
+            sym = int(np.argmax(q))
+        else:
+            sym = int(rng.choice(q.size, p=q / q.sum()))
+        log_prob += float(np.log(q[sym]))
+        if sym == policy.stop_index:
+            break
+        skills.append(sym)
+        chosen[sym] = 1.0
+    return tuple(skills), log_prob, entropy
+
+
+def oracle_csa_act(policy, state, rng, greedy=False):
+    """Responder act as a per-step loop: a fresh step input per step, one
+    ``rng.choice`` per sampled step, a per-step entropy."""
+    feat = policy.spec.csa_features(state)
+    tokens = []
+    emitted = np.zeros(policy.spec.n_markers)
+    prev = None
+    log_prob = 0.0
+    entropies = []
+    for step in range(policy.spec.max_response_len):
+        p = policy.generator.forward(policy.step_input(feat, prev, emitted, step))
+        entropies.append(float(-np.sum(p * np.log(p))))
+        q = _oracle_masked(p, policy.end_index) if step == 0 else p
+        if greedy:
+            sym = int(np.argmax(q))
+        else:
+            sym = int(rng.choice(q.size, p=q / q.sum()))
+        log_prob += float(np.log(q[sym]))
+        if sym == policy.end_index:
+            break
+        tokens.append(sym)
+        for m in policy.spec.token_markers[sym]:
+            emitted[m] = 1.0
+        prev = sym
+    return tuple(tokens), log_prob, entropies

@@ -7,6 +7,7 @@ from gopo.agents import (
     CsaPolicy,
     ExpertPolicy,
     FeatureSpec,
+    _draw,
     critic_loss,
     critic_value,
     csa_act,
@@ -14,13 +15,15 @@ from gopo.agents import (
     expert_act,
     expert_loss,
 )
-from gopo.core import BusinessContext, CsaState, SkillSequence
+from gopo.core import MAX_SKILL_SEQUENCE_LEN, BusinessContext, CsaState, SkillSequence
 from gopo.neural import AdamState, adam_step
 from conftest import random_csa_state, random_expert_state, random_response
 from oracles import (
     central_difference_grad,
     max_rel_error,
+    oracle_csa_act,
     oracle_csa_loss,
+    oracle_expert_act,
     oracle_expert_loss,
     scaled_diff,
 )
@@ -374,6 +377,138 @@ class TestBatchedLossesMatchOracles:
         for tokens in ((5,), full):
             resp = Response(tokens, response_markers(tokens, spec.token_markers))
             self._check_csa(policy, state, resp, 0.6)
+
+
+def _set_params(net, kind, rng, hot):
+    """``random``, all-``zero``, or zero with one ``saturated`` output logit
+    on symbol ``hot``."""
+    if kind == "random":
+        net.set_params(rng.normal(0, 0.5, net.n_params))
+    else:
+        net.set_params(np.zeros(net.n_params))
+        if kind == "saturated":
+            net.biases[-1][hot] = 60.0
+
+
+def _recording(net):
+    """Wrap ``net.forward`` so every input row it receives is kept."""
+    rows = []
+    forward = net.forward
+
+    def recorder(x):
+        rows.append(np.array(x, copy=True))
+        return forward(x)
+
+    net.forward = recorder
+    return rows
+
+
+class TestActMatchesOracle:
+    """The in-place, inverse-CDF act path against the per-step reference
+    loops: same action and draws, bitwise log-probabilities, and network
+    inputs equal to the builders' rows for the same prefix."""
+
+    KINDS = ("random", "zero", "saturated")
+
+    @staticmethod
+    def _twins(seed):
+        return np.random.default_rng(seed), np.random.default_rng(seed)
+
+    @pytest.mark.parametrize("greedy", [False, True])
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_expert(self, spec, kind, greedy):
+        rng = np.random.default_rng(41)
+        # saturating STOP tests the masked first slot; saturating a skill
+        # gives a five-skill plan
+        for trial, hot in enumerate([spec.n_skills, 2] * 6):
+            policy = _expert(spec, seed=300 + trial)
+            _set_params(policy.actor, kind, rng, hot)
+            state = random_expert_state(spec, rng)
+            mine, theirs = self._twins(500 + trial)
+            rows = _recording(policy.actor)
+            action, log_prob, entropy = expert_act(policy, state, mine, greedy=greedy)
+            del policy.actor.forward
+            want, want_lp, want_ent = oracle_expert_act(policy, state, theirs, greedy=greedy)
+            assert action.skills == want
+            assert log_prob == want_lp
+            assert entropy == pytest.approx(want_ent, abs=1e-12)
+            assert mine.random() == theirs.random()
+            if kind == "saturated" and hot != spec.n_skills:
+                assert len(action.skills) == MAX_SKILL_SEQUENCE_LEN
+            feat = spec.expert_features(state)
+            chosen = np.zeros(spec.n_skills)
+            assert len(rows) == min(len(want) + 1, MAX_SKILL_SEQUENCE_LEN)
+            for slot, row in enumerate(rows):
+                assert np.array_equal(row, policy.slot_input(feat, chosen, slot))
+                if slot < len(want):
+                    chosen[want[slot]] = 1.0
+
+    @pytest.mark.parametrize("constrained", [True, False])
+    @pytest.mark.parametrize("greedy", [False, True])
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_csa(self, spec, kind, greedy, constrained):
+        rng = np.random.default_rng(42)
+        # saturating END tests the masked first step; saturating a token
+        # gives a full-length response
+        for trial, hot in enumerate([spec.vocab_size, 3] * 6):
+            policy = _csa(spec, seed=320 + trial)
+            _set_params(policy.generator, kind, rng, hot)
+            state = random_csa_state(spec, rng, allow_null_constraint=False)
+            if not constrained:
+                state = CsaState(state.utterance, None, state.business_ctx)
+            mine, theirs = self._twins(600 + trial)
+            rows = _recording(policy.generator)
+            resp, log_prob, entropies = csa_act(policy, state, mine, greedy=greedy)
+            del policy.generator.forward
+            want, want_lp, want_ents = oracle_csa_act(policy, state, theirs, greedy=greedy)
+            assert resp.tokens == want
+            assert log_prob == want_lp
+            assert len(entropies) == len(want_ents)
+            assert all(abs(a - b) <= 1e-12 for a, b in zip(entropies, want_ents))
+            assert mine.random() == theirs.random()
+            if kind == "saturated" and hot != spec.vocab_size:
+                assert len(resp.tokens) == spec.max_response_len
+            feat = spec.csa_features(state)
+            emitted = np.zeros(spec.n_markers)
+            prev = None
+            assert len(rows) == min(len(want) + 1, spec.max_response_len)
+            for step, row in enumerate(rows):
+                assert np.array_equal(row, policy.step_input(feat, prev, emitted, step))
+                if step < len(want):
+                    prev = want[step]
+                    emitted[sorted(spec.token_markers[prev])] = 1.0
+
+
+class TestDraw:
+    def test_picks_the_index_choice_picks(self):
+        gen = np.random.default_rng(51)
+        mine, theirs = np.random.default_rng(52), np.random.default_rng(52)
+        for trial in range(20_000):
+            logits = gen.normal(0.0, gen.uniform(0.1, 20.0), int(gen.integers(2, 70)))
+            q = np.exp(logits - logits.max())
+            q /= q.sum()
+            if trial % 2 == 0:
+                # a first-step distribution: one symbol masked to zero
+                q[int(gen.integers(q.size))] = 0.0
+                q /= q.sum()
+            assert _draw(q, mine) == int(theirs.choice(q.size, p=q / q.sum()))
+        assert mine.random() == theirs.random()
+
+    def test_nan_distribution_raises_like_choice(self):
+        q = np.array([0.25, np.nan, 0.75])
+        mine, theirs = np.random.default_rng(53), np.random.default_rng(53)
+        with pytest.raises(ValueError):
+            _draw(q, mine)
+        with pytest.raises(ValueError):
+            theirs.choice(q.size, p=q / q.sum())
+        assert mine.random() == theirs.random()
+
+    def test_sampled_csa_act_with_nan_parameters_raises(self, spec):
+        policy = _csa(spec, seed=54)
+        policy.generator.set_params(np.full(policy.generator.n_params, np.nan))
+        state = random_csa_state(spec, np.random.default_rng(54))
+        with pytest.raises(ValueError):
+            csa_act(policy, state, np.random.default_rng(55))
 
 
 class TestDiversityDirection:
