@@ -26,6 +26,16 @@ finite differences.
 Acting builds the step-0 network input with ``slot_input``/``step_input``
 and then updates that one row in place after each emitted symbol; every row
 equals, bit for bit, the one the builder would make for the same prefix.
+
+The losses are teacher-forced over a whole episode: the input rows of every
+realized step of every turn are built at once (each turn padded to the
+sequence cap, then the realized rows kept, in turn and step order), so each
+network runs one forward and one backward pass per episode.  A loss
+returns the sum of its turns' losses and gradients.  Called with one turn,
+it is the per-turn loss; that case is one line into the episode code, which
+the gradient checks therefore exercise.  The planner's losses take the
+episode's stacked feature rows (``expert_rows``), computed once per turn
+and shared by the critic and the actor.
 """
 
 from __future__ import annotations
@@ -170,27 +180,55 @@ def _masked(p: np.ndarray, banned: int) -> np.ndarray:
 
 def _sequence_terms(
     p: np.ndarray,
-    symbols: list[int],
+    symbols: np.ndarray,
+    lengths: np.ndarray,
     banned: int,
-    pg_coeff: float,
+    pg_coeffs: np.ndarray,
     entropy_coeff: float,
-) -> tuple[float, float, np.ndarray]:
+) -> tuple[np.ndarray, float, np.ndarray]:
     """Teacher-forced terms shared by both policies' losses.
 
-    ``p`` holds one distribution per step of a realized symbol sequence.
-    Returns the sequence's log-probability under the sampling law (``banned``
-    masked on the first step), the summed raw per-step entropies, and the
-    gradient of ``-pg_coeff * log_prob - entropy_coeff * entropy`` with
+    ``p`` holds one distribution per step of one or more realized symbol
+    sequences, stacked in order; sequence ``k`` has ``lengths[k]`` steps and
+    ``symbols`` is the realized symbol of every step.  Returns each
+    sequence's log-probability under the sampling law (``banned`` masked on
+    its first step), the summed raw per-step entropies, and the gradient of
+    ``-sum_k pg_coeffs[k] * log_prob[k] - entropy_coeff * entropy`` with
     respect to ``p``."""
     steps = np.arange(len(symbols))
+    starts = np.cumsum(lengths) - lengths
     log_p = np.log(p)
     p_sym = p[steps, symbols]
-    log_prob = float(np.sum(log_p[steps, symbols]) - np.log(1.0 - p[0, banned]))
+    p_banned = p[starts, banned]
+    log_probs = np.add.reduceat(log_p[steps, symbols], starts) - np.log(1.0 - p_banned)
     entropy = float(-np.sum(p * log_p))
     u = entropy_coeff * (log_p + 1.0)
-    u[steps, symbols] -= pg_coeff / p_sym
-    u[0, banned] -= pg_coeff / (1.0 - p[0, banned])
-    return log_prob, entropy, u
+    u[steps, symbols] -= np.repeat(pg_coeffs, lengths) / p_sym
+    u[starts, banned] -= pg_coeffs / (1.0 - p_banned)
+    return log_probs, entropy, u
+
+
+def _padded_symbols(
+    sequences: list[tuple[int, ...]], cap: int, stop: int
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Each realized sequence with its closing ``stop`` (absent at the cap),
+    padded with ``stop`` to ``cap`` steps: the ``(turns, cap)`` symbol
+    matrix, the number of emitted symbols per turn, and the mask of realized
+    steps."""
+    n_emitted = np.array([len(seq) for seq in sequences])
+    symbols = np.full((len(sequences), cap), stop)
+    for i, seq in enumerate(sequences):
+        symbols[i, : len(seq)] = seq
+    realized = np.arange(cap) < (n_emitted + (n_emitted < cap))[:, None]
+    return symbols, n_emitted, realized
+
+
+def _exclusive(running: np.ndarray) -> np.ndarray:
+    """``running`` (turns, steps, k) shifted one step later, zeros first:
+    what was emitted before each step."""
+    out = np.zeros_like(running)
+    out[:, 1:] = running[:, :-1]
+    return out
 
 
 # --- planner ------------------------------------------------------------------
@@ -262,51 +300,77 @@ def expert_act(
     return SkillSequence(tuple(skills)), log_prob, float(_entropies(ps).sum())
 
 
+def expert_rows(policy: ExpertPolicy, states) -> np.ndarray:
+    """The feature row of each planner state, stacked (one row for one
+    state): the critic's input and the head of every actor slot row."""
+    if isinstance(states, ExpertState):
+        states = (states,)
+    return np.stack([policy.spec.expert_features(s) for s in states])
+
+
 def expert_loss(
     policy: ExpertPolicy,
-    state: ExpertState,
-    action: SkillSequence,
-    advantage: float,
+    state,
+    action,
+    advantage,
 ) -> tuple[float, np.ndarray]:
-    """Entropy-regularized policy-gradient loss for one decision:
+    """Entropy-regularized policy-gradient loss of planner decisions:
     ``-advantage * log pi(action|state) - entropy_coeff * H(pi(.|state))``,
     with its analytic gradient over the actor parameters.
 
-    Teacher-forced: the slot inputs along the realized sequence are stacked
-    into one batch, so the actor runs one forward and one backward pass."""
-    feat = policy.spec.expert_features(state)
-    alpha = policy.entropy_coeff
-    stop = policy.stop_index
-    symbols = list(action.skills)
-    if len(symbols) < MAX_SKILL_SEQUENCE_LEN:
-        symbols.append(stop)
-    chosen = np.zeros(policy.spec.n_skills)
-    rows = []
-    for slot, sym in enumerate(symbols):
-        rows.append(policy.slot_input(feat, chosen, slot))
-        if sym != stop:
-            chosen[sym] = 1.0
-    x = np.stack(rows)
+    ``state``, ``action`` and ``advantage`` are one decision's, or an
+    episode's: its stacked feature rows (``expert_rows``) with one action
+    and one advantage per row, whose losses and gradients are summed.  The
+    slot rows of every realized sequence are stacked, so the actor runs one
+    forward and one backward pass."""
+    if isinstance(state, ExpertState):
+        return expert_loss(policy, expert_rows(policy, state), [action], [advantage])
+    cap, n_skills = MAX_SKILL_SEQUENCE_LEN, policy.spec.n_skills
+    symbols, _, realized = _padded_symbols([a.skills for a in action], cap, policy.stop_index)
+    # x[i, slot]: the features of turn i, the skills chosen before the slot
+    # and the slot one-hot
+    d = state.shape[1]
+    x = np.zeros((len(state), cap, policy.actor.layer_sizes[0]))
+    x[:, :, :d] = state[:, None, :]
+    chosen = np.maximum.accumulate(np.eye(n_skills + 1)[symbols][:, :, :n_skills], axis=1)
+    x[:, :, d : d + n_skills] = _exclusive(chosen)
+    x[:, :, d + n_skills :] = np.eye(cap)
+    x = x[realized]
     p = policy.actor.forward(x)
-    log_q, entropy, u = _sequence_terms(p, symbols, stop, advantage, alpha)
-    loss = -advantage * log_q - alpha * entropy
+    advantage = np.asarray(advantage, dtype=float)
+    alpha = policy.entropy_coeff
+    log_q, entropy, u = _sequence_terms(
+        p, symbols[realized], realized.sum(axis=1), policy.stop_index, advantage, alpha
+    )
+    loss = float(-(advantage @ log_q) - alpha * entropy)
     return loss, policy.actor.backward(x, u)
 
 
-def critic_value(policy: ExpertPolicy, state: ExpertState) -> float:
-    return float(policy.critic.forward(policy.spec.expert_features(state))[0])
+def critic_value(policy: ExpertPolicy, state):
+    """The critic's value of one planner state, or the array of values of
+    stacked feature rows (``expert_rows``) from one forward pass."""
+    if isinstance(state, ExpertState):
+        return float(critic_value(policy, expert_rows(policy, state))[0])
+    return policy.critic.forward(state)[:, 0]
 
 
 def critic_loss(
-    policy: ExpertPolicy, state: ExpertState, target: float
+    policy: ExpertPolicy, state, target, values: np.ndarray | None = None
 ) -> tuple[float, np.ndarray]:
-    """Squared error of the critic's value estimate against a fixed target,
-    with its analytic gradient over the critic parameters."""
-    feat = policy.spec.expert_features(state)
-    v = float(policy.critic.forward(feat)[0])
-    loss = (v - target) ** 2
-    grad = policy.critic.backward(feat, np.array([2.0 * (v - target)]))
-    return loss, grad
+    """Squared error of the critic's value estimates against fixed targets,
+    with its analytic gradient over the critic parameters.
+
+    ``state`` and ``target`` are one state's, or an episode's stacked
+    feature rows (``expert_rows``) and one target per row, whose losses and
+    gradients are summed.  ``values`` are the critic's values of those rows
+    when the caller already has them from its forward pass; otherwise one
+    forward computes them."""
+    if isinstance(state, ExpertState):
+        return critic_loss(policy, expert_rows(policy, state), [target])
+    if values is None:
+        values = critic_value(policy, state)
+    err = values - np.asarray(target, dtype=float)
+    return float(err @ err), policy.critic.backward(state, 2.0 * err[:, None])
 
 
 # --- responder ------------------------------------------------------------------
@@ -407,9 +471,9 @@ def csa_act(
 
 def csa_loss(
     policy: CsaPolicy,
-    state: CsaState,
-    action: Response,
-    r_a: float,
+    state,
+    action,
+    r_a,
 ) -> tuple[float, np.ndarray, dict[str, float]]:
     """Composite responder loss and its analytic gradient.
 
@@ -421,46 +485,62 @@ def csa_loss(
     positive diversity weight pushes the per-step distributions toward
     uniform.  Total is the weighted sum; the per-component values are
     returned unweighted.
-    """
-    spec = policy.spec
-    feat = spec.csa_features(state)
-    end = policy.end_index
-    tokens = list(action.tokens)
-    symbols = tokens + ([end] if len(tokens) < spec.max_response_len else [])
 
-    # Teacher forcing: the step inputs along the realized response form one
+    ``state``, ``action`` and ``r_a`` are one turn's, or equal-length
+    sequences over an episode's turns, whose losses, components and
+    gradients are summed.
+    """
+    if isinstance(state, CsaState):
+        return csa_loss(policy, [state], [action], [r_a])
+    spec = policy.spec
+    cap, nm = spec.max_response_len, spec.n_markers
+    symbols, n_tok, realized = _padded_symbols(
+        [a.tokens for a in action], cap, policy.end_index
+    )
+
+    # Teacher forcing: the step rows of every realized response form one
     # batch, so the generator runs one forward and one backward pass.
-    rows = []
-    emitted = np.zeros(spec.n_markers)
-    prev: int | None = None
-    for step, sym in enumerate(symbols):
-        rows.append(policy.step_input(feat, prev, emitted, step))
-        if sym != end:
-            for m in spec.token_markers[sym]:
-                emitted[m] = 1.0
-            prev = sym
-    x = np.stack(rows)
+    # x[i, t]: the features of turn i, the token emitted at step t - 1, the
+    # markers emitted before step t, the required ones still missing, and
+    # the position; END pads past the response and carries no marker.
+    feats = np.stack([spec.csa_features(s) for s in state])
+    d = feats.shape[1]
+    x = np.zeros((len(state), cap, policy.generator.layer_sizes[0]))
+    x[:, :, :d] = feats[:, None, :]
+    turns, steps = np.indices((len(state), cap - 1))
+    x[turns, steps + 1, d + symbols[:, :-1]] = 1.0
+    emitted = _exclusive(np.maximum.accumulate(policy.carriers[symbols], axis=1))
+    required = feats[:, spec.n_skills : spec.n_skills + nm]
+    d += spec.vocab_size + 1
+    x[:, :, d : d + nm] = emitted
+    x[:, :, d + nm : d + 2 * nm] = required[:, None, :] * (1.0 - emitted)
+    x[:, :, -1] = np.arange(cap) / cap
+    x = x[realized]
     p = policy.generator.forward(x)
     lam_p, lam_s, lam_d = policy.lambda_pg, policy.lambda_skill, policy.lambda_div
-    log_pi, entropy, u = _sequence_terms(p, symbols, end, lam_p * r_a, lam_d)
-    loss_pg = -r_a * log_pi
+    r_a = np.asarray(r_a, dtype=float)
+    log_pi, entropy, u = _sequence_terms(
+        p, symbols[realized], realized.sum(axis=1), policy.end_index, lam_p * r_a, lam_d
+    )
+    loss_pg = float(-(r_a @ log_pi))
     loss_div = -entropy
 
-    required = sorted(spec.required_markers(state.constraint))
-    n_tok = len(tokens)
-    if required and n_tok > 0:
-        carriers = policy.carriers[:, required]
-        # miss[t, j]: probability step t does not emit a carrier of marker j
-        miss = 1.0 - p[:n_tok] @ carriers
-        ones = np.ones((1, len(required)))
-        prefix = np.concatenate([ones, np.cumprod(miss, axis=0)])
-        suffix = np.concatenate([np.cumprod(miss[::-1], axis=0)[::-1], ones])
-        loss_skill = float(np.mean(prefix[n_tok]))
-        # d(mean_j prod_t miss)/d q_t(m_j), with q = 1 - miss
-        g_q = -(prefix[:-1] * suffix[1:]) / len(required)
-        u[:n_tok] += lam_s * (g_q @ carriers.T)
-    else:
-        loss_skill = 0.0
+    # Coverage per turn over its token steps: miss[i, t, m] is the
+    # probability that step t of turn i emits no carrier of marker m, set to
+    # 1 on the END step and past it; a turn without tokens or required
+    # markers has zero weight.
+    n_req = required.sum(axis=1, keepdims=True)
+    weight = np.where((n_req > 0) & (n_tok[:, None] > 0), required / np.maximum(n_req, 1), 0.0)
+    on_token = np.arange(cap) < n_tok[:, None]
+    miss = np.ones((len(state), cap, nm))
+    miss[on_token] = 1.0 - p[on_token[realized]] @ policy.carriers
+    ones = np.ones((len(state), 1, nm))
+    prefix = np.concatenate([ones, np.cumprod(miss, axis=1)], axis=1)
+    suffix = np.concatenate([np.cumprod(miss[:, ::-1], axis=1)[:, ::-1], ones], axis=1)
+    loss_skill = float(np.sum(prefix[:, -1] * weight))
+    # d(weighted sum_m prod_t miss)/d q_t(m), with q = 1 - miss
+    g_q = -(prefix[:, :-1] * suffix[:, 1:]) * weight[:, None, :] * on_token[:, :, None]
+    u += lam_s * (g_q[realized] @ policy.carriers.T)
 
     grad = policy.generator.backward(x, u)
     total = lam_p * loss_pg + lam_s * loss_skill + lam_d * loss_div

@@ -12,6 +12,14 @@ learns from its own judge reward: its policy-gradient coefficient is
 lives only for the duration of ``train`` and is not checkpointed.  In the
 no-planner ablation the responder conditions on a null constraint.
 
+An update takes one teacher-forced pass per network per episode
+(``episode_gradients``): the planner's feature rows are built once per
+turn, one critic forward over them gives the values behind both the
+advantages and the critic loss, and the actor, critic and responder each run
+one forward and one backward over all of the episode's rows.  The
+responder's coefficients come first, from one scalar loop over the batch's
+turns in rollout order (``responder_coefficients``).
+
 Reference sequences shape rewards only; they are never supervised targets.
 Milestone and task-efficiency signals are never read during training, so
 evaluation gains are attributable to the reward stack.
@@ -38,6 +46,7 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import math
 import re
 import zipfile
 from dataclasses import dataclass
@@ -55,6 +64,7 @@ from .agents import (
     csa_loss,
     expert_act,
     expert_loss,
+    expert_rows,
 )
 from .core import (
     CsaState,
@@ -242,15 +252,65 @@ def rollout(
 
 
 def compute_advantages(
-    traj: Trajectory, policy: ExpertPolicy, discount: float
+    traj: Trajectory,
+    policy: ExpertPolicy,
+    discount: float,
+    values: np.ndarray | None = None,
 ) -> tuple[np.ndarray, np.ndarray]:
     """One-step TD targets on the joint reward, with terminal value 0, and
-    the advantages ``target - value`` of every turn."""
-    values = [critic_value(policy, t.expert_state) for t in traj.turns] + [0.0]
-    targets = np.array(
-        [t.reward.joint + discount * values[i + 1] for i, t in enumerate(traj.turns)]
+    the advantages ``target - value`` of every turn.  ``values`` are the
+    critic's values of the turns' planner states; by default one critic
+    forward over the episode computes them."""
+    if values is None:
+        values = critic_value(policy, expert_rows(policy, [t.expert_state for t in traj.turns]))
+    joint = np.array([t.reward.joint for t in traj.turns])
+    targets = joint + discount * np.append(values[1:], 0.0)
+    return targets, targets - values
+
+
+def responder_coefficients(
+    batch: list[Trajectory], baseline: float
+) -> tuple[list[np.ndarray], float]:
+    """The responder's policy-gradient coefficient of every turn, per
+    episode, and the baseline after the batch: turn by turn in rollout
+    order, the coefficient is ``r_csa`` minus the baseline, which then moves
+    to ``0.99 * baseline + 0.01 * r_csa``."""
+    coeffs = []
+    for traj in batch:
+        c = np.empty(len(traj.turns))
+        for i, turn in enumerate(traj.turns):
+            c[i] = turn.reward.r_csa - baseline
+            baseline = 0.99 * baseline + 0.01 * turn.reward.r_csa
+        coeffs.append(c)
+    return coeffs, baseline
+
+
+def episode_gradients(
+    traj: Trajectory,
+    expert: ExpertPolicy | None,
+    csa: CsaPolicy,
+    csa_coeffs: np.ndarray,
+    discount: float,
+) -> dict[str, tuple[float, np.ndarray]]:
+    """Loss and gradient, each summed over the episode's turns, of every
+    network the policies hold, by checkpoint name.
+
+    Each network runs one forward and one backward pass over the episode.
+    The planner's feature rows are built once per turn; the critic's one
+    forward over them gives both the advantages and the critic loss."""
+    turns = traj.turns
+    out = {}
+    if expert is not None:
+        feats = expert_rows(expert, [t.expert_state for t in turns])
+        values = critic_value(expert, feats)
+        targets, advantages = compute_advantages(traj, expert, discount, values)
+        out["expert"] = expert_loss(expert, feats, [t.skills for t in turns], advantages)
+        out["critic"] = critic_loss(expert, feats, targets, values)
+    loss, grad, _ = csa_loss(
+        csa, [t.csa_state for t in turns], [t.response for t in turns], csa_coeffs
     )
-    return targets, targets - np.array(values[:-1])
+    out["csa"] = (loss, grad)
+    return out
 
 
 def _play(
@@ -376,11 +436,19 @@ def train(cfg: GlobalConfig, out_dir=None) -> tuple[MetricReport, list[Trajector
 
     Batches of rollouts are turned into accumulated gradients (mean over the
     batch's turns, clipped at global norm 5) and Adam steps, one per network
-    the variant built; every ``eval_every`` updates, and once at the end,
-    the greedy policies are evaluated and checkpointed.  The ``untrained``
-    variant skips the update loop entirely and just evaluates the random
-    initialization.  Returns the final evaluation's report row and
-    trajectories.
+    the variant built.  Per update, the responder's coefficients are taken
+    first, turn by turn in rollout order; then every episode, in order,
+    adds one forward and one backward pass per network
+    (``episode_gradients``).  Every ``eval_every`` updates, and once at the
+    end, the greedy policies are evaluated and checkpointed.  The
+    ``untrained`` variant skips the update loop entirely and just evaluates
+    the random initialization.  Returns the final evaluation's report row
+    and trajectories.
+
+    A non-finite loss stops the run with ``TrainingDiverged`` after the
+    update's losses are taken; ``diagnostics.json`` (strict JSON, null for
+    a non-finite number) names the update, its episodes, the first episode
+    and network whose loss is non-finite, and each network's mean loss.
     """
     train_cfg = cfg.train
     env = DialogueEnv(cfg.env)
@@ -430,43 +498,37 @@ def train(cfg: GlobalConfig, out_dir=None) -> tuple[MetricReport, list[Trajector
                 traj_fh.write(trajectory_to_json(traj) + "\n")
 
             n_turns = sum(len(t.turns) for t in batch)
+            coeffs, csa_baseline = responder_coefficients(batch, csa_baseline)
             grads = {name: np.zeros(net.n_params) for name, net in nets.items()}
-            sum_expert_loss = 0.0
-            sum_csa_loss = 0.0
+            losses = dict.fromkeys(nets, 0.0)
+            non_finite = None
             sum_joint = 0.0
-            for traj in batch:
-                if expert is not None:
-                    targets, advantages = compute_advantages(
-                        traj, expert, train_cfg.discount
-                    )
-                for i, turn in enumerate(traj.turns):
+            for traj, c in zip(batch, coeffs):
+                for turn in traj.turns:
                     sum_joint += turn.reward.joint
-                    if expert is not None:
-                        el, eg = expert_loss(
-                            expert, turn.expert_state, turn.skills, advantages[i]
-                        )
-                        cl, cg = critic_loss(expert, turn.expert_state, targets[i])
-                        grads["expert"] += eg
-                        grads["critic"] += cg
-                        sum_expert_loss += el
-                    coeff = turn.reward.r_csa - csa_baseline
-                    csa_baseline = 0.99 * csa_baseline + 0.01 * turn.reward.r_csa
-                    sl, sg, _ = csa_loss(csa, turn.csa_state, turn.response, coeff)
-                    grads["csa"] += sg
-                    sum_csa_loss += sl
-
-            mean_expert_loss = sum_expert_loss / n_turns if expert is not None else 0.0
-            mean_csa_loss = sum_csa_loss / n_turns
-            if not (np.isfinite(mean_expert_loss) and np.isfinite(mean_csa_loss)):
+                got = episode_gradients(traj, expert, csa, c, train_cfg.discount)
+                for name, (loss, grad) in got.items():
+                    grads[name] += grad
+                    losses[name] += loss
+                    if non_finite is None and not math.isfinite(loss):
+                        non_finite = {"episode_id": traj.episode_id, "network": name}
+            mean_loss = {name: loss / n_turns for name, loss in losses.items()}
+            if non_finite is not None:
                 diag = {
                     "update": update,
-                    "expert_loss": mean_expert_loss,
-                    "csa_loss": mean_csa_loss,
                     "episode_ids": list(episode_ids),
+                    "first_non_finite": non_finite,
+                    "mean_loss": {
+                        name: loss if math.isfinite(loss) else None
+                        for name, loss in mean_loss.items()
+                    },
                 }
-                (run_dir / "diagnostics.json").write_text(json.dumps(diag, indent=2))
+                (run_dir / "diagnostics.json").write_text(
+                    json.dumps(diag, indent=2, allow_nan=False)
+                )
                 raise TrainingDiverged(
-                    f"non-finite loss at update {update}; diagnostics dumped"
+                    f"non-finite {non_finite['network']} loss in episode "
+                    f"{non_finite['episode_id']} at update {update}; diagnostics dumped"
                 )
 
             for name, net in nets.items():
@@ -483,7 +545,8 @@ def train(cfg: GlobalConfig, out_dir=None) -> tuple[MetricReport, list[Trajector
 
             step = update + 1
             curves_fh.write(
-                f"{step},{sum_joint / n_turns:.6f},{mean_expert_loss:.6f},{mean_csa_loss:.6f}\n"
+                f"{step},{sum_joint / n_turns:.6f},"
+                f"{mean_loss.get('expert', 0.0):.6f},{mean_loss['csa']:.6f}\n"
             )
             if step % train_cfg.eval_every == 0 and step < len(batches):
                 report, _ = _evaluate(

@@ -14,8 +14,16 @@ from gopo.agents import (
     csa_loss,
     expert_act,
     expert_loss,
+    expert_rows,
 )
-from gopo.core import MAX_SKILL_SEQUENCE_LEN, BusinessContext, CsaState, SkillSequence
+from gopo.core import (
+    MAX_SKILL_SEQUENCE_LEN,
+    BusinessContext,
+    CsaState,
+    Response,
+    SkillSequence,
+    response_markers,
+)
 from gopo.neural import AdamState, adam_step
 from conftest import random_csa_state, random_expert_state, random_response
 from oracles import (
@@ -535,3 +543,180 @@ class TestDiversityDirection:
         after = mean_step_entropy()
         assert after > before
         assert after == pytest.approx(math.log(spec.vocab_size + 1), rel=0.05)
+
+
+def _expert_episode(spec, rng):
+    """Six planner turns: one-skill and five-skill plans among sampled ones."""
+    states = [random_expert_state(spec, rng) for _ in range(6)]
+    actions = [
+        SkillSequence((2,)),
+        SkillSequence((0, 1, 2, 3, 1)),
+        SkillSequence(tuple(int(s) for s in rng.integers(0, spec.n_skills, 3))),
+        SkillSequence((3, 2, 1, 0, 0)),
+        SkillSequence((1,)),
+        SkillSequence(tuple(int(s) for s in rng.integers(0, spec.n_skills, 2))),
+    ]
+    return states, actions, rng.normal(0, 1, len(states))
+
+
+def _csa_episode(spec, rng, n_turns=6):
+    """Responder turns alternating null and non-null constraints, so turns
+    without required markers sit between turns with some, with one-token,
+    full-length (no END) and sampled-length responses under both."""
+    states, actions = [], []
+    for i in range(n_turns):
+        state = random_csa_state(spec, rng, allow_null_constraint=False)
+        if i % 2 == 1:
+            state = CsaState(state.utterance, None, state.business_ctx)
+        n = (1, spec.max_response_len, spec.max_response_len, 1)[i] if i < 4 else int(
+            rng.integers(1, spec.max_response_len)
+        )
+        tokens = tuple(int(t) for t in rng.integers(0, spec.vocab_size, n))
+        states.append(state)
+        actions.append(Response(tokens, response_markers(tokens, spec.token_markers)))
+    return states, actions, rng.normal(0, 1, n_turns)
+
+
+def _recorded_input(net, fn):
+    """``fn()``'s result and the one input batch it gave ``net.forward``."""
+    rows = _recording(net)
+    try:
+        out = fn()
+    finally:
+        del net.forward
+    assert len(rows) == 1
+    return out, rows[0]
+
+
+class TestEpisodeLossesEqualTurnSums:
+    """An episode's one-pass loss and gradient against the sum of its
+    one-turn losses and of its turns' oracles; the stacked products round
+    differently, so within 1e-12 relative."""
+
+    TOL = 1e-12
+
+    def test_expert(self, spec):
+        rng = np.random.default_rng(51)
+        for trial in range(5):
+            policy = _expert(spec, seed=700 + trial, entropy_coeff=float(rng.uniform(0, 0.1)))
+            policy.actor.set_params(rng.normal(0, 0.5, policy.actor.n_params))
+            states, actions, advs = _expert_episode(spec, rng)
+            loss, grad = expert_loss(policy, expert_rows(policy, states), actions, advs)
+            for one_turn in (expert_loss, oracle_expert_loss):
+                turns = [one_turn(policy, s, a, adv) for s, a, adv in zip(states, actions, advs)]
+                assert loss == pytest.approx(sum(t[0] for t in turns), rel=self.TOL, abs=self.TOL)
+                assert scaled_diff(grad, sum(t[1] for t in turns)) <= self.TOL
+
+    def test_critic(self, spec):
+        rng = np.random.default_rng(52)
+        for trial in range(5):
+            policy = _expert(spec, seed=720 + trial)
+            policy.critic.set_params(rng.normal(0, 0.5, policy.critic.n_params))
+            states = [random_expert_state(spec, rng) for _ in range(7)]
+            targets = rng.normal(0, 1, len(states))
+            rows = expert_rows(policy, states)
+            loss, grad = critic_loss(policy, rows, targets)
+            turns = [critic_loss(policy, s, t) for s, t in zip(states, targets)]
+            assert loss == pytest.approx(sum(t[0] for t in turns), rel=self.TOL, abs=self.TOL)
+            assert scaled_diff(grad, sum(t[1] for t in turns)) <= self.TOL
+            # values handed in from the caller's forward give the same pass
+            given = critic_loss(policy, rows, targets, critic_value(policy, rows))
+            assert given[0] == loss and np.array_equal(given[1], grad)
+
+    def test_csa(self, spec):
+        rng = np.random.default_rng(53)
+        for trial in range(5):
+            policy = _csa(spec, seed=740 + trial, weights=(1.0, 1.5, 0.05))
+            policy.generator.set_params(rng.normal(0, 0.4, policy.generator.n_params))
+            states, actions, r_as = _csa_episode(spec, rng)
+            loss, grad, comps = csa_loss(policy, states, actions, r_as)
+            for one_turn in (csa_loss, oracle_csa_loss):
+                turns = [one_turn(policy, s, a, r) for s, a, r in zip(states, actions, r_as)]
+                assert loss == pytest.approx(sum(t[0] for t in turns), rel=self.TOL, abs=self.TOL)
+                for key in ("L_p", "L_s", "L_d"):
+                    want = sum(t[2][key] for t in turns)
+                    assert comps[key] == pytest.approx(want, rel=self.TOL, abs=self.TOL)
+                assert scaled_diff(grad, sum(t[1] for t in turns)) <= self.TOL
+            assert comps["L_s"] > 0.0
+
+    def test_expert_rows_are_the_slot_builders(self, spec):
+        rng = np.random.default_rng(54)
+        policy = _expert(spec, seed=760)
+        states, actions, advs = _expert_episode(spec, rng)
+        _, x = _recorded_input(
+            policy.actor, lambda: expert_loss(policy, expert_rows(policy, states), actions, advs)
+        )
+        want = []
+        for state, action in zip(states, actions):
+            chosen = np.zeros(spec.n_skills)
+            feat = spec.expert_features(state)
+            for slot in range(min(len(action) + 1, MAX_SKILL_SEQUENCE_LEN)):
+                want.append(policy.slot_input(feat, chosen, slot))
+                if slot < len(action):
+                    chosen[action.skills[slot]] = 1.0
+        assert np.array_equal(x, np.stack(want))
+
+    def test_csa_rows_are_the_step_builders(self, spec):
+        rng = np.random.default_rng(55)
+        policy = _csa(spec, seed=761)
+        states, actions, r_as = _csa_episode(spec, rng)
+        _, x = _recorded_input(
+            policy.generator, lambda: csa_loss(policy, states, actions, r_as)
+        )
+        want = []
+        for state, action in zip(states, actions):
+            feat = spec.csa_features(state)
+            emitted = np.zeros(spec.n_markers)
+            prev = None
+            for step in range(min(len(action.tokens) + 1, spec.max_response_len)):
+                want.append(policy.step_input(feat, prev, emitted, step))
+                if step < len(action.tokens):
+                    prev = action.tokens[step]
+                    emitted[sorted(spec.token_markers[prev])] = 1.0
+        assert np.array_equal(x, np.stack(want))
+
+
+class TestEpisodeLossGradients:
+    """Central differences of each episode loss on a three-turn episode of
+    hidden-8 networks, at the gradient suite's 1e-4."""
+
+    def _check(self, net, loss, grad):
+        def f(params):
+            old = net.get_params()
+            net.set_params(params)
+            try:
+                return loss()
+            finally:
+                net.set_params(old)
+
+        fd = central_difference_grad(f, net.get_params())
+        assert max_rel_error(grad, fd) < 1e-4
+
+    def test_expert(self, spec):
+        rng = np.random.default_rng(56)
+        policy = _expert(spec, seed=780, entropy_coeff=0.05)
+        policy.actor.set_params(rng.normal(0, 0.4, policy.actor.n_params))
+        states, actions, advs = (v[:3] for v in _expert_episode(spec, rng))
+        rows = expert_rows(policy, states)
+        _, grad = expert_loss(policy, rows, actions, advs)
+        self._check(policy.actor, lambda: expert_loss(policy, rows, actions, advs)[0], grad)
+
+    def test_critic(self, spec):
+        rng = np.random.default_rng(57)
+        policy = _expert(spec, seed=781)
+        policy.critic.set_params(rng.normal(0, 0.5, policy.critic.n_params))
+        rows = expert_rows(policy, [random_expert_state(spec, rng) for _ in range(3)])
+        targets = rng.normal(0, 1, 3)
+        _, grad = critic_loss(policy, rows, targets)
+        self._check(policy.critic, lambda: critic_loss(policy, rows, targets)[0], grad)
+
+    def test_csa(self, spec):
+        rng = np.random.default_rng(58)
+        policy = _csa(spec, seed=782, weights=(1.0, 1.5, 0.05))
+        policy.generator.set_params(rng.normal(0, 0.3, policy.generator.n_params))
+        # constrained one-token, null full-length, constrained full-length
+        states, actions, r_as = _csa_episode(spec, rng, n_turns=3)
+        _, grad, _ = csa_loss(policy, states, actions, r_as)
+        self._check(
+            policy.generator, lambda: csa_loss(policy, states, actions, r_as)[0], grad
+        )

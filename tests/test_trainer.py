@@ -1,9 +1,10 @@
 import dataclasses
+import json
 
 import numpy as np
 import pytest
 
-from gopo.agents import CsaPolicy, ExpertPolicy, FeatureSpec, critic_value
+from gopo.agents import CsaPolicy, ExpertPolicy, FeatureSpec, critic_value, expert_rows
 from gopo.core import (
     BusinessContext,
     CsaState,
@@ -29,7 +30,9 @@ from gopo.trainer import (
     ablate,
     build_policies,
     compute_advantages,
+    episode_gradients,
     load_checkpoints,
+    responder_coefficients,
     rollout,
     train,
 )
@@ -215,6 +218,27 @@ class TestAdvantages:
         assert got_targets == pytest.approx(targets)
         assert got_adv == pytest.approx(expected)
 
+    def test_one_critic_forward_gives_the_per_turn_values(self, tiny_world):
+        env, expert, csa = tiny_world
+        expert.critic.set_params(
+            np.random.default_rng(5).normal(0, 0.5, expert.critic.n_params)
+        )
+        for seed in range(5):
+            traj = rollout(
+                env, expert, csa, RewardConfig(), np.random.default_rng(seed), env_seed=seed
+            )
+            states = [t.expert_state for t in traj.turns]
+            values = critic_value(expert, expert_rows(expert, states))
+            want = np.array([critic_value(expert, s) for s in states])
+            assert np.max(np.abs(values - want)) <= 1e-12 * max(np.max(np.abs(want)), 1.0)
+            g = 0.8
+            targets, adv = compute_advantages(traj, expert, g, values)
+            got_targets, got_adv = compute_advantages(traj, expert, g)
+            assert np.array_equal(targets, got_targets) and np.array_equal(adv, got_adv)
+            joint = [t.reward.joint for t in traj.turns]
+            hand = [j + g * v for j, v in zip(joint, list(want[1:]) + [0.0])]
+            assert targets == pytest.approx(hand, rel=1e-12, abs=1e-12)
+
     def test_oracle_discounted_return_consistency(self):
         # the suffix-return oracle ties TD(0) targets together: sum of
         # discounted advantages under a zero critic equals the full return
@@ -290,6 +314,82 @@ class TestTrain:
         with pytest.raises(TrainingDiverged):
             train(global_cfg(tiny_train_cfg(), tiny_env_cfg, tmp_path / "run"))
         assert (tmp_path / "run" / "diagnostics.json").is_file()
+
+    def test_diagnostics_name_the_first_non_finite_episode(
+        self, tiny_env_cfg, tmp_path, monkeypatch
+    ):
+        import gopo.trainer as trainer_mod
+
+        real = trainer_mod.csa_loss
+        calls = []
+
+        def poisoned_third(policy, state, action, r_a):
+            # the trainer calls the responder loss once per episode
+            calls.append(None)
+            total, grad, comps = real(policy, state, action, r_a)
+            return (float("nan") if len(calls) >= 3 else total), grad, comps
+
+        monkeypatch.setattr(trainer_mod, "csa_loss", poisoned_third)
+        with pytest.raises(TrainingDiverged, match="csa loss in episode 2 at update 0"):
+            train(global_cfg(tiny_train_cfg(), tiny_env_cfg, tmp_path / "run"))
+
+        def strict(name):
+            raise ValueError(f"non-standard JSON constant {name}")
+
+        text = (tmp_path / "run" / "diagnostics.json").read_text()
+        diag = json.loads(text, parse_constant=strict)
+        assert diag["update"] == 0
+        assert diag["episode_ids"] == list(range(8))
+        assert diag["first_non_finite"] == {"episode_id": 2, "network": "csa"}
+        assert diag["mean_loss"]["csa"] is None
+        assert np.isfinite(diag["mean_loss"]["expert"])
+        assert np.isfinite(diag["mean_loss"]["critic"])
+
+
+class TestEpisodeGradients:
+    def test_responder_coefficients_follow_turn_order(self, tiny_world):
+        env, expert, csa = tiny_world
+        batch = [
+            rollout(env, expert, csa, RewardConfig(), np.random.default_rng(i), env_seed=i)
+            for i in range(3)
+        ]
+        coeffs, baseline = responder_coefficients(batch, 0.5)
+        want, b = [], 0.5
+        for traj in batch:
+            for turn in traj.turns:
+                want.append(turn.reward.r_csa - b)
+                b = 0.99 * b + 0.01 * turn.reward.r_csa
+        assert [len(c) for c in coeffs] == [len(t.turns) for t in batch]
+        assert np.concatenate(coeffs).tolist() == want
+        assert baseline == b
+
+    @pytest.mark.parametrize("variant", ["full", "no-expert"])
+    def test_batch_makeup_never_changes_an_episode_gradient(
+        self, tiny_env_cfg, tmp_path, monkeypatch, variant
+    ):
+        # one update of 8 episodes: every episode's loss and gradient, as
+        # the trainer computed them inside the batch, against the episode
+        # computed alone from the same initial policies, bit for bit
+        import gopo.trainer as trainer_mod
+
+        seen = []
+
+        def spy(traj, expert, csa, coeffs, discount):
+            out = episode_gradients(traj, expert, csa, coeffs, discount)
+            seen.append((traj, coeffs.copy(), out))
+            return out
+
+        monkeypatch.setattr(trainer_mod, "episode_gradients", spy)
+        cfg = tiny_train_cfg(episodes=8, variant=variant)
+        train(global_cfg(cfg, tiny_env_cfg, tmp_path / "run"))
+        assert len(seen) == 8
+        expert, csa = build_policies(tiny_env_cfg, cfg)
+        for traj, coeffs, got in seen:
+            alone = episode_gradients(traj, expert, csa, coeffs, cfg.discount)
+            assert list(alone) == (["csa"] if variant == "no-expert" else ["expert", "critic", "csa"])
+            for name, (loss, grad) in alone.items():
+                assert got[name][0] == loss
+                assert np.array_equal(got[name][1], grad)
 
 
 class TestAblate:
