@@ -23,13 +23,15 @@ argmax and draw nothing.  Every loss here is a deterministic function of
 (parameters, state, action), so all gradients are checkable against central
 finite differences.
 
-Acting builds the step-0 network input with ``slot_input``/``step_input``
-and then updates that one row in place after each emitted symbol; every row
-equals, bit for bit, the one the builder would make for the same prefix.
+Each policy defines its network-input row once: ``first_rows`` builds the
+step-0 rows of stacked feature rows, and ``advance`` turns one row, in
+place, into the next step's row after an emitted symbol.  Acting (``_act``,
+the one loop both policies share) advances its one row after each draw;
+teacher forcing (``_forced_rows``) replays ``advance`` over each realized
+sequence.  So the losses train on exactly the rows acting fed the network.
 
 The losses are teacher-forced over a whole episode: the input rows of every
-realized step of every turn are built at once (each turn padded to the
-sequence cap, then the realized rows kept, in turn and step order), so each
+realized step of every turn are stacked in turn and step order, so each
 network runs one forward and one backward pass per episode.  A loss
 returns the sum of its turns' losses and gradients.  Called with one turn,
 it is the per-turn loss; that case is one line into the episode code, which
@@ -145,14 +147,6 @@ class FeatureSpec:
         f[off + 3 + state.business_ctx.stock_level] = 1.0
         return f
 
-    def required_markers(self, constraint: SkillSequence | None) -> frozenset[int]:
-        if constraint is None:
-            return frozenset()
-        out: set[int] = set()
-        for s in constraint:
-            out |= self.skill_required[s]
-        return frozenset(out)
-
 
 def _entropies(ps: list[np.ndarray]) -> np.ndarray:
     """Raw entropy of each per-step distribution, in one vectorised call."""
@@ -223,12 +217,53 @@ def _padded_symbols(
     return symbols, n_emitted, realized
 
 
-def _exclusive(running: np.ndarray) -> np.ndarray:
-    """``running`` (turns, steps, k) shifted one step later, zeros first:
-    what was emitted before each step."""
-    out = np.zeros_like(running)
-    out[:, 1:] = running[:, :-1]
-    return out
+def _act(policy, net: Mlp, x: np.ndarray, cap: int, stop: int, rng, greedy: bool):
+    """The autoregressive loop both policies act with: from the step-0 row
+    ``x``, run the network, draw (or take the argmax of) the step's symbol
+    with ``stop`` masked on the first step, and advance ``x`` in place,
+    until ``stop`` or ``cap`` steps.  Returns the emitted symbols, their
+    log-probability under the sampling law, and the raw per-step
+    entropies."""
+    symbols: list[int] = []
+    log_prob = 0.0
+    ps = []
+    prev = None
+    for step in range(cap):
+        p = net.forward(x)
+        ps.append(p)
+        q = _masked(p, stop) if step == 0 else p
+        sym = int(np.argmax(q)) if greedy else _draw(q, rng)
+        log_prob += float(np.log(q[sym]))
+        if sym == stop:
+            break
+        symbols.append(sym)
+        if step < cap - 1:
+            policy.advance(x, step, sym, prev)
+        prev = sym
+    return symbols, log_prob, _entropies(ps)
+
+
+def _forced_rows(
+    policy, first_rows: np.ndarray, sequences: list[tuple[int, ...]], cap: int
+) -> np.ndarray:
+    """The teacher-forced input rows of realized sequences: each sequence's
+    step-0 row (one row of ``first_rows`` per sequence), then ``advance``
+    replayed over its symbols, one row per realized step (the emitted
+    symbols and the closing stop, absent at the cap), stacked in sequence
+    and step order: the rows acting fed the network."""
+    lengths = [min(len(seq) + 1, cap) for seq in sequences]
+    x = np.empty((sum(lengths), first_rows.shape[1]))
+    i = 0
+    for row, seq, n in zip(first_rows, sequences, lengths):
+        x[i] = row
+        prev = None
+        for step in range(n - 1):
+            x[i + 1] = x[i]
+            i += 1
+            policy.advance(x[i], step, seq[step], prev)
+            prev = seq[step]
+        i += 1
+    return x
 
 
 # --- planner ------------------------------------------------------------------
@@ -253,15 +288,24 @@ class ExpertPolicy:
         self.actor = Mlp([in_dim, hidden, spec.n_skills + 1], head="softmax", seed=actor_seed)
         self.critic = Mlp([spec.expert_dim, hidden, 1], head="linear", seed=critic_seed)
 
-    def slot_input(
-        self, features: np.ndarray, chosen: np.ndarray, slot: int
-    ) -> np.ndarray:
-        x = np.zeros(self.actor.layer_sizes[0])
-        d = features.size
-        x[:d] = features
-        x[d : d + self.spec.n_skills] = chosen
-        x[d + self.spec.n_skills + slot] = 1.0
+    def first_rows(self, features: np.ndarray) -> np.ndarray:
+        """The slot-0 actor rows of stacked feature rows.  An actor row holds
+        the planner features, the chosen-skill multi-hot and the slot
+        one-hot; at slot 0 no skill is chosen."""
+        x = np.zeros((len(features), self.actor.layer_sizes[0]))
+        x[:, : self.spec.expert_dim] = features
+        x[:, self.spec.expert_dim + self.spec.n_skills] = 1.0
         return x
+
+    def advance(self, x: np.ndarray, slot: int, skill: int, prev: int | None) -> None:
+        """Turn the row of ``slot`` into the next slot's row, in place, after
+        ``skill`` was chosen at ``slot``.  ``prev``, the skill chosen at the
+        slot before, is not needed here; it is the responder's argument."""
+        chosen_at = self.spec.expert_dim
+        slot_at = chosen_at + self.spec.n_skills
+        x[chosen_at + skill] = 1.0
+        x[slot_at + slot] = 0.0
+        x[slot_at + slot + 1] = 1.0
 
 
 def expert_act(
@@ -276,28 +320,11 @@ def expert_act(
     the sampling law, and the summed raw per-slot distribution entropies.
     STOP is masked on the first slot, so sequences are never empty.
     """
-    n_skills = policy.spec.n_skills
-    feat = policy.spec.expert_features(state)
-    x = policy.slot_input(feat, np.zeros(n_skills), 0)
-    chosen_at = feat.size  # chosen-skill bits, then the slot one-hot
-    slot_at = chosen_at + n_skills
-    skills: list[int] = []
-    log_prob = 0.0
-    ps = []
-    for slot in range(MAX_SKILL_SEQUENCE_LEN):
-        if slot > 0:
-            x[slot_at + slot - 1] = 0.0
-            x[slot_at + slot] = 1.0
-        p = policy.actor.forward(x)
-        ps.append(p)
-        q = _masked(p, policy.stop_index) if slot == 0 else p
-        sym = int(np.argmax(q)) if greedy else _draw(q, rng)
-        log_prob += float(np.log(q[sym]))
-        if sym == policy.stop_index:
-            break
-        skills.append(sym)
-        x[chosen_at + sym] = 1.0
-    return SkillSequence(tuple(skills)), log_prob, float(_entropies(ps).sum())
+    x = policy.first_rows(policy.spec.expert_features(state)[None])[0]
+    skills, log_prob, entropies = _act(
+        policy, policy.actor, x, MAX_SKILL_SEQUENCE_LEN, policy.stop_index, rng, greedy
+    )
+    return SkillSequence(tuple(skills)), log_prob, float(entropies.sum())
 
 
 def expert_rows(policy: ExpertPolicy, states) -> np.ndarray:
@@ -325,17 +352,10 @@ def expert_loss(
     forward and one backward pass."""
     if isinstance(state, ExpertState):
         return expert_loss(policy, expert_rows(policy, state), [action], [advantage])
-    cap, n_skills = MAX_SKILL_SEQUENCE_LEN, policy.spec.n_skills
-    symbols, _, realized = _padded_symbols([a.skills for a in action], cap, policy.stop_index)
-    # x[i, slot]: the features of turn i, the skills chosen before the slot
-    # and the slot one-hot
-    d = state.shape[1]
-    x = np.zeros((len(state), cap, policy.actor.layer_sizes[0]))
-    x[:, :, :d] = state[:, None, :]
-    chosen = np.maximum.accumulate(np.eye(n_skills + 1)[symbols][:, :, :n_skills], axis=1)
-    x[:, :, d : d + n_skills] = _exclusive(chosen)
-    x[:, :, d + n_skills :] = np.eye(cap)
-    x = x[realized]
+    cap = MAX_SKILL_SEQUENCE_LEN
+    sequences = [a.skills for a in action]
+    symbols, _, realized = _padded_symbols(sequences, cap, policy.stop_index)
+    x = _forced_rows(policy, policy.first_rows(state), sequences, cap)
     p = policy.actor.forward(x)
     advantage = np.asarray(advantage, dtype=float)
     alpha = policy.entropy_coeff
@@ -404,26 +424,35 @@ class CsaPolicy:
         for t, markers in enumerate(spec.token_markers):
             self.carriers[t, sorted(markers)] = 1.0
 
-    def step_input(
-        self,
-        features: np.ndarray,
-        prev_token: int | None,
-        emitted_markers: np.ndarray,
-        step: int,
-    ) -> np.ndarray:
-        x = np.zeros(self.generator.layer_sizes[0])
-        d = features.size
-        x[:d] = features
-        if prev_token is not None:
-            x[d + prev_token] = 1.0
-        d += self.spec.vocab_size + 1
-        x[d : d + self.spec.n_markers] = emitted_markers
-        # still-missing required markers: the coverage target at this step
-        nm = self.spec.n_markers
-        required = features[self.spec.n_skills : self.spec.n_skills + nm]
-        x[d + nm : d + 2 * nm] = required * (1.0 - emitted_markers)
-        x[-1] = step / self.spec.max_response_len
+    def first_rows(self, features: np.ndarray) -> np.ndarray:
+        """The step-0 generator rows of stacked feature rows.  A generator
+        row holds the responder features, the previous-token one-hot, the
+        markers emitted so far, the required markers still missing (the
+        coverage target at this step) and the position; at step 0 there is
+        no previous token, nothing is emitted and every required marker is
+        missing."""
+        spec = self.spec
+        x = np.zeros((len(features), self.generator.layer_sizes[0]))
+        x[:, : spec.csa_dim] = features
+        missing_at = spec.csa_dim + spec.vocab_size + 1 + spec.n_markers
+        required = features[:, spec.n_skills : spec.n_skills + spec.n_markers]
+        x[:, missing_at : missing_at + spec.n_markers] = required
         return x
+
+    def advance(self, x: np.ndarray, step: int, token: int, prev: int | None) -> None:
+        """Turn the row of ``step`` into the next step's row, in place, after
+        ``token`` was emitted at ``step`` (``prev`` at the step before)."""
+        spec = self.spec
+        prev_at = spec.csa_dim
+        emitted_at = prev_at + spec.vocab_size + 1
+        missing_at = emitted_at + spec.n_markers
+        if prev is not None:
+            x[prev_at + prev] = 0.0
+        x[prev_at + token] = 1.0
+        for m in spec.token_markers[token]:
+            x[emitted_at + m] = 1.0
+            x[missing_at + m] = 0.0
+        x[-1] = (step + 1) / spec.max_response_len
 
 
 def csa_act(
@@ -438,35 +467,15 @@ def csa_act(
     the sampling law (END masked on the first step), and the raw per-step
     distribution entropies."""
     spec = policy.spec
-    feat = spec.csa_features(state)
-    x = policy.step_input(feat, None, np.zeros(spec.n_markers), 0)
-    prev_at = feat.size  # previous-token one-hot, emitted and missing bits
-    emitted_at = prev_at + spec.vocab_size + 1
-    missing_at = emitted_at + spec.n_markers
-    tokens: list[int] = []
-    log_prob = 0.0
-    ps = []
-    for step in range(spec.max_response_len):
-        x[-1] = step / spec.max_response_len
-        p = policy.generator.forward(x)
-        ps.append(p)
-        q = _masked(p, policy.end_index) if step == 0 else p
-        sym = int(np.argmax(q)) if greedy else _draw(q, rng)
-        log_prob += float(np.log(q[sym]))
-        if sym == policy.end_index:
-            break
-        if tokens:
-            x[prev_at + tokens[-1]] = 0.0
-        x[prev_at + sym] = 1.0
-        tokens.append(sym)
-        for m in spec.token_markers[sym]:
-            x[emitted_at + m] = 1.0
-            x[missing_at + m] = 0.0
+    x = policy.first_rows(spec.csa_features(state)[None])[0]
+    tokens, log_prob, entropies = _act(
+        policy, policy.generator, x, spec.max_response_len, policy.end_index, rng, greedy
+    )
     response = Response(
         tokens=tuple(tokens),
         markers=response_markers(tokens, spec.token_markers),
     )
-    return response, log_prob, _entropies(ps).tolist()
+    return response, log_prob, entropies.tolist()
 
 
 def csa_loss(
@@ -494,29 +503,15 @@ def csa_loss(
         return csa_loss(policy, [state], [action], [r_a])
     spec = policy.spec
     cap, nm = spec.max_response_len, spec.n_markers
-    symbols, n_tok, realized = _padded_symbols(
-        [a.tokens for a in action], cap, policy.end_index
-    )
+    sequences = [a.tokens for a in action]
+    symbols, n_tok, realized = _padded_symbols(sequences, cap, policy.end_index)
 
     # Teacher forcing: the step rows of every realized response form one
     # batch, so the generator runs one forward and one backward pass.
-    # x[i, t]: the features of turn i, the token emitted at step t - 1, the
-    # markers emitted before step t, the required ones still missing, and
-    # the position; END pads past the response and carries no marker.
     feats = np.stack([spec.csa_features(s) for s in state])
-    d = feats.shape[1]
-    x = np.zeros((len(state), cap, policy.generator.layer_sizes[0]))
-    x[:, :, :d] = feats[:, None, :]
-    turns, steps = np.indices((len(state), cap - 1))
-    x[turns, steps + 1, d + symbols[:, :-1]] = 1.0
-    emitted = _exclusive(np.maximum.accumulate(policy.carriers[symbols], axis=1))
-    required = feats[:, spec.n_skills : spec.n_skills + nm]
-    d += spec.vocab_size + 1
-    x[:, :, d : d + nm] = emitted
-    x[:, :, d + nm : d + 2 * nm] = required[:, None, :] * (1.0 - emitted)
-    x[:, :, -1] = np.arange(cap) / cap
-    x = x[realized]
+    x = _forced_rows(policy, policy.first_rows(feats), sequences, cap)
     p = policy.generator.forward(x)
+    required = feats[:, spec.n_skills : spec.n_skills + nm]
     lam_p, lam_s, lam_d = policy.lambda_pg, policy.lambda_skill, policy.lambda_div
     r_a = np.asarray(r_a, dtype=float)
     log_pi, entropy, u = _sequence_terms(

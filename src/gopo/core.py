@@ -205,26 +205,6 @@ class RewardBreakdown:
         if self.w_csa <= 0 or self.w_expert <= 0:
             raise ValueError("reward weights must be positive")
 
-    @classmethod
-    def build(
-        cls,
-        r_expert: float,
-        r_csa: float,
-        dim_scores: Sequence[float],
-        weights: tuple[float, float],
-    ) -> "RewardBreakdown":
-        """Construct with ``joint`` computed from the other fields, so the
-        joint-consistency invariant holds by construction."""
-        w_e, w_a = weights
-        return cls(
-            r_expert=r_expert,
-            r_csa=r_csa,
-            dim_scores=tuple(dim_scores),
-            w_expert=w_e,
-            w_csa=w_a,
-            joint=w_e * r_expert + w_a * r_csa,
-        )
-
 
 @dataclass(frozen=True)
 class MilestoneRecord:

@@ -11,11 +11,13 @@ from gopo.core import (
     CsaState,
     ExpertState,
     Response,
+    RewardBreakdown,
     Skill,
     SkillSequence,
     TurnSummary,
     response_markers,
 )
+from gopo.rewards import joint_reward
 from gopo.simenv import EnvConfig, default_env_config
 
 
@@ -133,6 +135,19 @@ def random_response(spec, rng, min_len=1):
     n = int(rng.integers(min_len, spec.max_response_len + 1))
     tokens = tuple(int(t) for t in rng.integers(0, spec.vocab_size, n))
     return Response(tokens=tokens, markers=response_markers(tokens, spec.token_markers))
+
+
+def make_reward(r_expert, r_csa, dim_scores, weights):
+    """A reward record whose joint reward is ``joint_reward``'s, as a
+    rollout builds it."""
+    return RewardBreakdown(
+        r_expert=r_expert,
+        r_csa=r_csa,
+        dim_scores=tuple(dim_scores),
+        w_expert=weights[0],
+        w_csa=weights[1],
+        joint=joint_reward(r_expert, r_csa, weights),
+    )
 
 
 def write_tiny_config(path, out_dir, **train_overrides):

@@ -3,9 +3,11 @@
 Deliberately written as literal, term-by-term evaluations with their own
 code paths (two-argument log, slice-based duplicate detection, explicit
 index search) so they share no structure with the package implementation.
-The loss and act oracles reuse only the policies' input builders and
-per-row network calls; every loss term, upstream gradient, draw and entropy
-is evaluated one step at a time.
+The loss and act oracles build every network-input row from scratch with
+their own builders (``oracle_slot_input``, ``oracle_step_input``), not with
+the policies' ``first_rows``/``advance``, and reuse only the per-row network
+calls; every loss term, upstream gradient, draw and entropy is evaluated one
+step at a time.
 """
 
 import math
@@ -83,6 +85,46 @@ def oracle_discounted_returns(rewards, gamma):
     return list(reversed(out))
 
 
+def oracle_slot_input(policy, features, chosen, slot):
+    """A planner actor row from scratch: the features, the chosen-skill
+    multi-hot and the slot one-hot."""
+    x = np.zeros(policy.actor.layer_sizes[0])
+    d = features.size
+    x[:d] = features
+    x[d : d + policy.spec.n_skills] = chosen
+    x[d + policy.spec.n_skills + slot] = 1.0
+    return x
+
+
+def oracle_step_input(policy, features, prev_token, emitted_markers, step):
+    """A responder generator row from scratch: the features, the
+    previous-token one-hot, the emitted-marker multi-hot, the required
+    markers not yet emitted, and the position."""
+    spec = policy.spec
+    x = np.zeros(policy.generator.layer_sizes[0])
+    d = features.size
+    x[:d] = features
+    if prev_token is not None:
+        x[d + prev_token] = 1.0
+    d += spec.vocab_size + 1
+    nm = spec.n_markers
+    x[d : d + nm] = emitted_markers
+    required = features[spec.n_skills : spec.n_skills + nm]
+    x[d + nm : d + 2 * nm] = required * (1.0 - emitted_markers)
+    x[-1] = step / spec.max_response_len
+    return x
+
+
+def oracle_required_markers(spec, constraint):
+    """The union of the required markers of a constraint's skills."""
+    if constraint is None:
+        return frozenset()
+    out = set()
+    for s in constraint:
+        out |= spec.skill_required[s]
+    return frozenset(out)
+
+
 def oracle_expert_loss(policy, state, action, advantage):
     """Planner loss and gradient term by term: one actor forward and one
     backward per slot, summed in slot order."""
@@ -96,7 +138,7 @@ def oracle_expert_loss(policy, state, action, advantage):
     loss = 0.0
     grad = np.zeros(policy.actor.n_params)
     for slot, sym in enumerate(symbols):
-        x = policy.slot_input(feat, chosen, slot)
+        x = oracle_slot_input(policy, feat, chosen, slot)
         p = policy.actor.forward(x)
         if slot == 0:
             log_q = math.log(p[sym]) - math.log(1.0 - p[stop])
@@ -128,7 +170,7 @@ def oracle_csa_loss(policy, state, action, r_a):
     emitted = np.zeros(spec.n_markers)
     prev = None
     for step, sym in enumerate(symbols):
-        x = policy.step_input(feat, prev, emitted, step)
+        x = oracle_step_input(policy, feat, prev, emitted, step)
         inputs.append(x)
         probs.append(policy.generator.forward(x))
         if sym != end:
@@ -145,7 +187,7 @@ def oracle_csa_loss(policy, state, action, r_a):
     loss_pg = -r_a * log_pi
     loss_div = sum(float(pk) * math.log(pk) for p in probs for pk in p)
 
-    required = sorted(spec.required_markers(state.constraint))
+    required = sorted(oracle_required_markers(spec, state.constraint))
     n_tok = len(tokens)
     if required and n_tok > 0:
         carriers = [
@@ -210,7 +252,7 @@ def oracle_expert_act(policy, state, rng, greedy=False):
     log_prob = 0.0
     entropy = 0.0
     for slot in range(MAX_SKILL_SEQUENCE_LEN):
-        p = policy.actor.forward(policy.slot_input(feat, chosen, slot))
+        p = policy.actor.forward(oracle_slot_input(policy, feat, chosen, slot))
         entropy += float(-np.sum(p * np.log(p)))
         q = _oracle_masked(p, policy.stop_index) if slot == 0 else p
         if greedy:
@@ -235,7 +277,7 @@ def oracle_csa_act(policy, state, rng, greedy=False):
     log_prob = 0.0
     entropies = []
     for step in range(policy.spec.max_response_len):
-        p = policy.generator.forward(policy.step_input(feat, prev, emitted, step))
+        p = policy.generator.forward(oracle_step_input(policy, feat, prev, emitted, step))
         entropies.append(float(-np.sum(p * np.log(p))))
         q = _oracle_masked(p, policy.end_index) if step == 0 else p
         if greedy:

@@ -33,6 +33,8 @@ from oracles import (
     oracle_csa_loss,
     oracle_expert_act,
     oracle_expert_loss,
+    oracle_slot_input,
+    oracle_step_input,
     scaled_diff,
 )
 
@@ -414,7 +416,9 @@ def _recording(net):
 class TestActMatchesOracle:
     """The in-place, inverse-CDF act path against the per-step reference
     loops: same action and draws, bitwise log-probabilities, and network
-    inputs equal to the builders' rows for the same prefix."""
+    inputs equal to the oracle builders' rows for the same prefix and to
+    the teacher-forced rows the loss feeds the network for the acted
+    turn."""
 
     KINDS = ("random", "zero", "saturated")
 
@@ -447,9 +451,13 @@ class TestActMatchesOracle:
             chosen = np.zeros(spec.n_skills)
             assert len(rows) == min(len(want) + 1, MAX_SKILL_SEQUENCE_LEN)
             for slot, row in enumerate(rows):
-                assert np.array_equal(row, policy.slot_input(feat, chosen, slot))
+                assert np.array_equal(row, oracle_slot_input(policy, feat, chosen, slot))
                 if slot < len(want):
                     chosen[want[slot]] = 1.0
+            _, forced = _recorded_input(
+                policy.actor, lambda: expert_loss(policy, state, action, 1.0)
+            )
+            assert np.array_equal(np.stack(rows), forced)
 
     @pytest.mark.parametrize("constrained", [True, False])
     @pytest.mark.parametrize("greedy", [False, True])
@@ -481,10 +489,14 @@ class TestActMatchesOracle:
             prev = None
             assert len(rows) == min(len(want) + 1, spec.max_response_len)
             for step, row in enumerate(rows):
-                assert np.array_equal(row, policy.step_input(feat, prev, emitted, step))
+                assert np.array_equal(row, oracle_step_input(policy, feat, prev, emitted, step))
                 if step < len(want):
                     prev = want[step]
                     emitted[sorted(spec.token_markers[prev])] = 1.0
+            _, forced = _recorded_input(
+                policy.generator, lambda: csa_loss(policy, state, resp, 1.0)
+            )
+            assert np.array_equal(np.stack(rows), forced)
 
 
 class TestDraw:
@@ -651,7 +663,7 @@ class TestEpisodeLossesEqualTurnSums:
             chosen = np.zeros(spec.n_skills)
             feat = spec.expert_features(state)
             for slot in range(min(len(action) + 1, MAX_SKILL_SEQUENCE_LEN)):
-                want.append(policy.slot_input(feat, chosen, slot))
+                want.append(oracle_slot_input(policy, feat, chosen, slot))
                 if slot < len(action):
                     chosen[action.skills[slot]] = 1.0
         assert np.array_equal(x, np.stack(want))
@@ -669,7 +681,7 @@ class TestEpisodeLossesEqualTurnSums:
             emitted = np.zeros(spec.n_markers)
             prev = None
             for step in range(min(len(action.tokens) + 1, spec.max_response_len)):
-                want.append(policy.step_input(feat, prev, emitted, step))
+                want.append(oracle_step_input(policy, feat, prev, emitted, step))
                 if step < len(action.tokens):
                     prev = action.tokens[step]
                     emitted[sorted(spec.token_markers[prev])] = 1.0

@@ -21,10 +21,11 @@ from gopo.core import (
     trajectory_to_json,
     validate_trajectory,
 )
+from conftest import make_reward
 
 
 def _breakdown(r_e=0.5, r_a=0.8, w=(0.3, 0.7)):
-    return RewardBreakdown.build(r_e, r_a, (1.0, 0.5, 0.25, 0.75), w)
+    return make_reward(r_e, r_a, (1.0, 0.5, 0.25, 0.75), w)
 
 
 def _turn(skills=(1, 2), phase=1, turn=1, intent="inquire", emotion="calm", reward=None):
@@ -74,7 +75,7 @@ class TestInvariants:
 
     def test_reward_weights_positive(self):
         with pytest.raises(ValueError):
-            RewardBreakdown.build(0.5, 0.5, (0, 0, 0, 0), (0.5, 0.0))
+            RewardBreakdown(0.5, 0.5, (0, 0, 0, 0), w_expert=0.5, w_csa=0.0, joint=0.25)
 
     def test_build_joint_is_consistent(self):
         r = _breakdown(0.25, 0.75, (0.4, 0.6))

@@ -10,11 +10,11 @@ from gopo.core import (
     ExpertState,
     MilestoneRecord,
     Response,
-    RewardBreakdown,
     Trajectory,
     TurnRecord,
 )
 from gopo.metrics import METRIC_CSV_HEADER, MetricReport, TseConfig, aggregate, bleu, gre, tse
+from conftest import make_reward
 
 CFG = TseConfig(task_weights=(0.5, 0.3, 0.2), decay=0.9)
 
@@ -25,7 +25,7 @@ def _traj_with_scores(per_turn_scores, milestones=None, episode_id=0):
         state = ExpertState((), "inquire", "calm", None, phase=1, turn=i + 1)
         csa = CsaState((1,), None, BusinessContext(0, 0))
         resp = Response(tokens=(1, 2), markers=frozenset())
-        reward = RewardBreakdown.build(0.5, 0.5, scores, (0.4, 0.6))
+        reward = make_reward(0.5, 0.5, scores, (0.4, 0.6))
         turns.append(TurnRecord(state, None, csa, resp, reward))
     return Trajectory(
         episode_id=episode_id,
