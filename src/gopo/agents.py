@@ -18,10 +18,13 @@ sequences are never empty; reported log-probabilities follow the actual
 the raw per-slot distributions including the stop symbol.  A sampled step
 draws by ``Generator.choice``'s own inverse-CDF rule: one ``random()`` per
 step, searched in the cumulative distribution (``_draw``), so it picks the
-index ``rng.choice(q.size, p=q / q.sum())`` would.  Greedy steps take the
-argmax and draw nothing.  Every loss here is a deterministic function of
-(parameters, state, action), so all gradients are checkable against central
-finite differences.
+index ``rng.choice(q.size, p=q / q.sum())`` would.  A greedy step takes
+the argmax of the network's logits (``Mlp.forward(x, logits=True)``), the
+lowest index on a tie, and builds no per-step distribution; its act's
+log-probability and entropies come from one softmax over the act's
+stacked logits after the loop.  Every loss here is a deterministic
+function of (parameters, state, action), so all gradients are checkable
+against central finite differences.
 
 Each policy defines its network-input row once: ``first_rows`` builds the
 step-0 rows of stacked feature rows, and ``advance`` turns one row, in
@@ -55,7 +58,7 @@ from .core import (
     SkillSequence,
     response_markers,
 )
-from .neural import Mlp
+from .neural import Mlp, stable_softmax
 from .simenv import EnvConfig
 
 N_PHASES = 3
@@ -148,12 +151,6 @@ class FeatureSpec:
         return f
 
 
-def _entropies(ps: list[np.ndarray]) -> np.ndarray:
-    """Raw entropy of each per-step distribution, in one vectorised call."""
-    p = np.stack(ps)
-    return -np.sum(p * np.log(p), axis=1)
-
-
 def _draw(q: np.ndarray, rng: np.random.Generator) -> int:
     """One draw from ``q / q.sum()`` exactly as ``rng.choice(q.size, p=q /
     q.sum())`` makes it: the same cumulative distribution, one ``random()``,
@@ -219,28 +216,52 @@ def _padded_symbols(
 
 def _act(policy, net: Mlp, x: np.ndarray, cap: int, stop: int, rng, greedy: bool):
     """The autoregressive loop both policies act with: from the step-0 row
-    ``x``, run the network, draw (or take the argmax of) the step's symbol
-    with ``stop`` masked on the first step, and advance ``x`` in place,
-    until ``stop`` or ``cap`` steps.  Returns the emitted symbols, their
-    log-probability under the sampling law, and the raw per-step
-    entropies."""
+    ``x``, pick the step's symbol with ``stop`` masked on the first step,
+    and advance ``x`` in place, until ``stop`` or ``cap`` steps.  A sampled
+    step runs the network's distribution and draws from it.  A greedy step
+    takes the argmax of the logits (``forward(x, logits=True)``), the lowest
+    index on a tie, and builds no distribution; one softmax over the act's
+    stacked logits follows the loop.  Returns the emitted symbols, their
+    log-probability under the sampling law, summed in step order, and the
+    raw per-step entropies."""
     symbols: list[int] = []
-    log_prob = 0.0
-    ps = []
+    rows = []
     prev = None
     for step in range(cap):
-        p = net.forward(x)
-        ps.append(p)
-        q = _masked(p, stop) if step == 0 else p
-        sym = int(np.argmax(q)) if greedy else _draw(q, rng)
-        log_prob += float(np.log(q[sym]))
+        if greedy:
+            row = net.forward(x, logits=True)
+            z = row
+            if step == 0:
+                z = row.copy()
+                z[stop] = -np.inf
+            sym = int(z.argmax())
+        else:
+            row = net.forward(x)
+            if step == 0:
+                q0 = _masked(row, stop)
+            sym = _draw(q0 if step == 0 else row, rng)
+        rows.append(row)
         if sym == stop:
             break
         symbols.append(sym)
         if step < cap - 1:
             policy.advance(x, step, sym, prev)
         prev = sym
-    return symbols, log_prob, _entropies(ps)
+    p = np.stack(rows)
+    if greedy:
+        p = stable_softmax(p)
+        q0 = _masked(p[0], stop)
+    # the realized symbols: the emitted ones and the closing stop, absent
+    # at the cap
+    realized = symbols + [stop] * (len(rows) - len(symbols))
+    log_p = np.log(p)
+    step_log_probs = log_p[np.arange(len(rows)), realized].tolist()
+    step_log_probs[0] = float(np.log(q0[realized[0]]))
+    # a running float sum in step order: the bits a per-step sum gives
+    log_prob = 0.0
+    for lp in step_log_probs:
+        log_prob += lp
+    return symbols, log_prob, -np.sum(p * log_p, axis=1)
 
 
 def _forced_rows(

@@ -13,6 +13,11 @@ one output row per input row, and ``backward`` returns the flat parameter
 gradient summed over the rows, i.e. the gradient of the sum of the per-row
 losses.  A single vector gives the same bytes as a one-row batch.
 
+``forward`` applies the head to the raw pre-activation: ``stable_softmax``
+for a softmax head, the identity for a linear head.  ``forward(x,
+logits=True)`` returns the pre-activation itself, so a caller that needs
+only the argmax of a softmax head skips the softmax.
+
 ``backward`` takes the upstream gradient with respect to the network OUTPUT
 (probabilities for a softmax head), so losses can be written directly in
 terms of probabilities and values.  It recomputes the forward pass, once per
@@ -88,12 +93,13 @@ class Mlp:
             acts.append(np.tanh(z) if i < last else z)
         return acts
 
-    def forward(self, x: np.ndarray) -> np.ndarray:
+    def forward(self, x: np.ndarray, logits: bool = False) -> np.ndarray:
         """Output per input row: probabilities (softmax head) or raw values
-        (linear head); shape ``(out,)`` for a vector, ``(N, out)`` for a
+        (linear head); with ``logits``, the raw head pre-activation of
+        either head.  Shape ``(out,)`` for a vector, ``(N, out)`` for a
         batch."""
         out = self._forward_cached(x)[-1]
-        if self.head == "softmax":
+        if self.head == "softmax" and not logits:
             return stable_softmax(out)
         return out
 

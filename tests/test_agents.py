@@ -405,12 +405,29 @@ def _recording(net):
     rows = []
     forward = net.forward
 
-    def recorder(x):
+    def recorder(x, **kwargs):
         rows.append(np.array(x, copy=True))
-        return forward(x)
+        return forward(x, **kwargs)
 
     net.forward = recorder
     return rows
+
+
+def test_greedy_step_is_the_argmax_of_the_logits(spec):
+    """Two top logits one ulp apart give the same probability after the
+    softmax and its floor; greedy acting takes the larger logit, and an
+    exact tie goes to the lower index."""
+    state = random_expert_state(spec, np.random.default_rng(0))
+    for z1, z3, want in ((0.0, np.nextafter(0.0, 1.0), 3), (0.0, 0.0, 1)):
+        policy = _expert(spec, zero=True)
+        # zero weights: every slot's logits are the output biases
+        logits = policy.actor.biases[-1]
+        logits[:] = -10.0
+        logits[1], logits[3] = z1, z3
+        p = policy.actor.forward(np.zeros(policy.actor.layer_sizes[0]))
+        assert p[1] == p[3]
+        action, _, _ = expert_act(policy, state, None, greedy=True)
+        assert action.skills == (want,) * MAX_SKILL_SEQUENCE_LEN
 
 
 class TestActMatchesOracle:

@@ -495,6 +495,21 @@ class TestEvalCommand:
             == (tmp_path / "out" / "final_report.csv").read_bytes()
         )
 
+    def test_trained_checkpoints_reproduce_their_recorded_row(self, tmp_path, capsys):
+        """Greedy evaluation of fully trained weights prints, byte for byte,
+        the final metrics row the run that trained them recorded: the
+        argmax of every act step is pinned on weights whose distributions
+        are sharp, not only on the tiny test world."""
+        ckpts = REPO / "perfbench" / "checkpoints"
+        provenance = json.loads((ckpts / "PROVENANCE.json").read_text())
+        assert main([
+            "eval", "--checkpoint-dir", str(ckpts),
+            "--config", str(REPO / "configs" / "default.json"),
+            "--out", str(tmp_path / "eval.csv"),
+        ]) == 0
+        out = capsys.readouterr().out.strip().splitlines()
+        assert out == [METRIC_CSV_HEADER, provenance["metrics_csv_final_row"]]
+
     def test_missing_checkpoints_exit_1(self, tiny_config, tmp_path):
         (tmp_path / "empty").mkdir()
         rc = main([

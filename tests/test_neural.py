@@ -54,6 +54,18 @@ class TestForward:
             assert p.sum() == pytest.approx(1.0, abs=1e-9)
             assert np.all(p > 0)
 
+    @pytest.mark.parametrize("head", ["softmax", "linear"])
+    def test_forward_is_the_head_applied_to_logits(self, head):
+        # bitwise, for a vector and for a batch: acting takes the argmax of
+        # ``forward(x, logits=True)`` as the argmax of the distribution
+        net = Mlp([5, 8, 6], head=head, seed=8)
+        rng = np.random.default_rng(62)
+        for x in (rng.normal(0, 1, 5), rng.normal(0, 1, (7, 5))):
+            z = net.forward(x, logits=True)
+            assert z.shape == net.forward(x).shape
+            want = stable_softmax(z) if head == "softmax" else z
+            assert np.array_equal(net.forward(x), want)
+
     def test_dimension_mismatch_rejected(self):
         net = Mlp([3, 4, 2], seed=0)
         with pytest.raises(ValueError):
@@ -165,6 +177,16 @@ class TestBatch:
         for row, lg in zip(batch, logits):
             assert np.array_equal(row, stable_softmax(lg))
         assert batch.sum(axis=1) == pytest.approx(np.ones(5), abs=1e-12)
+        # an act stacks its 1-16 steps' logits and runs one softmax over
+        # them: bitwise the per-step rows, saturated logits included
+        rng = np.random.default_rng(61)
+        for _ in range(300):
+            steps, width = int(rng.integers(1, 17)), int(rng.integers(2, 70))
+            logits = rng.normal(0, rng.uniform(0.1, 20.0), (steps, width))
+            saturated = rng.random((steps, width)) < 0.1
+            logits[saturated] = rng.choice([-60.0, 60.0], int(saturated.sum()))
+            block = stable_softmax(logits)
+            assert np.array_equal(block, np.stack([stable_softmax(z) for z in logits]))
 
     def test_shapes_checked(self):
         net = Mlp([3, 5, 2], head="softmax", seed=7)
