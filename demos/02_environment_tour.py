@@ -2,10 +2,13 @@
 compliant responses and watch the milestones chain; then contrast a junk
 turn."""
 
-from gopo.core import MILESTONE_NAMES, make_response
-from gopo.simenv import DialogueEnv, default_env_config
+from pathlib import Path
 
-cfg = default_env_config()
+from gopo.cli import load_config
+from gopo.core import MILESTONE_NAMES, Response, response_markers
+from gopo.simenv import DialogueEnv
+
+cfg = load_config(Path(__file__).resolve().parents[1] / "configs" / "default.json")[0].env
 env = DialogueEnv(cfg)
 obs = env.reset(seed=11)
 
@@ -20,7 +23,7 @@ while not done:
     state = obs.expert_state
     teacher = env.teacher_sequence(state)
     required = sorted(set().union(*(cfg.skill_pool[s].required_markers for s in teacher)))
-    response = make_response(required, cfg.token_markers, cfg.max_response_len)
+    response = Response(required, response_markers(required, cfg.token_markers))
     print(f"\nturn {turn}  phase {state.phase}  user: {state.intent}/{state.emotion}")
     print(f"  reference plan : {[names[s] for s in teacher]}")
     print(f"  response tokens: {response.tokens} (markers {sorted(response.markers)})")
@@ -36,7 +39,8 @@ print(f"milestones completed {record.completed} at turns {record.turns}")
 
 print("\n--- and a fully non-compliant episode ---")
 obs = env.reset(seed=11)
-junk = make_response([cfg.vocab_size - 1], cfg.token_markers, cfg.max_response_len)
+junk_tokens = [cfg.vocab_size - 1]
+junk = Response(junk_tokens, response_markers(junk_tokens, cfg.token_markers))
 done = False
 turns = 0
 while not done:

@@ -1,6 +1,8 @@
 """The two policies in action, plus the guarantee the whole optimizer rests
 on: analytic loss gradients agree with central finite differences."""
 
+from pathlib import Path
+
 import numpy as np
 
 from gopo.agents import (
@@ -12,10 +14,11 @@ from gopo.agents import (
     expert_act,
     expert_loss,
 )
+from gopo.cli import load_config
 from gopo.core import CsaState
-from gopo.simenv import DialogueEnv, default_env_config
+from gopo.simenv import DialogueEnv
 
-cfg = default_env_config()
+cfg = load_config(Path(__file__).resolve().parents[1] / "configs" / "default.json")[0].env
 spec = FeatureSpec.from_env_config(cfg)
 rng = np.random.default_rng(0)
 

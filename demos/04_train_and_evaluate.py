@@ -11,12 +11,12 @@ import dataclasses
 import pathlib
 import tempfile
 
-from gopo.cli import default_global_config
+from gopo.cli import load_config
 from gopo.core import read_trajectories
 from gopo.metrics import METRIC_CSV_HEADER
 from gopo.trainer import train
 
-cfg = default_global_config()
+cfg, _ = load_config(pathlib.Path(__file__).resolve().parents[1] / "configs" / "default.json")
 quick = dataclasses.replace(
     cfg.train, episodes=800, critic_warmup=25, eval_every=1000, eval_episodes=60
 )

@@ -32,7 +32,7 @@ from .rewards import (
     joint_weights,
     relevance,
 )
-from .simenv import ConfigError, DialogueEnv, EnvConfig, default_env_config
+from .simenv import ConfigError, DialogueEnv, EnvConfig
 
 __version__ = "0.1.0"
 
@@ -59,7 +59,6 @@ __all__ = [
     "bleu",
     "csa_reward",
     "dcg",
-    "default_env_config",
     "esndcg",
     "gre",
     "idcg",

@@ -8,7 +8,8 @@ so a config file pins a run completely.  ``gopo train`` writes the parsed
 config back as the run directory's ``config.copy`` (self-contained; ``--out``
 places the run directory and leaves the copy's ``output_dir`` as the file
 gave it), and ``gopo eval`` evaluates the latest step at which every network
-of the variant has a checkpoint; the trainer module lays out the run
+of the variant has a checkpoint and prints its metrics row, which it writes
+to a file only when given ``--out``; the trainer module lays out the run
 directory.  Exit codes: 0 success; 1 invalid
 configuration, checkpoint or command-line usage, reported as one
 ``error: ...`` line on stderr; 2 runtime failure (a diverged loss or an
@@ -26,13 +27,11 @@ import os
 import sys
 from pathlib import Path
 
-from .metrics import METRIC_CSV_HEADER, TseConfig
-from .rewards import RewardConfig
-from .simenv import ConfigError, default_env_config
+from .metrics import METRIC_CSV_HEADER
+from .simenv import ConfigError
 from .trainer import (
     CURVES_CSV_HEADER,
     GlobalConfig,
-    TrainConfig,
     TrainingDiverged,
     _evaluate,
     ablate,
@@ -56,14 +55,6 @@ def load_config(path) -> tuple[GlobalConfig, str]:
     except ValueError as exc:
         raise ConfigError(f"config file {p} is not valid JSON: {exc}") from exc
     return GlobalConfig.from_dict(data, base_dir=p.parent), text
-
-
-def default_global_config() -> GlobalConfig:
-    """The default world and training run, built from the section defaults;
-    ``configs/default.json`` spells out the same configuration."""
-    return GlobalConfig(
-        default_env_config(), RewardConfig(), TseConfig(), TrainConfig(), "runs/default"
-    )
 
 
 _LOG_LEVELS = {"error": logging.ERROR, "info": logging.INFO, "debug": logging.DEBUG}
@@ -102,9 +93,9 @@ def cmd_eval(args) -> int:
     report, _ = _evaluate(cfg, expert, csa, args.episodes, seed)
     csv_text = METRIC_CSV_HEADER + "\n" + report.csv_row() + "\n"
     print(csv_text, end="")
-    out = Path(args.out) if args.out else Path(args.checkpoint_dir).parent / "eval_report.csv"
-    out.write_text(csv_text, encoding="utf-8")
-    log.info("wrote %s", out)
+    if args.out:
+        Path(args.out).write_text(csv_text, encoding="utf-8")
+        log.info("wrote %s", args.out)
     return 0
 
 
@@ -196,7 +187,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--episodes", type=_int_at_least(1), default=200)
     p.add_argument("--config", required=True)
     p.add_argument("--seed", type=_int_at_least(0), default=None)
-    p.add_argument("--out", default=None, help="CSV output path")
+    p.add_argument(
+        "--out", default=None, help="also write the CSV to this path (default: print only)"
+    )
     p.set_defaults(func=cmd_eval)
 
     p = sub.add_parser("ablate", help="run full / no-expert / untrained with shared seeds")

@@ -171,21 +171,6 @@ def response_markers(
     return frozenset(out)
 
 
-def make_response(
-    tokens: Sequence[int],
-    token_markers: Sequence[frozenset[int]],
-    max_len: int,
-) -> Response:
-    """Build a validated :class:`Response` against an environment's vocabulary."""
-    tokens = tuple(tokens)
-    if len(tokens) > max_len:
-        raise ValueError(f"response length {len(tokens)} exceeds max {max_len}")
-    vocab = len(token_markers)
-    if any(t >= vocab for t in tokens):
-        raise ValueError(f"token id out of vocabulary (|V| = {vocab})")
-    return Response(tokens=tokens, markers=response_markers(tokens, token_markers))
-
-
 @dataclass(frozen=True)
 class RewardBreakdown:
     """Per-turn reward record: planner reward, responder reward, the four

@@ -13,12 +13,27 @@ All randomness in an episode is drawn from one per-episode generator, so a
 (config, seed, action stream) triple fully determines every observation,
 score, and milestone.
 
-Default world: 12 skills, 6 intents, 4 emotions, 24 markers over a 64-token
-vocabulary, horizon 12.  Each milestone fires when the phase's key skill was
-part of the selected sequence (waived when no planner is attached) and the
-response carries all of that skill's required markers.  Low compliance tilts
-the user's emotion toward frustrated/angry, which changes the scenario entry
-the planner is scored against on later turns.
+Default world (``configs/default.json``): 12 skills, 6 intents, 4 emotions,
+24 markers over a 64-token vocabulary, horizon 12.  Markers 0-11 are the
+twelve skills' content, 12 is politeness, 13-15 are the second required
+markers of the three milestone skills (recommend, quote_price,
+confirm_order), and 16-23 are filler no skill requires.  Tokens 0-47 carry
+marker ``t mod 24`` (two carrier tokens per marker); tokens 48-63 carry none.
+Each phase's markers are the union of its three backbone skills' markers.
+A milestone fires when the phase's milestone skill was part of the selected
+sequence (waived when no planner is attached) and the response carries all
+of that skill's required markers.  Every scenario entry starts with its
+phase's milestone skill: under the exponential position gain of the ranking
+reward the first reference skill carries most of the signal, which keeps
+planning and task completion aligned.  Next come an apology and objection
+handling for a complaint or refund, or an apology alone for a frustrated or
+angry user, then a tail typical of the phase and intent.  The two emotion
+matrices (rows and columns calm, curious, frustrated, angry) model the
+user's mood: compliant turns cool it down, non-compliant turns push it
+toward frustration and anger, which changes the scenario entry the planner
+is scored against on later turns.  The three intent matrices, one per phase,
+keep intents sticky and let them drift toward the phase's typical activity,
+from browsing and inquiry toward purchase.
 """
 
 from __future__ import annotations
@@ -387,162 +402,6 @@ def validate_env_config(cfg: EnvConfig) -> None:
         raise ConfigError("env.history_window must be positive")
     if cfg.max_response_len < 1:
         raise ConfigError("env.max_response_len must be positive")
-
-
-# --- default world -----------------------------------------------------------
-
-DEFAULT_INTENTS = ("browse", "inquire", "purchase", "complain", "refund", "chitchat")
-DEFAULT_EMOTIONS = ("calm", "curious", "frustrated", "angry")
-
-# Marker ids: 0..11 mirror the twelve skills' content, 12 is politeness,
-# 13..15 are the secondary markers of the three milestone skills, 16..23 are
-# inert filler markers carried by miscellaneous tokens.
-POLITE_MARKER = 12
-
-_DEFAULT_SKILLS = (
-    ("greet", frozenset({0, 12})),
-    ("probe_need", frozenset({1})),
-    ("recommend", frozenset({2, 13})),
-    ("explain_features", frozenset({3})),
-    ("check_stock", frozenset({4})),
-    ("quote_price", frozenset({5, 14})),
-    ("offer_discount", frozenset({6})),
-    ("handle_objection", frozenset({7})),
-    ("confirm_order", frozenset({8, 15})),
-    ("upsell", frozenset({9})),
-    ("apologize", frozenset({10, 12})),
-    ("close", frozenset({11, 12})),
-)
-
-# Backbone skills per phase; the phase-relevance judge dimension and the
-# default scenario entries are built from these.
-_PHASE_CORE_SKILLS = ((0, 1, 2), (3, 4, 5), (6, 8, 11))
-_MILESTONE_SKILLS = (2, 5, 8)  # recommend, quote_price, confirm_order
-
-
-def default_skill_pool() -> tuple[Skill, ...]:
-    return tuple(
-        Skill(id=i, name=name, required_markers=markers)
-        for i, (name, markers) in enumerate(_DEFAULT_SKILLS)
-    )
-
-
-def default_token_markers(vocab_size: int = 64, marker_count: int = 24):
-    """Tokens 0..2*marker_count-1 carry one marker each (two carrier tokens
-    per marker); the rest carry none."""
-    out = []
-    for t in range(vocab_size):
-        if t < 2 * marker_count:
-            out.append(frozenset({t % marker_count}))
-        else:
-            out.append(frozenset())
-    return tuple(out)
-
-
-def _default_scenario_entry(intent: str, emotion: str, phase: int) -> tuple[int, ...]:
-    # The phase's milestone skill leads every entry: under the exponential
-    # position gains of the ranking reward, the first reference skill carries
-    # most of the signal, which keeps planning and task completion aligned.
-    seq: list[int] = [_MILESTONE_SKILLS[phase - 1]]
-    if intent in ("complain", "refund"):
-        seq += [10, 7]  # apologize, then address the objection
-    elif emotion in ("frustrated", "angry"):
-        seq += [10]
-    tail = {1: [1, 0], 2: [3, 4], 3: [6, 11]}[phase]
-    if intent == "purchase":
-        if phase == 1:
-            tail = [4, 1]  # decided buyer: check stock, then probe details
-        elif phase == 3:
-            tail = [9, 11]  # upsell before closing
-    seq += tail
-    out: list[int] = []
-    for s in seq:
-        if s not in out:
-            out.append(s)
-    return tuple(out[:5])
-
-
-def default_scenario_table() -> dict[tuple[str, str, int], tuple[int, ...]]:
-    table = {}
-    for intent in DEFAULT_INTENTS:
-        for emotion in DEFAULT_EMOTIONS:
-            for phase in range(1, NUM_MILESTONES + 1):
-                table[(intent, emotion, phase)] = _default_scenario_entry(
-                    intent, emotion, phase
-                )
-    return table
-
-
-# Rows: calm, curious, frustrated, angry.  Compliant turns cool the user
-# down; non-compliant turns push toward frustration and anger.
-_EMOTION_COMPLIANT = (
-    (0.80, 0.15, 0.05, 0.00),
-    (0.35, 0.55, 0.10, 0.00),
-    (0.45, 0.20, 0.30, 0.05),
-    (0.20, 0.10, 0.40, 0.30),
-)
-_EMOTION_NONCOMPLIANT = (
-    (0.40, 0.20, 0.30, 0.10),
-    (0.15, 0.35, 0.35, 0.15),
-    (0.05, 0.05, 0.55, 0.35),
-    (0.00, 0.02, 0.28, 0.70),
-)
-
-# Rows/cols: browse, inquire, purchase, complain, refund, chitchat.  Intents
-# are sticky and drift toward the phase-typical activity.
-_INTENT_PHASE1 = (
-    (0.55, 0.30, 0.05, 0.02, 0.03, 0.05),
-    (0.10, 0.70, 0.10, 0.03, 0.02, 0.05),
-    (0.05, 0.15, 0.70, 0.05, 0.03, 0.02),
-    (0.02, 0.08, 0.05, 0.70, 0.10, 0.05),
-    (0.02, 0.05, 0.03, 0.15, 0.70, 0.05),
-    (0.20, 0.25, 0.05, 0.05, 0.05, 0.40),
-)
-_INTENT_PHASE2 = (
-    (0.30, 0.45, 0.15, 0.03, 0.02, 0.05),
-    (0.05, 0.60, 0.25, 0.04, 0.03, 0.03),
-    (0.02, 0.13, 0.75, 0.05, 0.03, 0.02),
-    (0.02, 0.10, 0.08, 0.65, 0.10, 0.05),
-    (0.01, 0.06, 0.05, 0.13, 0.70, 0.05),
-    (0.10, 0.30, 0.20, 0.05, 0.05, 0.30),
-)
-_INTENT_PHASE3 = (
-    (0.20, 0.30, 0.40, 0.04, 0.03, 0.03),
-    (0.03, 0.35, 0.50, 0.06, 0.03, 0.03),
-    (0.01, 0.07, 0.85, 0.04, 0.02, 0.01),
-    (0.01, 0.07, 0.12, 0.65, 0.10, 0.05),
-    (0.01, 0.04, 0.07, 0.13, 0.70, 0.05),
-    (0.05, 0.20, 0.40, 0.10, 0.05, 0.20),
-)
-
-
-def default_env_config() -> EnvConfig:
-    pool = default_skill_pool()
-    phase_markers = tuple(
-        frozenset().union(*(pool[s].required_markers for s in core))
-        for core in _PHASE_CORE_SKILLS
-    )
-    return EnvConfig(
-        skill_pool=pool,
-        intents=DEFAULT_INTENTS,
-        emotions=DEFAULT_EMOTIONS,
-        vocab_size=64,
-        horizon=12,
-        history_window=4,
-        marker_count=24,
-        token_markers=default_token_markers(64, 24),
-        politeness_markers=frozenset({POLITE_MARKER}),
-        phase_markers=phase_markers,
-        emotion_transition={
-            "compliant": _EMOTION_COMPLIANT,
-            "noncompliant": _EMOTION_NONCOMPLIANT,
-        },
-        intent_transition=(_INTENT_PHASE1, _INTENT_PHASE2, _INTENT_PHASE3),
-        initial_intent_dist=(0.30, 0.30, 0.10, 0.15, 0.10, 0.05),
-        initial_emotion_dist=(0.50, 0.30, 0.15, 0.05),
-        scenario_table=default_scenario_table(),
-        milestone_rules=tuple((s,) for s in _MILESTONE_SKILLS),
-    )
 
 
 # --- environment -------------------------------------------------------------

@@ -17,13 +17,22 @@ from gopo.core import (
     TurnSummary,
     response_markers,
 )
+from gopo.cli import load_config
 from gopo.rewards import joint_reward
-from gopo.simenv import EnvConfig, default_env_config
+from gopo.simenv import EnvConfig
+
+DEFAULT_CONFIG_FILE = Path(__file__).resolve().parents[1] / "configs" / "default.json"
 
 
 @pytest.fixture(scope="session")
-def env_cfg():
-    return default_env_config()
+def default_cfg():
+    """The default configuration, parsed from ``configs/default.json``."""
+    return load_config(DEFAULT_CONFIG_FILE)[0]
+
+
+@pytest.fixture(scope="session")
+def env_cfg(default_cfg):
+    return default_cfg.env
 
 
 def make_tiny_env_cfg(horizon=4):

@@ -22,7 +22,6 @@ from gopo.agents import (
     expert_act,
     expert_loss,
 )
-from gopo.cli import default_global_config
 from gopo.core import MilestoneRecord, read_trajectories
 from gopo.metrics import TseConfig, bleu, tse
 from gopo.rewards import dcg, esndcg, idcg
@@ -39,15 +38,14 @@ def _report(name):
 
 
 @pytest.fixture(scope="session")
-def ablation(tmp_path_factory):
+def ablation(tmp_path_factory, default_cfg):
     """Default-config ablation over three shared seeds; returns the rows,
     the directory, and the wall-clock duration."""
     from gopo.trainer import ablate
 
-    cfg = default_global_config()
     out = tmp_path_factory.mktemp("ablation")
     start = time.monotonic()
-    rows = ablate(cfg, out, seeds=[0, 1, 2])
+    rows = ablate(default_cfg, out, seeds=[0, 1, 2])
     elapsed = time.monotonic() - start
     return rows, out, elapsed
 
@@ -207,9 +205,9 @@ class TestGradientSuite:
 
 
 class TestWeightScheduleOnLogs:
-    def test_logged_weights_monotone_and_floored(self, ablation):
+    def test_logged_weights_monotone_and_floored(self, ablation, default_cfg):
         _, out, _ = ablation
-        cfg = default_global_config()
+        cfg = default_cfg
         log_path = out / "full-seed0" / "trajectories.jsonl"
         trajs = read_trajectories(log_path)
         assert len(trajs) == cfg.train.episodes
@@ -271,10 +269,10 @@ class TestConvergence:
 
 
 class TestDeterminism:
-    def test_byte_identical_reruns(self, tmp_path):
+    def test_byte_identical_reruns(self, tmp_path, default_cfg):
         import dataclasses
 
-        cfg = default_global_config()
+        cfg = default_cfg
         train_cfg = dataclasses.replace(
             cfg.train, episodes=64, eval_episodes=20, critic_warmup=2, eval_every=4
         )

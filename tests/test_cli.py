@@ -7,12 +7,12 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from gopo.cli import default_global_config, load_config, main
+from gopo.cli import load_config, main
 from gopo.metrics import METRIC_CSV_HEADER, TseConfig
 from gopo.rewards import RewardConfig
-from gopo.simenv import ConfigError, default_env_config
+from gopo.simenv import ConfigError
 from gopo.trainer import CURVES_CSV_HEADER, TrainConfig
-from conftest import write_tiny_config
+from conftest import DEFAULT_CONFIG_FILE, write_tiny_config
 
 REPO = Path(__file__).resolve().parents[1]
 
@@ -23,13 +23,10 @@ def tiny_config(tmp_path):
 
 
 class TestConfigLoading:
-    def test_packaged_default_matches_builders(self):
-        cfg, _ = load_config(REPO / "configs" / "default.json")
-        assert cfg == default_global_config()
-        assert cfg.env == default_env_config()
-        assert cfg.reward == RewardConfig()
-        assert cfg.tse == TseConfig()
-        assert cfg.train == TrainConfig()
+    def test_default_file_matches_section_defaults(self, default_cfg):
+        assert default_cfg.reward == RewardConfig()
+        assert default_cfg.tse == TseConfig()
+        assert default_cfg.train == TrainConfig()
 
     def test_missing_file_names_path(self, tmp_path):
         with pytest.raises(ConfigError, match="nowhere.json"):
@@ -286,7 +283,7 @@ class TestUsageErrors:
         assert not out.exists()
 
 
-DEFAULT_CONFIG = json.loads((REPO / "configs" / "default.json").read_text())
+DEFAULT_CONFIG = json.loads(DEFAULT_CONFIG_FILE.read_text())
 
 
 def _key_paths(value, prefix=()):
@@ -371,6 +368,17 @@ class TestEvalCommand:
         row = out[1].split(",")
         assert row[1] == "1"
         assert float(row[3]) == 0.0 and float(row[5]) == 0.0
+
+    def test_without_out_prints_and_writes_no_file(self, tiny_config, tmp_path, capsys):
+        ckpts = self._trained(tiny_config, tmp_path)
+        before = sorted(tmp_path.rglob("*"))
+        capsys.readouterr()
+        assert main([
+            "eval", "--checkpoint-dir", str(ckpts), "--config", str(tiny_config),
+            "--episodes", "1",
+        ]) == 0
+        assert capsys.readouterr().out.splitlines()[0] == METRIC_CSV_HEADER
+        assert sorted(tmp_path.rglob("*")) == before
 
     def test_deterministic_csv_bytes(self, tiny_config, tmp_path):
         ckpts = self._trained(tiny_config, tmp_path)
@@ -504,7 +512,7 @@ class TestEvalCommand:
         provenance = json.loads((ckpts / "PROVENANCE.json").read_text())
         assert main([
             "eval", "--checkpoint-dir", str(ckpts),
-            "--config", str(REPO / "configs" / "default.json"),
+            "--config", str(DEFAULT_CONFIG_FILE),
             "--out", str(tmp_path / "eval.csv"),
         ]) == 0
         out = capsys.readouterr().out.strip().splitlines()

@@ -15,7 +15,6 @@ from gopo.core import (
     Trajectory,
     TurnRecord,
     TurnSummary,
-    make_response,
     response_markers,
     trajectory_from_json,
     trajectory_to_json,
@@ -63,15 +62,6 @@ class TestInvariants:
     def test_response_non_empty(self):
         with pytest.raises(ValueError):
             Response(tokens=(), markers=frozenset())
-
-    def test_make_response_checks_vocab_and_length(self):
-        tm = tuple(frozenset({t}) for t in range(4))
-        r = make_response([0, 2], tm, max_len=3)
-        assert r.markers == frozenset({0, 2})
-        with pytest.raises(ValueError):
-            make_response([5], tm, max_len=3)
-        with pytest.raises(ValueError):
-            make_response([0, 1, 2, 3], tm, max_len=3)
 
     def test_reward_weights_positive(self):
         with pytest.raises(ValueError):

@@ -2,20 +2,19 @@ import dataclasses
 
 import pytest
 
-from gopo.core import Response, SkillSequence, make_response, response_markers
+from gopo.core import Response, SkillSequence, response_markers
 from gopo.simenv import (
     ConfigError,
     DialogueEnv,
     EnvConfig,
     TERMINAL_ALL_MILESTONES,
     TERMINAL_HORIZON,
-    default_env_config,
     reference_responses,
 )
 
 
 def _response(cfg, tokens):
-    return make_response(tokens, cfg.token_markers, cfg.max_response_len)
+    return Response(tokens, response_markers(tokens, cfg.token_markers))
 
 
 def _full_marker_response(cfg, skills):
@@ -205,7 +204,7 @@ class TestTeacher:
 
     def test_milestone_skill_in_every_phase_entry(self, env_cfg):
         for (intent, emotion, phase), seq in env_cfg.scenario_table.items():
-            assert env_cfg.milestone_rules[phase - 1][0] in seq
+            assert seq[0] == env_cfg.milestone_rules[phase - 1][0]
 
     def test_unknown_state_raises(self, env_cfg):
         env = DialogueEnv(env_cfg)
