@@ -16,15 +16,16 @@ Sampling conventions: the first slot/step masks STOP/END so emitted
 sequences are never empty; reported log-probabilities follow the actual
 (masked, renormalized) sampling law, while reported entropies are those of
 the raw per-slot distributions including the stop symbol.  A sampled step
-draws by ``Generator.choice``'s own inverse-CDF rule: one ``random()`` per
-step, searched in the cumulative distribution (``_draw``), so it picks the
-index ``rng.choice(q.size, p=q / q.sum())`` would.  A greedy step takes
-the argmax of the network's logits (``Mlp.forward(x, logits=True)``), the
-lowest index on a tie, and builds no per-step distribution; its act's
-log-probability and entropies come from one softmax over the act's
-stacked logits after the loop.  Every loss here is a deterministic
-function of (parameters, state, action), so all gradients are checkable
-against central finite differences.
+draws by the package's one draw rule, the environment's
+(``simenv.cumulative`` and ``simenv.draw``): ``Generator.choice``'s own
+inverse-CDF rule, one ``random()`` searched in the cumulative distribution
+(``_draw``), so it picks the index ``rng.choice(q.size, p=q / q.sum())``
+would.  A greedy step takes the argmax of the network's logits
+(``Mlp.forward(x, logits=True)``), the lowest index on a tie, and builds no
+per-step distribution; its act's log-probability and entropies come from
+one softmax over the act's stacked logits after the loop.  Every loss here
+is a deterministic function of (parameters, state, action), so all
+gradients are checkable against central finite differences.
 
 Each policy defines its network-input row once: ``first_rows`` builds the
 step-0 rows of stacked feature rows, and ``advance`` turns one row, in
@@ -45,7 +46,6 @@ and shared by the critic and the actor.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -59,7 +59,7 @@ from .core import (
     response_markers,
 )
 from .neural import Mlp, stable_softmax
-from .simenv import EnvConfig
+from .simenv import EnvConfig, cumulative, draw
 
 N_PHASES = 3
 _BUSINESS_DIM = 6  # order status one-hot (3) + stock level one-hot (3)
@@ -153,14 +153,11 @@ class FeatureSpec:
 
 def _draw(q: np.ndarray, rng: np.random.Generator) -> int:
     """One draw from ``q / q.sum()`` exactly as ``rng.choice(q.size, p=q /
-    q.sum())`` makes it: the same cumulative distribution, one ``random()``,
-    the same index.  Like ``choice``, it raises before drawing when the
-    distribution is not finite."""
-    cdf = np.cumsum(q / q.sum())
-    if not math.isfinite(cdf[-1]):
-        raise ValueError("probabilities are not finite")
-    cdf /= cdf[-1]
-    return int(cdf.searchsorted(rng.random(), side="right"))
+    q.sum())`` makes it, by the environment's rule (``simenv.draw``): the
+    same cumulative distribution, one ``random()``, the same index.  Like
+    ``choice``, it raises before drawing when the distribution is not
+    finite."""
+    return draw(cumulative(q / q.sum()), rng)
 
 
 def _masked(p: np.ndarray, banned: int) -> np.ndarray:

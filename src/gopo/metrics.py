@@ -10,10 +10,12 @@ episodes into one report row.
 
 from __future__ import annotations
 
+import itertools
 import math
-from collections import Counter
 from dataclasses import dataclass
 from typing import Sequence
+
+import numpy as np
 
 from .core import MilestoneRecord, NUM_MILESTONES, Response, Trajectory
 
@@ -83,10 +85,49 @@ def _tokens(x) -> tuple[int, ...]:
     return x.tokens if isinstance(x, Response) else tuple(x)
 
 
-def _ngrams(tokens: Sequence[int], n: int) -> Counter:
-    return Counter(
-        tuple(tokens[i : i + n]) for i in range(len(tokens) - n + 1)
+# Candidate/reference pairs counted at a time: it bounds the counting
+# arrays, so memory stays flat whatever the corpus size.
+_BLEU_CHUNK = 256
+
+
+def _ngram_counts(cands: list, refs: list, max_n: int) -> np.ndarray:
+    """The clipped (row 0) and total (row 1) candidate n-gram counts of
+    candidate/reference pairs, per order ``n`` = 1..``max_n`` (columns),
+    summed over the pairs: in a pair, each distinct candidate n-gram counts
+    ``min(its count in the candidate, its count in the reference)``.
+
+    The sequences are laid end to end.  A token is numbered by its rank
+    among the tokens, an n-gram by the rank of its ((n-1)-gram number, last
+    token) pair among all such pairs, so numbers stay below the token count
+    whatever the token ids.  Within a pair, an n-gram is counted by the key
+    ``pair index * number of n-grams + n-gram number``."""
+    seqs = cands + refs
+    lengths = np.array([len(t) for t in seqs])
+    size = int(lengths.sum())
+    # per position: the tokens left in its sequence, its pair, its side
+    left = np.repeat(lengths.cumsum(), lengths) - np.arange(size)
+    pair = np.repeat(np.tile(np.arange(len(cands)), 2), lengths)
+    in_cand = np.arange(size) < lengths[: len(cands)].sum()
+    kinds, tokens = np.unique(
+        np.fromiter(itertools.chain.from_iterable(seqs), dtype=np.int64, count=size),
+        return_inverse=True,
     )
+    n_tokens = len(kinds)
+    grams = tokens
+    counts = np.zeros((2, max_n), dtype=np.int64)
+    for n in range(1, max_n + 1):
+        if n > 1:
+            kinds, grams = np.unique(grams[:-1] * n_tokens + tokens[n - 1 :], return_inverse=True)
+        whole = left[: grams.size] >= n
+        in_c = whole & in_cand[: grams.size]
+        if not in_c.any():
+            break  # no candidate is this long, so none is longer
+        keys = pair[: grams.size] * len(kinds) + grams
+        cand_keys, cand_counts = np.unique(keys[in_c], return_counts=True)
+        ref_keys, ref_counts = np.unique(keys[whole & ~in_cand[: grams.size]], return_counts=True)
+        _, i, j = np.intersect1d(cand_keys, ref_keys, assume_unique=True, return_indices=True)
+        counts[:, n - 1] = np.minimum(cand_counts[i], ref_counts[j]).sum(), cand_counts.sum()
+    return counts
 
 
 def bleu(candidates: Sequence, references: Sequence, max_n: int = 4) -> float:
@@ -98,6 +139,10 @@ def bleu(candidates: Sequence, references: Sequence, max_n: int = 4) -> float:
     corpora score exactly 0).  Orders for which the candidate corpus has no
     n-grams at all are dropped from the geometric mean.  Accepts
     :class:`~gopo.core.Response` objects or plain token sequences.
+
+    The clipped and total counts are exact integers, counted with arrays
+    over chunks of ``_BLEU_CHUNK`` pairs (``_ngram_counts``) and summed, so
+    the score is the float the per-pair n-gram counts give.
     """
     if len(candidates) != len(references):
         raise ValueError(
@@ -110,27 +155,21 @@ def bleu(candidates: Sequence, references: Sequence, max_n: int = 4) -> float:
     if any(len(c) == 0 for c in cands) or any(len(r) == 0 for r in refs):
         raise ValueError("responses must be non-empty")
 
+    clipped, total = sum(
+        _ngram_counts(cands[at : at + _BLEU_CHUNK], refs[at : at + _BLEU_CHUNK], max_n)
+        for at in range(0, len(cands), _BLEU_CHUNK)
+    ).tolist()
+
     log_precisions: list[float] = []
     for n in range(1, max_n + 1):
-        clipped = 0
-        total = 0
-        for cand, ref in zip(cands, refs):
-            cand_counts = _ngrams(cand, n)
-            if not cand_counts:
-                continue
-            ref_counts = _ngrams(ref, n)
-            total += sum(cand_counts.values())
-            clipped += sum(
-                min(count, ref_counts[gram]) for gram, count in cand_counts.items()
-            )
-        if total == 0:
+        if total[n - 1] == 0:
             continue  # no candidate n-grams of this order anywhere
-        if clipped == 0:
+        if clipped[n - 1] == 0:
             if n == 1:
                 return 0.0
-            p_n = 1.0 / (total + 1.0)  # add-one smoothing
+            p_n = 1.0 / (total[n - 1] + 1.0)  # add-one smoothing
         else:
-            p_n = clipped / total
+            p_n = clipped[n - 1] / total[n - 1]
         log_precisions.append(math.log(p_n))
 
     if not log_precisions:

@@ -38,9 +38,10 @@ CHECKPOINT_VERSION = 1
 
 
 def _softmax_raw(logits: np.ndarray) -> np.ndarray:
-    z = logits - logits.max(axis=-1, keepdims=True)
+    # the reductions ``.max`` and ``.sum`` run, without their Python wrappers
+    z = logits - np.maximum.reduce(logits, axis=-1, keepdims=True)
     e = np.exp(z)
-    return e / e.sum(axis=-1, keepdims=True)
+    return e / np.add.reduce(e, axis=-1, keepdims=True)
 
 
 def stable_softmax(logits: np.ndarray) -> np.ndarray:
@@ -87,10 +88,9 @@ class Mlp:
                 f"{self.layer_sizes[0]}"
             )
         acts = [x]
-        last = self.n_layers - 1
-        for i, (w, b) in enumerate(zip(self.weights, self.biases)):
-            z = acts[-1] @ w + b
-            acts.append(np.tanh(z) if i < last else z)
+        for w, b in zip(self.weights[:-1], self.biases[:-1]):
+            acts.append(np.tanh(acts[-1] @ w + b))
+        acts.append(acts[-1] @ self.weights[-1] + self.biases[-1])
         return acts
 
     def forward(self, x: np.ndarray, logits: bool = False) -> np.ndarray:

@@ -34,6 +34,13 @@ toward frustration and anger, which changes the scenario entry the planner
 is scored against on later turns.  The three intent matrices, one per phase,
 keep intents sticky and let them drift toward the phase's typical activity,
 from browsing and inquiry toward purchase.
+
+The user's initial intent and emotion and each turn's transitions are drawn
+by ``Generator.choice``'s own rule (``draw``): one ``random()`` searched in
+the cumulative distribution (``cumulative``).  The environment builds the
+cumulative distribution of each initial distribution and each transition
+row once, on construction, so a draw costs one search; every episode is the
+one ``rng.choice`` would play.
 """
 
 from __future__ import annotations
@@ -429,13 +436,15 @@ class DialogueEnv:
         self.cfg = cfg
         self._required = tuple(s.required_markers for s in cfg.skill_pool)
         emo = cfg.emotion_transition
-        self._emotion_mats = {
-            True: _normalized_rows(emo["compliant"]),
-            False: _normalized_rows(emo["noncompliant"]),
+        # cumulative distributions of the transition rows, indexed by the
+        # current state
+        self._emotion_cdfs = {
+            True: _row_cdfs(emo["compliant"]),
+            False: _row_cdfs(emo["noncompliant"]),
         }
-        self._intent_mats = tuple(_normalized_rows(m) for m in cfg.intent_transition)
-        self._init_intent = _normalized_vec(cfg.initial_intent_dist)
-        self._init_emotion = _normalized_vec(cfg.initial_emotion_dist)
+        self._intent_cdfs = tuple(_row_cdfs(m) for m in cfg.intent_transition)
+        self._init_intent_cdf = cumulative(_normalized(cfg.initial_intent_dist))
+        self._init_emotion_cdf = cumulative(_normalized(cfg.initial_emotion_dist))
         self._active = False
         self._done = False
 
@@ -446,10 +455,8 @@ class DialogueEnv:
         self._rng = np.random.default_rng(seed)
         self._turn = 0
         self._phase = 1
-        self._intent_idx = int(self._rng.choice(len(self.cfg.intents), p=self._init_intent))
-        self._emotion_idx = int(
-            self._rng.choice(len(self.cfg.emotions), p=self._init_emotion)
-        )
+        self._intent_idx = draw(self._init_intent_cdf, self._rng)
+        self._emotion_idx = draw(self._init_emotion_cdf, self._rng)
         self._business = BusinessContext(
             order_status=int(self._rng.integers(0, 3)),
             stock_level=int(self._rng.integers(0, 3)),
@@ -500,16 +507,9 @@ class DialogueEnv:
         compliant = scores[1] >= self.cfg.compliance_threshold
         old_intent = self.cfg.intents[self._intent_idx]
         old_emotion = self.cfg.emotions[self._emotion_idx]
-        self._emotion_idx = int(
-            self._rng.choice(
-                len(self.cfg.emotions), p=self._emotion_mats[compliant][self._emotion_idx]
-            )
-        )
-        self._intent_idx = int(
-            self._rng.choice(
-                len(self.cfg.intents),
-                p=self._intent_mats[self._phase - 1][self._intent_idx],
-            )
+        self._emotion_idx = draw(self._emotion_cdfs[compliant][self._emotion_idx], self._rng)
+        self._intent_idx = draw(
+            self._intent_cdfs[self._phase - 1][self._intent_idx], self._rng
         )
         summary = TurnSummary(
             intent=old_intent,
@@ -609,14 +609,32 @@ class DialogueEnv:
         )
 
 
-def _normalized_rows(mat) -> np.ndarray:
-    a = np.asarray(mat, dtype=float)
-    return a / a.sum(axis=1, keepdims=True)
+def cumulative(p: np.ndarray) -> np.ndarray:
+    """The cumulative distribution ``Generator.choice`` searches for weights
+    ``p``: ``p.cumsum()`` divided by its last entry.  Like ``choice``, it
+    raises when the weights are not finite."""
+    cdf = p.cumsum()
+    if not math.isfinite(cdf[-1]):
+        raise ValueError("probabilities are not finite")
+    cdf /= cdf[-1]
+    return cdf
 
 
-def _normalized_vec(vec) -> np.ndarray:
-    a = np.asarray(vec, dtype=float)
-    return a / a.sum()
+def draw(cdf: np.ndarray, rng: np.random.Generator) -> int:
+    """One draw from the distribution whose ``cumulative`` is ``cdf``, as
+    ``rng.choice`` makes it: one ``random()``, searched from the right, so
+    the same index."""
+    return int(cdf.searchsorted(rng.random(), side="right"))
+
+
+def _normalized(a) -> np.ndarray:
+    """A distribution, or each row of a matrix, divided by its sum."""
+    a = np.asarray(a, dtype=float)
+    return a / a.sum(axis=-1, keepdims=True)
+
+
+def _row_cdfs(mat) -> tuple[np.ndarray, ...]:
+    return tuple(cumulative(row) for row in _normalized(mat))
 
 
 def reference_responses(traj: Trajectory, cfg: EnvConfig) -> list[tuple[int, ...]]:

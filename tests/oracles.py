@@ -7,14 +7,24 @@ The loss and act oracles build every network-input row from scratch with
 their own builders (``oracle_slot_input``, ``oracle_step_input``), not with
 the policies' ``first_rows``/``advance``, and reuse only the per-row network
 calls; every loss term, upstream gradient, draw and entropy is evaluated one
-step at a time.
+step at a time.  ``oracle_bleu`` counts n-grams with ``Counter``s, pair by
+pair, and ``ChoiceDialogueEnv`` draws every user state with ``rng.choice``.
 """
 
 import math
+from collections import Counter
 
 import numpy as np
 
-from gopo.core import MAX_SKILL_SEQUENCE_LEN
+from gopo.core import (
+    MAX_SKILL_SEQUENCE_LEN,
+    NUM_MILESTONES,
+    BusinessContext,
+    CsaState,
+    Response,
+    TurnSummary,
+)
+from gopo.simenv import TERMINAL_ALL_MILESTONES, TERMINAL_HORIZON, DialogueEnv
 
 
 def oracle_relevance(s, teacher):
@@ -292,3 +302,112 @@ def oracle_csa_act(policy, state, rng, greedy=False):
             emitted[m] = 1.0
         prev = sym
     return tuple(tokens), log_prob, entropies
+
+
+def _oracle_tokens(x):
+    return x.tokens if isinstance(x, Response) else tuple(x)
+
+
+def _oracle_ngrams(tokens, n):
+    return Counter(tuple(tokens[i : i + n]) for i in range(len(tokens) - n + 1))
+
+
+def oracle_bleu(candidates, references, max_n=4):
+    """Corpus BLEU with ``Counter`` n-gram counts, pair by pair: the clipped
+    count of a pair sums ``min(candidate count, reference count)`` over its
+    distinct candidate n-grams; smoothing, dropped orders and brevity
+    penalty as ``gopo.metrics.bleu`` documents them."""
+    cands = [_oracle_tokens(c) for c in candidates]
+    refs = [_oracle_tokens(r) for r in references]
+    log_precisions = []
+    for n in range(1, max_n + 1):
+        clipped = 0
+        total = 0
+        for cand, ref in zip(cands, refs):
+            cand_counts = _oracle_ngrams(cand, n)
+            if not cand_counts:
+                continue
+            ref_counts = _oracle_ngrams(ref, n)
+            total += sum(cand_counts.values())
+            clipped += sum(
+                min(count, ref_counts[gram]) for gram, count in cand_counts.items()
+            )
+        if total == 0:
+            continue
+        if clipped == 0:
+            if n == 1:
+                return 0.0
+            p_n = 1.0 / (total + 1.0)
+        else:
+            p_n = clipped / total
+        log_precisions.append(math.log(p_n))
+    if not log_precisions:
+        return 0.0
+    cand_len = sum(len(c) for c in cands)
+    ref_len = sum(len(r) for r in refs)
+    bp = 1.0 if cand_len > ref_len else math.exp(1.0 - ref_len / cand_len)
+    return bp * math.exp(sum(log_precisions) / len(log_precisions))
+
+
+class ChoiceDialogueEnv(DialogueEnv):
+    """The environment with every user-state draw made by ``rng.choice``
+    over row-normalized probabilities, on each call, in place of a search
+    in cumulative distributions built once.  The judge, milestones and
+    observations are the environment's own."""
+
+    def _choice(self, probs, i=None):
+        a = np.asarray(probs, dtype=float)
+        a = a / a.sum(axis=-1, keepdims=True)
+        p = a if i is None else a[i]
+        return int(self._rng.choice(len(p), p=p))
+
+    def reset(self, seed):
+        cfg = self.cfg
+        super().reset(seed)
+        self._rng = np.random.default_rng(seed)
+        self._intent_idx = self._choice(cfg.initial_intent_dist)
+        self._emotion_idx = self._choice(cfg.initial_emotion_dist)
+        self._business = BusinessContext(
+            order_status=int(self._rng.integers(0, 3)),
+            stock_level=int(self._rng.integers(0, 3)),
+        )
+        self._obs = self._build_observation()
+        return self._obs
+
+    def step(self, skills, response):
+        cfg = self.cfg
+        if self._done:
+            raise RuntimeError("step() after the episode ended")
+        csa_state = CsaState(self._obs.csa_utterance, skills, self._business)
+        scores = self.judge(csa_state, response)
+        turn_no = self._turn + 1
+        delta = [False] * NUM_MILESTONES
+        p = self._phase
+        if not self._completed[p - 1] and self._milestone_fires(p, skills, response):
+            self._completed[p - 1] = True
+            self._milestone_turns[p - 1] = turn_no
+            delta[p - 1] = True
+            self._phase = min(p + 1, NUM_MILESTONES)
+        compliant = scores[1] >= cfg.compliance_threshold
+        summary = TurnSummary(
+            intent=cfg.intents[self._intent_idx],
+            emotion=cfg.emotions[self._emotion_idx],
+            skills=skills.skills if skills is not None else (),
+            markers=response.markers,
+        )
+        key = "compliant" if compliant else "noncompliant"
+        self._emotion_idx = self._choice(cfg.emotion_transition[key], self._emotion_idx)
+        self._intent_idx = self._choice(
+            cfg.intent_transition[self._phase - 1], self._intent_idx
+        )
+        self._history = (self._history + (summary,))[-cfg.history_window :]
+        self._prev_skills = skills
+        self._turn = turn_no
+        if all(self._completed):
+            self._done = True
+            self._terminal_reason = TERMINAL_ALL_MILESTONES
+        elif turn_no >= cfg.horizon:
+            self._done = True
+            self._terminal_reason = TERMINAL_HORIZON
+        self._obs = self._build_observation()
+        return self._obs, scores, tuple(delta), self._done

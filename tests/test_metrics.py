@@ -1,5 +1,6 @@
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -13,8 +14,18 @@ from gopo.core import (
     Trajectory,
     TurnRecord,
 )
-from gopo.metrics import METRIC_CSV_HEADER, MetricReport, TseConfig, aggregate, bleu, gre, tse
+from gopo.metrics import (
+    _BLEU_CHUNK,
+    METRIC_CSV_HEADER,
+    MetricReport,
+    TseConfig,
+    aggregate,
+    bleu,
+    gre,
+    tse,
+)
 from conftest import make_reward
+from oracles import oracle_bleu
 
 CFG = TseConfig(task_weights=(0.5, 0.3, 0.2), decay=0.9)
 
@@ -154,6 +165,73 @@ class TestBleu:
     def test_identity_property(self, corpus):
         corpus = [tuple(c) for c in corpus]
         assert bleu(corpus, corpus) == pytest.approx(1.0, abs=1e-9)
+
+
+def _corpus(rng, n, vocab, max_len, min_len=1):
+    return [
+        tuple(int(t) for t in rng.integers(0, vocab, int(rng.integers(min_len, max_len + 1))))
+        for _ in range(n)
+    ]
+
+
+class TestBleuMatchesOracle:
+    """``bleu`` counts with arrays over chunks of pairs; its counts are exact
+    integers, so it must return the oracle's float exactly."""
+
+    def _check(self, cands, refs, max_n=4):
+        assert bleu(cands, refs, max_n) == oracle_bleu(cands, refs, max_n)
+
+    def test_random_corpora(self):
+        rng = np.random.default_rng(0)
+        for _ in range(200):
+            n = int(rng.integers(1, 40))
+            vocab = int(rng.choice([2, 5, 64]))
+            max_n = int(rng.integers(1, 7))
+            self._check(_corpus(rng, n, vocab, 12), _corpus(rng, n, vocab, 12), max_n)
+
+    def test_single_token_responses(self):
+        rng = np.random.default_rng(1)
+        self._check(_corpus(rng, 30, 4, 1), _corpus(rng, 30, 4, 1))
+        self._check(_corpus(rng, 30, 4, 1), _corpus(rng, 30, 4, 5))
+        self._check(_corpus(rng, 30, 4, 5), _corpus(rng, 30, 4, 1))
+
+    def test_max_n_above_every_length(self):
+        rng = np.random.default_rng(2)
+        cands, refs = _corpus(rng, 20, 3, 4), _corpus(rng, 20, 3, 4)
+        for max_n in (5, 9):
+            self._check(cands, refs, max_n)
+
+    def test_disjoint_corpora(self):
+        rng = np.random.default_rng(3)
+        cands = _corpus(rng, 25, 10, 8)
+        refs = [tuple(t + 10 for t in r) for r in _corpus(rng, 25, 10, 8)]
+        assert bleu(cands, refs) == oracle_bleu(cands, refs) == 0.0
+
+    def test_large_token_ids(self):
+        # ids past 2**16 and near 2**62: a number built from raw ids per
+        # order would overflow int64
+        rng = np.random.default_rng(4)
+        for base in (2**16, 2**40, 2**62):
+            cands = [tuple(base + t for t in c) for c in _corpus(rng, 30, 6, 10)]
+            refs = [tuple(base + t for t in r) for r in _corpus(rng, 30, 6, 10)]
+            self._check(cands, refs)
+            self._check(cands, cands)
+
+    def test_response_inputs(self):
+        rng = np.random.default_rng(5)
+        cands, refs = _corpus(rng, 12, 8, 6), _corpus(rng, 12, 8, 6)
+        as_responses = [Response(tokens=c, markers=frozenset()) for c in cands]
+        assert bleu(as_responses, refs) == oracle_bleu(cands, refs) == bleu(cands, refs)
+
+    @pytest.mark.parametrize("n", [_BLEU_CHUNK - 1, _BLEU_CHUNK, _BLEU_CHUNK + 1])
+    def test_corpus_sizes_around_the_chunk(self, n):
+        rng = np.random.default_rng(n)
+        cands, refs = _corpus(rng, n, 8, 10), _corpus(rng, n, 8, 10)
+        self._check(cands, refs)
+        # each candidate against another pair's reference: n-grams shared
+        # across pairs must not count
+        shifted = refs[1:] + refs[:1]
+        self._check(cands, shifted)
 
 
 class TestAggregate:

@@ -1,5 +1,6 @@
 import dataclasses
 
+import numpy as np
 import pytest
 
 from gopo.core import Response, SkillSequence, response_markers
@@ -11,6 +12,7 @@ from gopo.simenv import (
     TERMINAL_HORIZON,
     reference_responses,
 )
+from oracles import ChoiceDialogueEnv
 
 
 def _response(cfg, tokens):
@@ -182,6 +184,47 @@ class TestDeterminism:
         bad = next_emotions(False)
         upset = lambda xs: sum(1 for e in xs if e in ("frustrated", "angry"))
         assert upset(bad) > upset(good)
+
+
+class TestDrawsMatchChoice:
+    """The environment draws from cumulative distributions built once; a
+    ``rng.choice`` environment given the same actions must play the same
+    episodes."""
+
+    @staticmethod
+    def _play(env, cfg, seed):
+        # actions from their own generator: the teacher's sequence with all
+        # its markers (a milestone, a compliant turn) or random skills and
+        # tokens (mostly non-compliant), so every transition table is used
+        actions = np.random.default_rng(10_000 + seed)
+        obs = env.reset(seed=seed)
+        trace = [obs]
+        done = False
+        while not done:
+            if actions.random() < 0.5:
+                skills = env.teacher_sequence(obs.expert_state)
+                resp = _full_marker_response(cfg, skills.skills)
+            else:
+                k = int(actions.integers(1, 4))
+                skills = SkillSequence(
+                    tuple(int(s) for s in actions.choice(len(cfg.skill_pool), k, replace=False))
+                )
+                n = int(actions.integers(1, cfg.max_response_len + 1))
+                resp = _response(cfg, [int(t) for t in actions.integers(0, cfg.vocab_size, n)])
+            obs, scores, delta, done = env.step(skills, resp)
+            trace.append((obs, scores, delta, done))
+        return trace, env.terminal_reason, env.milestone_record()
+
+    @pytest.mark.parametrize("world", ["tiny", "default"])
+    def test_same_episodes_as_choice(self, world, env_cfg, tiny_env_cfg):
+        cfg = tiny_env_cfg if world == "tiny" else env_cfg
+        env, oracle = DialogueEnv(cfg), ChoiceDialogueEnv(cfg)
+        reasons = set()
+        for seed in range(300):
+            played = self._play(env, cfg, seed)
+            assert played == self._play(oracle, cfg, seed), seed
+            reasons.add(played[1])
+        assert reasons == {TERMINAL_ALL_MILESTONES, TERMINAL_HORIZON}
 
 
 class TestTeacher:
