@@ -27,14 +27,23 @@ csa = CsaPolicy(spec, hidden=32, seed=2)
 env = DialogueEnv(cfg)
 obs = env.reset(seed=3)
 
-seq, log_prob, entropy = expert_act(expert, obs.expert_state, rng)
-print(f"sampled skill sequence {seq.skills}  log-prob {log_prob:.3f}  entropy {entropy:.3f}")
-greedy_seq, _, _ = expert_act(expert, obs.expert_state, None, greedy=True)
+# acting returns only the choice; its log-probability and entropy come
+# from the teacher-forced loss, -advantage * log-prob - entropy_coeff * entropy
+(seq,) = expert_act(expert, obs.expert_state, rng)
+alpha = expert.entropy_coeff
+seq_entropy = -expert_loss(expert, obs.expert_state, seq, advantage=0.0)[0] / alpha
+seq_log_prob = -expert_loss(expert, obs.expert_state, seq, advantage=1.0)[0] - alpha * seq_entropy
+print(f"sampled skill sequence {seq.skills}  "
+      f"log-prob {seq_log_prob:.3f}  entropy {seq_entropy:.3f}")
+(greedy_seq,) = expert_act(expert, obs.expert_state, None, greedy=True)
 print(f"greedy skill sequence  {greedy_seq.skills}")
 
 state = CsaState(obs.csa_utterance, seq, obs.business_ctx)
-response, lp, ents = csa_act(csa, state, rng)
-print(f"sampled response {response.tokens[:8]}... len {len(response.tokens)}  log-prob {lp:.2f}")
+(response,) = csa_act(csa, state, rng)
+# the responder loss reports L_p = -r_a * log-prob and L_d = -entropy
+_, _, acted = csa_loss(csa, state, response, r_a=1.0)
+print(f"sampled response {response.tokens[:8]}... len {len(response.tokens)}  "
+      f"log-prob {-acted['L_p']:.2f}  entropy {-acted['L_d']:.2f}")
 
 # finite-difference check of the composite responder loss
 total, grad, comps = csa_loss(csa, state, response, r_a=0.7)

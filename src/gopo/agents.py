@@ -12,19 +12,19 @@ Constraints enter the responder only through its features; compliance is
 learned through the coverage loss and the judge reward, not enforced by
 decoding-time masking.
 
-Sampling conventions: the first slot/step masks STOP/END so emitted
-sequences are never empty; reported log-probabilities follow the actual
-(masked, renormalized) sampling law, while reported entropies are those of
-the raw per-slot distributions including the stop symbol.  A sampled step
-draws by the package's one draw rule, the environment's
+Sampling conventions: acting returns only the symbols it chose.  The
+first slot/step masks STOP/END so emitted sequences are never empty.  A
+sampled step draws by the package's one draw rule, the environment's
 (``simenv.cumulative`` and ``simenv.draw``): ``Generator.choice``'s own
 inverse-CDF rule, one ``random()`` searched in the cumulative distribution
 (``_draw``), so it picks the index ``rng.choice(q.size, p=q / q.sum())``
 would.  A greedy step takes the argmax of the network's logits
-(``Mlp.forward(x, logits=True)``), the lowest index on a tie, and builds no
-per-step distribution; its act's log-probability and entropies come from
-one softmax over the act's stacked logits after the loop.  Every loss here
-is a deterministic function of (parameters, state, action), so all
+(``Mlp.forward(x, logits=True)``), the lowest index on a tie, and runs no
+softmax.  Log-probabilities and entropies exist only in the teacher-forced
+loss pass (``_sequence_terms``): a sequence's log-probability follows the
+sampling law (masked, renormalized first step), while its entropy is that
+of the raw per-step distributions including the stop symbol.  Every loss
+here is a deterministic function of (parameters, state, action), so all
 gradients are checkable against central finite differences.
 
 Each policy defines its network-input row once: ``first_rows`` builds the
@@ -58,7 +58,7 @@ from .core import (
     SkillSequence,
     response_markers,
 )
-from .neural import Mlp, stable_softmax
+from .neural import Mlp
 from .simenv import EnvConfig, cumulative, draw
 
 N_PHASES = 3
@@ -211,54 +211,34 @@ def _padded_symbols(
     return symbols, n_emitted, realized
 
 
-def _act(policy, net: Mlp, x: np.ndarray, cap: int, stop: int, rng, greedy: bool):
+def _act(policy, net: Mlp, x: np.ndarray, cap: int, stop: int, rng, greedy: bool) -> list[int]:
     """The autoregressive loop both policies act with: from the step-0 row
     ``x``, pick the step's symbol with ``stop`` masked on the first step,
-    and advance ``x`` in place, until ``stop`` or ``cap`` steps.  A sampled
-    step runs the network's distribution and draws from it.  A greedy step
-    takes the argmax of the logits (``forward(x, logits=True)``), the lowest
-    index on a tie, and builds no distribution; one softmax over the act's
-    stacked logits follows the loop.  Returns the emitted symbols, their
-    log-probability under the sampling law, summed in step order, and the
-    raw per-step entropies."""
+    and advance ``x`` in place, until ``stop`` or ``cap`` steps; one
+    ``forward`` per step.  A sampled step runs the network's distribution
+    and draws from it.  A greedy step takes the argmax of the logits
+    (``forward(x, logits=True)``), the lowest index on a tie.  Returns the
+    emitted symbols only: their log-probability and entropies are the loss
+    pass's (``_sequence_terms``)."""
     symbols: list[int] = []
-    rows = []
     prev = None
     for step in range(cap):
         if greedy:
-            row = net.forward(x, logits=True)
-            z = row
+            z = net.forward(x, logits=True)
             if step == 0:
-                z = row.copy()
+                # forward returns a fresh array, so the mask goes in place
                 z[stop] = -np.inf
             sym = int(z.argmax())
         else:
-            row = net.forward(x)
-            if step == 0:
-                q0 = _masked(row, stop)
-            sym = _draw(q0 if step == 0 else row, rng)
-        rows.append(row)
+            p = net.forward(x)
+            sym = _draw(_masked(p, stop) if step == 0 else p, rng)
         if sym == stop:
             break
         symbols.append(sym)
         if step < cap - 1:
             policy.advance(x, step, sym, prev)
         prev = sym
-    p = np.stack(rows)
-    if greedy:
-        p = stable_softmax(p)
-        q0 = _masked(p[0], stop)
-    # the realized symbols: the emitted ones and the closing stop, absent
-    # at the cap
-    realized = symbols + [stop] * (len(rows) - len(symbols))
-    log_p = np.log(p)
-    step_log_probs = log_p[np.arange(len(rows)), realized].tolist()
-    step_log_probs[0] = float(np.log(q0[realized[0]]))
-    # a running float sum in step order: the bits a per-step sum gives
-    log_prob = 0.0
-    for lp in step_log_probs:
-        log_prob += lp
-    return symbols, log_prob, -np.sum(p * log_p, axis=1)
+    return symbols
 
 
 def _forced_rows(
@@ -331,18 +311,18 @@ def expert_act(
     state: ExpertState,
     rng: np.random.Generator | None,
     greedy: bool = False,
-) -> tuple[SkillSequence, float, float]:
-    """Sample (or argmax) a skill sequence.
+) -> tuple[SkillSequence]:
+    """Sample (or argmax) a skill sequence.  STOP is masked on the first
+    slot, so sequences are never empty.
 
-    Returns the sequence, the log-probability of the realized choices under
-    the sampling law, and the summed raw per-slot distribution entropies.
-    STOP is masked on the first slot, so sequences are never empty.
+    Returns the one-element tuple ``(SkillSequence,)``: the tuple is kept
+    only because the benchmark's traced step counter reads the sequence as
+    ``result[0]``.  The sequence's log-probability and entropy come from
+    ``expert_loss``.
     """
     x = policy.first_rows(policy.spec.expert_features(state)[None])[0]
-    skills, log_prob, entropies = _act(
-        policy, policy.actor, x, MAX_SKILL_SEQUENCE_LEN, policy.stop_index, rng, greedy
-    )
-    return SkillSequence(tuple(skills)), log_prob, float(entropies.sum())
+    skills = _act(policy, policy.actor, x, MAX_SKILL_SEQUENCE_LEN, policy.stop_index, rng, greedy)
+    return (SkillSequence(tuple(skills)),)
 
 
 def expert_rows(policy: ExpertPolicy, states) -> np.ndarray:
@@ -478,22 +458,24 @@ def csa_act(
     state: CsaState,
     rng: np.random.Generator | None,
     greedy: bool = False,
-) -> tuple[Response, float, list[float]]:
-    """Generate a response autoregressively until END or the length cap.
+) -> tuple[Response]:
+    """Generate a response autoregressively until END or the length cap;
+    END is masked on the first step.
 
-    Returns the response, the log-probability of the realized tokens under
-    the sampling law (END masked on the first step), and the raw per-step
-    distribution entropies."""
+    Returns the one-element tuple ``(Response,)``: the tuple is kept only
+    because the benchmark's traced step counter reads the response as
+    ``result[0]``.  The response's log-probability and entropies come from
+    ``csa_loss`` (``L_p`` and ``L_d``)."""
     spec = policy.spec
     x = policy.first_rows(spec.csa_features(state)[None])[0]
-    tokens, log_prob, entropies = _act(
+    tokens = _act(
         policy, policy.generator, x, spec.max_response_len, policy.end_index, rng, greedy
     )
     response = Response(
         tokens=tuple(tokens),
         markers=response_markers(tokens, spec.token_markers),
     )
-    return response, log_prob, entropies.tolist()
+    return (response,)
 
 
 def csa_loss(

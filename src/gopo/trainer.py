@@ -213,7 +213,7 @@ def rollout(
     for turn_no in range(1, horizon + 1):
         state = obs.expert_state
         if expert is not None:
-            skills, _, _ = expert_act(expert, state, rng, greedy=greedy)
+            (skills,) = expert_act(expert, state, rng, greedy=greedy)
             r_e = esndcg(
                 skills.skills,
                 env.teacher_sequence(state).skills,
@@ -227,7 +227,7 @@ def rollout(
             constraint=skills,
             business_ctx=obs.business_ctx,
         )
-        response, _, _ = csa_act(csa, csa_state, rng, greedy=greedy)
+        (response,) = csa_act(csa, csa_state, rng, greedy=greedy)
         obs, dim_scores, _, done = env.step(skills, response)
         r_a = csa_reward(dim_scores, reward_cfg)
         weights = joint_weights(turn_no, horizon, reward_cfg)

@@ -137,7 +137,7 @@ class TestGradientSuite:
             policy = ExpertPolicy(spec, hidden=8, entropy_coeff=float(rng.uniform(0, 0.1)), seed=int(rng.integers(1 << 30)))
             policy.actor.set_params(rng.normal(0, 0.5, policy.actor.n_params))
             state = random_expert_state(spec, rng)
-            action, _, _ = expert_act(policy, state, rng)
+            (action,) = expert_act(policy, state, rng)
             adv = float(rng.normal(0, 1))
             _, grad = expert_loss(policy, state, action, adv)
 

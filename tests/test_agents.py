@@ -24,6 +24,7 @@ from gopo.core import (
     SkillSequence,
     response_markers,
 )
+import gopo.neural
 from gopo.neural import AdamState, adam_step
 from conftest import random_csa_state, random_expert_state, random_response
 from oracles import (
@@ -59,28 +60,84 @@ def _csa(spec, seed=0, weights=(1.0, 0.5, 0.01), zero=False):
     return p
 
 
+def _expert_terms(policy, state, action):
+    """The log-probability and entropy of a planner action, from the loss
+    pass: with unit advantage and no entropy bonus the loss is minus the
+    log-probability; with zero advantage and unit coefficient, minus the
+    entropy."""
+    saved = policy.entropy_coeff
+    try:
+        policy.entropy_coeff = 0.0
+        log_prob = -expert_loss(policy, state, action, advantage=1.0)[0]
+        policy.entropy_coeff = 1.0
+        entropy = -expert_loss(policy, state, action, advantage=0.0)[0]
+    finally:
+        policy.entropy_coeff = saved
+    return log_prob, entropy
+
+
+def _csa_terms(policy, state, response):
+    """The log-probability and summed entropy of a response, from the loss
+    pass: ``L_p`` at unit reward and ``L_d`` are their negatives."""
+    _, _, comps = csa_loss(policy, state, response, r_a=1.0)
+    return -comps["L_p"], -comps["L_d"]
+
+
+def _acted_log_prob(net, act):
+    """Run ``act()`` with ``net.forward`` recorded and return its result and
+    the log-probability, under the distributions the act drew from (the
+    first one with its stop symbol, the last output, masked), of the
+    symbols it realized: the emitted ones and the closing stop, absent at
+    the cap."""
+    dists = []
+    forward = net.forward
+
+    def recorder(x, **kwargs):
+        out = forward(x, **kwargs)
+        dists.append(out.copy())
+        return out
+
+    net.forward = recorder
+    try:
+        (result,) = act()
+    finally:
+        del net.forward
+    symbols = result.skills if isinstance(result, SkillSequence) else result.tokens
+    stop = len(dists[0]) - 1
+    realized = list(symbols) + [stop] * (len(dists) - len(symbols))
+    first = dists[0].copy()
+    first[stop] = 0.0
+    log_prob = math.log(first[realized[0]] / first.sum())
+    for p, sym in zip(dists[1:], realized[1:]):
+        log_prob += math.log(p[sym])
+    return result, log_prob
+
+
 class TestExpertAct:
     def test_uniform_first_slot_entropy_is_ln5(self, spec):
         # 4 skills + STOP: the raw per-slot distribution is uniform over 5
         policy = _expert(spec, zero=True)
         state = random_expert_state(spec, np.random.default_rng(0))
-        seq, _, entropy = expert_act(policy, state, np.random.default_rng(1))
+        (seq,) = expert_act(policy, state, np.random.default_rng(1))
+        _, entropy = _expert_terms(policy, state, seq)
         slots = len(seq) + (1 if len(seq) < 5 else 0)
         assert entropy == pytest.approx(slots * math.log(5), abs=1e-9)
 
     def test_greedy_is_deterministic_and_rng_free(self, spec):
         policy = _expert(spec, seed=4)
         state = random_expert_state(spec, np.random.default_rng(2))
-        a1, lp1, e1 = expert_act(policy, state, None, greedy=True)
-        a2, lp2, e2 = expert_act(policy, state, np.random.default_rng(99), greedy=True)
-        assert a1 == a2 and lp1 == lp2 and e1 == e2
+        rng = np.random.default_rng(99)
+        (a1,) = expert_act(policy, state, None, greedy=True)
+        (a2,) = expert_act(policy, state, rng, greedy=True)
+        assert a1 == a2
+        assert rng.random() == np.random.default_rng(99).random()
 
     def test_length_cap_over_many_draws(self, spec):
         policy = _expert(spec, seed=5)
         rng = np.random.default_rng(3)
         state = random_expert_state(spec, rng)
         for _ in range(10_000):
-            seq, _, _ = expert_act(policy, state, rng)
+            (seq,) = expert_act(policy, state, rng)
             assert 1 <= len(seq) <= 5
 
     def test_log_prob_matches_loss_recomputation(self, spec):
@@ -88,7 +145,9 @@ class TestExpertAct:
         rng = np.random.default_rng(4)
         for _ in range(10):
             state = random_expert_state(spec, rng)
-            action, log_prob, _ = expert_act(policy, state, rng)
+            action, log_prob = _acted_log_prob(
+                policy.actor, lambda: expert_act(policy, state, rng)
+            )
             loss, _ = expert_loss(policy, state, action, advantage=1.0)
             assert loss == pytest.approx(-log_prob, abs=1e-12)
 
@@ -105,10 +164,11 @@ class TestExpertLoss:
         policy = _expert(spec, seed=8, entropy_coeff=0.0)
         rng = np.random.default_rng(6)
         state = random_expert_state(spec, rng)
-        action, log_prob_before, _ = expert_act(policy, state, rng)
+        (action,) = expert_act(policy, state, rng)
+        log_prob_before, _ = _expert_terms(policy, state, action)
         _, grad = expert_loss(policy, state, action, advantage=1.0)
         policy.actor.set_params(policy.actor.get_params() - 1e-3 * grad)
-        _, log_prob_after, _ = expert_loss_log_prob(policy, state, action)
+        log_prob_after, _ = _expert_terms(policy, state, action)
         assert log_prob_after > log_prob_before
 
     def test_gradient_matches_finite_differences(self, spec):
@@ -117,7 +177,7 @@ class TestExpertLoss:
             policy = _expert(spec, seed=20 + trial, entropy_coeff=0.05)
             policy.actor.set_params(rng.normal(0, 0.4, policy.actor.n_params))
             state = random_expert_state(spec, rng)
-            action, _, _ = expert_act(policy, state, rng)
+            (action,) = expert_act(policy, state, rng)
             adv = float(rng.normal(0, 1))
             _, grad = expert_loss(policy, state, action, adv)
 
@@ -134,27 +194,18 @@ class TestExpertLoss:
     def test_logit_shift_invariance(self, spec):
         policy = _expert(spec, seed=9)
         state = random_expert_state(spec, np.random.default_rng(8))
-        action, lp, ent = expert_act(policy, state, None, greedy=True)
+        (action,) = expert_act(policy, state, None, greedy=True)
+        lp, ent = _expert_terms(policy, state, action)
         loss, _ = expert_loss(policy, state, action, advantage=0.7)
         # add a constant to every output logit via the last-layer bias
         policy.actor.biases[-1] = policy.actor.biases[-1] + 3.7
-        action2, lp2, ent2 = expert_act(policy, state, None, greedy=True)
+        (action2,) = expert_act(policy, state, None, greedy=True)
+        lp2, ent2 = _expert_terms(policy, state, action2)
         loss2, _ = expert_loss(policy, state, action2, advantage=0.7)
         assert action2 == action
         assert lp2 == pytest.approx(lp, abs=1e-9)
         assert ent2 == pytest.approx(ent, abs=1e-9)
         assert loss2 == pytest.approx(loss, abs=1e-9)
-
-
-def expert_loss_log_prob(policy, state, action):
-    """log pi(action|state) recomputed via the entropy-free loss."""
-    saved = policy.entropy_coeff
-    policy.entropy_coeff = 0.0
-    try:
-        loss, _ = expert_loss(policy, state, action, advantage=1.0)
-    finally:
-        policy.entropy_coeff = saved
-    return action, -loss, None
 
 
 class TestCritic:
@@ -192,23 +243,28 @@ class TestCsaAct:
     def test_uniform_per_token_entropy(self, spec):
         policy = _csa(spec, zero=True)
         state = random_csa_state(spec, np.random.default_rng(12))
-        _, _, entropies = csa_act(policy, state, np.random.default_rng(13))
-        expected = math.log(spec.vocab_size + 1)
-        assert all(e == pytest.approx(expected, abs=1e-9) for e in entropies)
+        (resp,) = csa_act(policy, state, np.random.default_rng(13))
+        _, entropy = _csa_terms(policy, state, resp)
+        # no step's entropy exceeds ln(V + 1), so the sum reaches n * ln(V + 1)
+        # only if every step is uniform
+        n_steps = min(len(resp.tokens) + 1, spec.max_response_len)
+        assert entropy == pytest.approx(n_steps * math.log(spec.vocab_size + 1), abs=1e-9)
 
     def test_greedy_deterministic(self, spec):
         policy = _csa(spec, seed=14)
         state = random_csa_state(spec, np.random.default_rng(14))
-        r1, lp1, _ = csa_act(policy, state, None, greedy=True)
-        r2, lp2, _ = csa_act(policy, state, np.random.default_rng(5), greedy=True)
-        assert r1 == r2 and lp1 == lp2
+        rng = np.random.default_rng(5)
+        (r1,) = csa_act(policy, state, None, greedy=True)
+        (r2,) = csa_act(policy, state, rng, greedy=True)
+        assert r1 == r2
+        assert rng.random() == np.random.default_rng(5).random()
 
     def test_length_cap(self, spec):
         policy = _csa(spec, seed=15)
         rng = np.random.default_rng(15)
         for _ in range(500):
             state = random_csa_state(spec, rng)
-            resp, _, _ = csa_act(policy, state, rng)
+            (resp,) = csa_act(policy, state, rng)
             assert 1 <= len(resp.tokens) <= spec.max_response_len
 
     def test_markers_consistent_with_tokens(self, spec):
@@ -217,7 +273,7 @@ class TestCsaAct:
         policy = _csa(spec, seed=16)
         rng = np.random.default_rng(16)
         state = random_csa_state(spec, rng)
-        resp, _, _ = csa_act(policy, state, rng)
+        (resp,) = csa_act(policy, state, rng)
         assert resp.markers == response_markers(resp.tokens, spec.token_markers)
 
 
@@ -237,7 +293,7 @@ class TestCsaLoss:
         policy.generator.set_params(np.zeros(policy.generator.n_params))
         policy.generator.biases[-1][3] = 60.0
         state = random_csa_state(spec, np.random.default_rng(18))
-        resp, _, _ = csa_act(policy, state, None, greedy=True)
+        (resp,) = csa_act(policy, state, None, greedy=True)
         _, _, comps = csa_loss(policy, state, resp, r_a=0.0)
         assert abs(comps["L_d"]) < 1e-4
 
@@ -319,7 +375,7 @@ class TestCsaLoss:
         policy = _csa(spec, seed=22, weights=(1.0, 0.0, 0.0))
         rng = np.random.default_rng(22)
         state = random_csa_state(spec, rng)
-        resp, log_prob, _ = csa_act(policy, state, rng)
+        resp, log_prob = _acted_log_prob(policy.generator, lambda: csa_act(policy, state, rng))
         _, _, comps = csa_loss(policy, state, resp, r_a=1.0)
         assert comps["L_p"] == pytest.approx(-log_prob, abs=1e-12)
 
@@ -342,7 +398,7 @@ class TestBatchedLossesMatchOracles:
             policy = _expert(spec, seed=200 + trial, entropy_coeff=float(rng.uniform(0, 0.1)))
             policy.actor.set_params(rng.normal(0, 0.5, policy.actor.n_params))
             state = random_expert_state(spec, rng)
-            action, _, _ = expert_act(policy, state, rng)
+            (action,) = expert_act(policy, state, rng)
             self._check_expert(policy, state, action, float(rng.normal(0, 1)))
 
     def test_expert_single_skill_and_full_length(self, spec):
@@ -426,16 +482,64 @@ def test_greedy_step_is_the_argmax_of_the_logits(spec):
         logits[1], logits[3] = z1, z3
         p = policy.actor.forward(np.zeros(policy.actor.layer_sizes[0]))
         assert p[1] == p[3]
-        action, _, _ = expert_act(policy, state, None, greedy=True)
+        (action,) = expert_act(policy, state, None, greedy=True)
         assert action.skills == (want,) * MAX_SKILL_SEQUENCE_LEN
+
+
+@pytest.mark.parametrize("greedy", [False, True])
+@pytest.mark.parametrize("policy_kind", ["expert", "csa"])
+def test_act_runs_one_forward_per_step_and_greedy_no_softmax(
+    spec, monkeypatch, policy_kind, greedy
+):
+    """Acting runs one ``Mlp.forward`` per realized step, on logits when
+    greedy and on the distribution when sampled, and a greedy act never
+    runs the softmax."""
+    if greedy:
+        def no_softmax(*args, **kwargs):
+            raise AssertionError("a greedy act ran the softmax")
+
+        monkeypatch.setattr(gopo.neural, "stable_softmax", no_softmax)
+        monkeypatch.setattr(gopo.neural, "_softmax_raw", no_softmax)
+    rng = np.random.default_rng(61)
+    for trial in range(10):
+        if policy_kind == "expert":
+            policy = _expert(spec, seed=800 + trial)
+            net, act, cap = policy.actor, expert_act, MAX_SKILL_SEQUENCE_LEN
+            state = random_expert_state(spec, rng)
+        else:
+            policy = _csa(spec, seed=820 + trial)
+            net, act, cap = policy.generator, csa_act, spec.max_response_len
+            state = random_csa_state(spec, rng)
+        calls = []
+        forward = net.forward
+        monkeypatch.setattr(
+            net, "forward", lambda x, **kwargs: calls.append(kwargs) or forward(x, **kwargs)
+        )
+        (result,) = act(policy, state, rng, greedy=greedy)
+        symbols = result.skills if policy_kind == "expert" else result.tokens
+        assert len(calls) == min(len(symbols) + 1, cap)
+        assert all(kwargs.get("logits", False) == greedy for kwargs in calls)
 
 
 class TestActMatchesOracle:
     """The in-place, inverse-CDF act path against the per-step reference
-    loops: same action and draws, bitwise log-probabilities, and network
-    inputs equal to the oracle builders' rows for the same prefix and to
-    the teacher-forced rows the loss feeds the network for the acted
-    turn."""
+    loops: same action and draws, network inputs equal to the oracle
+    builders' rows for the same prefix and to the teacher-forced rows the
+    loss feeds the network for the acted turn, and the oracle's
+    log-probability and entropies equal to the loss pass's within 1e-12
+    (batched and per-row products round differently), widened only where
+    the first step's stop probability nears 1 (``_first_step_slack``)."""
+
+    TOL = 1e-12
+
+    @staticmethod
+    def _first_step_slack(net, row, stop):
+        """The loss pass normalizes the first step by ``1 - p(stop)``, the
+        oracle by the sum of the other probabilities: as ``p(stop)`` nears
+        1 the former keeps only ``eps / (1 - p(stop))`` of relative
+        precision, so a saturated stop symbol widens the log-probability
+        comparison by a few of those units."""
+        return 2 * np.finfo(float).eps / (1.0 - net.forward(row)[stop])
 
     KINDS = ("random", "zero", "saturated")
 
@@ -455,13 +559,15 @@ class TestActMatchesOracle:
             state = random_expert_state(spec, rng)
             mine, theirs = self._twins(500 + trial)
             rows = _recording(policy.actor)
-            action, log_prob, entropy = expert_act(policy, state, mine, greedy=greedy)
+            (action,) = expert_act(policy, state, mine, greedy=greedy)
             del policy.actor.forward
             want, want_lp, want_ent = oracle_expert_act(policy, state, theirs, greedy=greedy)
             assert action.skills == want
-            assert log_prob == want_lp
-            assert entropy == pytest.approx(want_ent, abs=1e-12)
             assert mine.random() == theirs.random()
+            log_prob, entropy = _expert_terms(policy, state, action)
+            slack = self._first_step_slack(policy.actor, rows[0], policy.stop_index)
+            assert log_prob == pytest.approx(want_lp, rel=self.TOL, abs=self.TOL + slack)
+            assert entropy == pytest.approx(want_ent, rel=self.TOL, abs=self.TOL)
             if kind == "saturated" and hot != spec.n_skills:
                 assert len(action.skills) == MAX_SKILL_SEQUENCE_LEN
             feat = spec.expert_features(state)
@@ -491,14 +597,15 @@ class TestActMatchesOracle:
                 state = CsaState(state.utterance, None, state.business_ctx)
             mine, theirs = self._twins(600 + trial)
             rows = _recording(policy.generator)
-            resp, log_prob, entropies = csa_act(policy, state, mine, greedy=greedy)
+            (resp,) = csa_act(policy, state, mine, greedy=greedy)
             del policy.generator.forward
             want, want_lp, want_ents = oracle_csa_act(policy, state, theirs, greedy=greedy)
             assert resp.tokens == want
-            assert log_prob == want_lp
-            assert len(entropies) == len(want_ents)
-            assert all(abs(a - b) <= 1e-12 for a, b in zip(entropies, want_ents))
             assert mine.random() == theirs.random()
+            log_prob, entropy = _csa_terms(policy, state, resp)
+            slack = self._first_step_slack(policy.generator, rows[0], policy.end_index)
+            assert log_prob == pytest.approx(want_lp, rel=self.TOL, abs=self.TOL + slack)
+            assert entropy == pytest.approx(sum(want_ents), rel=self.TOL, abs=self.TOL)
             if kind == "saturated" and hot != spec.vocab_size:
                 assert len(resp.tokens) == spec.max_response_len
             feat = spec.csa_features(state)
