@@ -13,6 +13,7 @@ from gopo.agents import (
     csa_loss,
     expert_act,
     expert_loss,
+    expert_rows,
 )
 from gopo.cli import load_config
 from gopo.core import CsaState
@@ -28,11 +29,13 @@ env = DialogueEnv(cfg)
 obs = env.reset(seed=3)
 
 # acting returns only the choice; its log-probability and entropy come
-# from the teacher-forced loss, -advantage * log-prob - entropy_coeff * entropy
+# from the teacher-forced loss, -advantage * log-prob - entropy_coeff * entropy,
+# here over an episode of one turn
 (seq,) = expert_act(expert, obs.expert_state, rng)
+rows = expert_rows(expert, [obs.expert_state])
 alpha = expert.entropy_coeff
-seq_entropy = -expert_loss(expert, obs.expert_state, seq, advantage=0.0)[0] / alpha
-seq_log_prob = -expert_loss(expert, obs.expert_state, seq, advantage=1.0)[0] - alpha * seq_entropy
+seq_entropy = -expert_loss(expert, rows, [seq], [0.0])[0] / alpha
+seq_log_prob = -expert_loss(expert, rows, [seq], [1.0])[0] - alpha * seq_entropy
 print(f"sampled skill sequence {seq.skills}  "
       f"log-prob {seq_log_prob:.3f}  entropy {seq_entropy:.3f}")
 (greedy_seq,) = expert_act(expert, obs.expert_state, None, greedy=True)
@@ -41,12 +44,12 @@ print(f"greedy skill sequence  {greedy_seq.skills}")
 state = CsaState(obs.csa_utterance, seq, obs.business_ctx)
 (response,) = csa_act(csa, state, rng)
 # the responder loss reports L_p = -r_a * log-prob and L_d = -entropy
-_, _, acted = csa_loss(csa, state, response, r_a=1.0)
+_, _, acted = csa_loss(csa, [state], [response], [1.0])
 print(f"sampled response {response.tokens[:8]}... len {len(response.tokens)}  "
       f"log-prob {-acted['L_p']:.2f}  entropy {-acted['L_d']:.2f}")
 
 # finite-difference check of the composite responder loss
-total, grad, comps = csa_loss(csa, state, response, r_a=0.7)
+total, grad, comps = csa_loss(csa, [state], [response], [0.7])
 print(f"\ncomposite loss {total:.4f}  components "
       f"L_p {comps['L_p']:.3f}  L_s {comps['L_s']:.3f}  L_d {comps['L_d']:.3f}")
 
@@ -59,13 +62,13 @@ for i in idx:
     up[i] += step
     down[i] -= step
     csa.generator.set_params(up)
-    f_up = csa_loss(csa, state, response, 0.7)[0]
+    f_up = csa_loss(csa, [state], [response], [0.7])[0]
     csa.generator.set_params(down)
-    f_down = csa_loss(csa, state, response, 0.7)[0]
+    f_down = csa_loss(csa, [state], [response], [0.7])[0]
     csa.generator.set_params(params)
     fd = (f_up - f_down) / (2 * step)
     print(f"  {i:6d}    {grad[i]:+12.8f}    {fd:+12.8f}")
 
-_, egrad = expert_loss(expert, obs.expert_state, seq, advantage=0.5)
+_, egrad = expert_loss(expert, rows, [seq], [0.5])
 print(f"\nplanner loss gradient norm {np.linalg.norm(egrad):.4f} "
       f"over {egrad.size} parameters")

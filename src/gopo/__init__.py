@@ -19,7 +19,6 @@ from .core import (
     Trajectory,
     TurnRecord,
     TurnSummary,
-    validate_trajectory,
 )
 from .metrics import MetricReport, TseConfig, aggregate, bleu, gre, tse
 from .rewards import (
@@ -66,6 +65,5 @@ __all__ = [
     "joint_weights",
     "relevance",
     "tse",
-    "validate_trajectory",
     "__version__",
 ]

@@ -37,11 +37,9 @@ sequence.  So the losses train on exactly the rows acting fed the network.
 The losses are teacher-forced over a whole episode: the input rows of every
 realized step of every turn are stacked in turn and step order, so each
 network runs one forward and one backward pass per episode.  A loss
-returns the sum of its turns' losses and gradients.  Called with one turn,
-it is the per-turn loss; that case is one line into the episode code, which
-the gradient checks therefore exercise.  The planner's losses take the
-episode's stacked feature rows (``expert_rows``), computed once per turn
-and shared by the critic and the actor.
+returns the sum of its turns' losses and gradients.  The planner's losses
+take the episode's stacked feature rows (``expert_rows``), computed once
+per turn and shared by the critic and the actor.
 """
 
 from __future__ import annotations
@@ -326,69 +324,56 @@ def expert_act(
 
 
 def expert_rows(policy: ExpertPolicy, states) -> np.ndarray:
-    """The feature row of each planner state, stacked (one row for one
-    state): the critic's input and the head of every actor slot row."""
-    if isinstance(states, ExpertState):
-        states = (states,)
+    """The feature rows of a sequence of planner states, stacked: the
+    critic's input and the head of every actor slot row."""
     return np.stack([policy.spec.expert_features(s) for s in states])
 
 
 def expert_loss(
     policy: ExpertPolicy,
-    state,
-    action,
-    advantage,
+    rows: np.ndarray,
+    actions,
+    advantages,
 ) -> tuple[float, np.ndarray]:
-    """Entropy-regularized policy-gradient loss of planner decisions:
-    ``-advantage * log pi(action|state) - entropy_coeff * H(pi(.|state))``,
-    with its analytic gradient over the actor parameters.
+    """Entropy-regularized policy-gradient loss of an episode's planner
+    decisions: ``-advantage * log pi(action|state) - entropy_coeff *
+    H(pi(.|state))`` summed over the turns, with its analytic gradient over
+    the actor parameters.
 
-    ``state``, ``action`` and ``advantage`` are one decision's, or an
-    episode's: its stacked feature rows (``expert_rows``) with one action
-    and one advantage per row, whose losses and gradients are summed.  The
-    slot rows of every realized sequence are stacked, so the actor runs one
-    forward and one backward pass."""
-    if isinstance(state, ExpertState):
-        return expert_loss(policy, expert_rows(policy, state), [action], [advantage])
+    ``rows`` are the episode's stacked feature rows (``expert_rows``), with
+    one action and one advantage per row.  The slot rows of every realized
+    sequence are stacked, so the actor runs one forward and one backward
+    pass."""
     cap = MAX_SKILL_SEQUENCE_LEN
-    sequences = [a.skills for a in action]
+    sequences = [a.skills for a in actions]
     symbols, _, realized = _padded_symbols(sequences, cap, policy.stop_index)
-    x = _forced_rows(policy, policy.first_rows(state), sequences, cap)
+    x = _forced_rows(policy, policy.first_rows(rows), sequences, cap)
     p = policy.actor.forward(x)
-    advantage = np.asarray(advantage, dtype=float)
+    advantages = np.asarray(advantages, dtype=float)
     alpha = policy.entropy_coeff
     log_q, entropy, u = _sequence_terms(
-        p, symbols[realized], realized.sum(axis=1), policy.stop_index, advantage, alpha
+        p, symbols[realized], realized.sum(axis=1), policy.stop_index, advantages, alpha
     )
-    loss = float(-(advantage @ log_q) - alpha * entropy)
+    loss = float(-(advantages @ log_q) - alpha * entropy)
     return loss, policy.actor.backward(x, u)
 
 
-def critic_value(policy: ExpertPolicy, state):
-    """The critic's value of one planner state, or the array of values of
-    stacked feature rows (``expert_rows``) from one forward pass."""
-    if isinstance(state, ExpertState):
-        return float(critic_value(policy, expert_rows(policy, state))[0])
-    return policy.critic.forward(state)[:, 0]
+def critic_value(policy: ExpertPolicy, rows: np.ndarray) -> np.ndarray:
+    """The critic's values of stacked feature rows (``expert_rows``), from
+    one forward pass."""
+    return policy.critic.forward(rows)[:, 0]
 
 
 def critic_loss(
-    policy: ExpertPolicy, state, target, values: np.ndarray | None = None
+    policy: ExpertPolicy, rows: np.ndarray, targets, values: np.ndarray
 ) -> tuple[float, np.ndarray]:
-    """Squared error of the critic's value estimates against fixed targets,
-    with its analytic gradient over the critic parameters.
-
-    ``state`` and ``target`` are one state's, or an episode's stacked
-    feature rows (``expert_rows``) and one target per row, whose losses and
-    gradients are summed.  ``values`` are the critic's values of those rows
-    when the caller already has them from its forward pass; otherwise one
-    forward computes them."""
-    if isinstance(state, ExpertState):
-        return critic_loss(policy, expert_rows(policy, state), [target])
-    if values is None:
-        values = critic_value(policy, state)
-    err = values - np.asarray(target, dtype=float)
-    return float(err @ err), policy.critic.backward(state, 2.0 * err[:, None])
+    """Squared error of the critic's values of an episode's stacked feature
+    rows (``expert_rows``) against fixed targets, one per row, summed, with
+    its analytic gradient over the critic parameters.  ``values`` are the
+    critic's values of those rows (``critic_value``), which the caller
+    already has from its forward pass."""
+    err = values - np.asarray(targets, dtype=float)
+    return float(err @ err), policy.critic.backward(rows, 2.0 * err[:, None])
 
 
 # --- responder ------------------------------------------------------------------
@@ -480,11 +465,12 @@ def csa_act(
 
 def csa_loss(
     policy: CsaPolicy,
-    state,
-    action,
+    states,
+    actions,
     r_a,
 ) -> tuple[float, np.ndarray, dict[str, float]]:
-    """Composite responder loss and its analytic gradient.
+    """Composite responder loss of an episode's turns and its analytic
+    gradient.
 
     ``L_p`` is the policy-gradient term ``-r_a * log pi(action|state)``;
     ``L_s`` is the marker-coverage distance to the constraint, made
@@ -495,20 +481,17 @@ def csa_loss(
     uniform.  Total is the weighted sum; the per-component values are
     returned unweighted.
 
-    ``state``, ``action`` and ``r_a`` are one turn's, or equal-length
-    sequences over an episode's turns, whose losses, components and
-    gradients are summed.
+    ``states``, ``actions`` and ``r_a`` are equal-length sequences over the
+    episode's turns, whose losses, components and gradients are summed.
     """
-    if isinstance(state, CsaState):
-        return csa_loss(policy, [state], [action], [r_a])
     spec = policy.spec
     cap, nm = spec.max_response_len, spec.n_markers
-    sequences = [a.tokens for a in action]
+    sequences = [a.tokens for a in actions]
     symbols, n_tok, realized = _padded_symbols(sequences, cap, policy.end_index)
 
     # Teacher forcing: the step rows of every realized response form one
     # batch, so the generator runs one forward and one backward pass.
-    feats = np.stack([spec.csa_features(s) for s in state])
+    feats = np.stack([spec.csa_features(s) for s in states])
     x = _forced_rows(policy, policy.first_rows(feats), sequences, cap)
     p = policy.generator.forward(x)
     required = feats[:, spec.n_skills : spec.n_skills + nm]
@@ -527,9 +510,9 @@ def csa_loss(
     n_req = required.sum(axis=1, keepdims=True)
     weight = np.where((n_req > 0) & (n_tok[:, None] > 0), required / np.maximum(n_req, 1), 0.0)
     on_token = np.arange(cap) < n_tok[:, None]
-    miss = np.ones((len(state), cap, nm))
+    miss = np.ones((len(states), cap, nm))
     miss[on_token] = 1.0 - p[on_token[realized]] @ policy.carriers
-    ones = np.ones((len(state), 1, nm))
+    ones = np.ones((len(states), 1, nm))
     prefix = np.concatenate([ones, np.cumprod(miss, axis=1)], axis=1)
     suffix = np.concatenate([np.cumprod(miss[:, ::-1], axis=1)[:, ::-1], ones], axis=1)
     loss_skill = float(np.sum(prefix[:, -1] * weight))

@@ -197,8 +197,9 @@ class MilestoneRecord:
     (requirement matching, information delivery, proactive guidance).
 
     Cross-field consistency (turn defined iff completed, turns strictly
-    increasing) is checked by :func:`validate_trajectory`, not here, so that
-    malformed records read from disk can still be inspected.
+    increasing) is not checked here, so that malformed records read from
+    disk can still be inspected; the environment only builds consistent
+    records.
     """
 
     completed: tuple[bool, bool, bool] = (False, False, False)
@@ -241,48 +242,6 @@ class Trajectory:
 
     def __len__(self) -> int:
         return len(self.turns)
-
-
-def validate_trajectory(
-    traj: Trajectory, pool_size: int, horizon: int
-) -> str | None:
-    """Check every trajectory invariant; return None if all hold, otherwise a
-    description of the first violated one."""
-    if len(traj.turns) > horizon:
-        return f"turn count {len(traj.turns)} exceeds horizon {horizon}"
-    for i, turn in enumerate(traj.turns):
-        if turn.skills is not None:
-            for s in turn.skills:
-                if s >= pool_size:
-                    return (
-                        f"skill id range: turn {i + 1} uses skill {s} "
-                        f"outside pool of size {pool_size}"
-                    )
-        r = turn.reward
-        if not 0.0 <= r.r_expert <= 1.0:
-            return f"r_expert out of [0,1] at turn {i + 1}: {r.r_expert}"
-        if not 0.0 <= r.r_csa <= 1.0:
-            return f"r_csa out of [0,1] at turn {i + 1}: {r.r_csa}"
-        if any(not 0.0 <= s <= 1.0 for s in r.dim_scores):
-            return f"dim score out of [0,1] at turn {i + 1}: {r.dim_scores}"
-        if r.joint != r.w_expert * r.r_expert + r.w_csa * r.r_csa:
-            return f"joint reward inconsistent at turn {i + 1}"
-    m = traj.milestones
-    prev_turn = 0
-    for i in range(NUM_MILESTONES):
-        if m.completed[i] != (m.turns[i] is not None):
-            return f"milestone turn defined iff completed violated at index {i}"
-        t = m.turns[i]
-        if t is not None:
-            if t < 1:
-                return f"milestone turn must be positive at index {i}: {t}"
-            if t <= prev_turn:
-                return (
-                    f"milestone order: turn {t} of milestone {i + 1} not after "
-                    f"turn {prev_turn} of the previous completed milestone"
-                )
-            prev_turn = t
-    return None
 
 
 # --- JSONL wire format -----------------------------------------------------

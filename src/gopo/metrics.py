@@ -17,7 +17,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .core import MilestoneRecord, NUM_MILESTONES, Response, Trajectory
+from .core import MilestoneRecord, NUM_MILESTONES, Trajectory
 
 _WEIGHT_SUM_TOL = 1e-12
 
@@ -81,10 +81,6 @@ def gre(trajectory: Trajectory) -> float:
     return sum(per_turn) / len(per_turn)
 
 
-def _tokens(x) -> tuple[int, ...]:
-    return x.tokens if isinstance(x, Response) else tuple(x)
-
-
 # Candidate/reference pairs counted at a time: it bounds the counting
 # arrays, so memory stays flat whatever the corpus size.
 _BLEU_CHUNK = 256
@@ -137,8 +133,8 @@ def bleu(candidates: Sequence, references: Sequence, max_n: int = 4) -> float:
     penalty, and add-one smoothing applied to higher-order precisions whose
     clipped count is zero (unigram precision is never smoothed, so disjoint
     corpora score exactly 0).  Orders for which the candidate corpus has no
-    n-grams at all are dropped from the geometric mean.  Accepts
-    :class:`~gopo.core.Response` objects or plain token sequences.
+    n-grams at all are dropped from the geometric mean.  Candidates and
+    references are token sequences.
 
     The clipped and total counts are exact integers, counted with arrays
     over chunks of ``_BLEU_CHUNK`` pairs (``_ngram_counts``) and summed, so
@@ -150,8 +146,7 @@ def bleu(candidates: Sequence, references: Sequence, max_n: int = 4) -> float:
         )
     if len(candidates) == 0:
         raise ValueError("empty corpus")
-    cands = [_tokens(c) for c in candidates]
-    refs = [_tokens(r) for r in references]
+    cands, refs = list(candidates), list(references)
     if any(len(c) == 0 for c in cands) or any(len(r) == 0 for r in refs):
         raise ValueError("responses must be non-empty")
 

@@ -116,16 +116,14 @@ def esndcg(pred: Sequence[int], teacher: Sequence[int], dedupe: bool = True) -> 
     Equals ``dcg(pred) / idcg(teacher)``; 1.0 exactly when the prediction
     reproduces the teacher in order.  Degenerate empty-teacher inputs return
     1.0 for an empty prediction and 0.0 otherwise, preserving the
-    perfect-match-is-one convention without dividing by zero.
+    perfect-match-is-one convention without dividing by zero.  A non-empty
+    teacher's ``idcg`` is at least 1, its first term being ``2**n - 1``.
     """
     _check_len(pred, "pred")
     _check_len(teacher, "teacher")
     if len(teacher) == 0:
         return 1.0 if len(pred) == 0 else 0.0
-    denom = idcg(teacher)
-    if denom == 0.0:
-        return 1.0 if len(pred) == 0 else 0.0
-    return dcg(pred, teacher, dedupe=dedupe) / denom
+    return dcg(pred, teacher, dedupe=dedupe) / idcg(teacher)
 
 
 def csa_reward(dim_scores: Sequence[float], cfg: RewardConfig) -> float:

@@ -58,6 +58,7 @@ from .core import (
     BusinessContext,
     CsaState,
     ExpertState,
+    MilestoneRecord,
     NUM_MILESTONES,
     Response,
     Skill,
@@ -131,6 +132,25 @@ def parse_fields(cls, data, path: str, items: Mapping | None = None):
         raise
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"{path}: {exc}") from exc
+
+
+def to_json(value):
+    """A config value as the JSON value ``parse_fields`` reads back to it: a
+    dataclass becomes its fields in order, a frozenset a sorted list and a
+    tuple a list; a mapping with tuple keys (the scenario table) is written
+    in key order with its keys joined by ``|``, any other mapping in its
+    own order."""
+    if dataclasses.is_dataclass(value):
+        return {f.name: to_json(getattr(value, f.name)) for f in dataclasses.fields(value)}
+    if isinstance(value, frozenset):
+        return sorted(value)
+    if isinstance(value, tuple):
+        return [to_json(v) for v in value]
+    if isinstance(value, Mapping):
+        if all(isinstance(k, tuple) for k in value):
+            return {"|".join(map(str, k)): to_json(v) for k, v in sorted(value.items())}
+        return {k: to_json(v) for k, v in value.items()}
+    return value
 
 
 def list_of(item):
@@ -241,45 +261,6 @@ class EnvConfig:
 
     def __post_init__(self) -> None:
         validate_env_config(self)
-
-    # -- serialization ----------------------------------------------------
-
-    def to_dict(self) -> dict:
-        return {
-            "skill_pool": [
-                {
-                    "id": s.id,
-                    "name": s.name,
-                    "required_markers": sorted(s.required_markers),
-                }
-                for s in self.skill_pool
-            ],
-            "intents": list(self.intents),
-            "emotions": list(self.emotions),
-            "vocab_size": self.vocab_size,
-            "horizon": self.horizon,
-            "history_window": self.history_window,
-            "marker_count": self.marker_count,
-            "token_markers": [sorted(m) for m in self.token_markers],
-            "politeness_markers": sorted(self.politeness_markers),
-            "phase_markers": [sorted(m) for m in self.phase_markers],
-            "emotion_transition": {
-                key: [list(row) for row in mat]
-                for key, mat in self.emotion_transition.items()
-            },
-            "intent_transition": [
-                [list(row) for row in mat] for mat in self.intent_transition
-            ],
-            "initial_intent_dist": list(self.initial_intent_dist),
-            "initial_emotion_dist": list(self.initial_emotion_dist),
-            "scenario_table": {
-                f"{intent}|{emotion}|{phase}": list(seq)
-                for (intent, emotion, phase), seq in sorted(self.scenario_table.items())
-            },
-            "milestone_rules": [list(r) for r in self.milestone_rules],
-            "compliance_threshold": self.compliance_threshold,
-            "max_response_len": self.max_response_len,
-        }
 
     @classmethod
     def from_dict(cls, data, path: str = "env", base_dir=None) -> "EnvConfig":
@@ -534,9 +515,7 @@ class DialogueEnv:
     def terminal_reason(self) -> str | None:
         return self._terminal_reason
 
-    def milestone_record(self):
-        from .core import MilestoneRecord
-
+    def milestone_record(self) -> MilestoneRecord:
         return MilestoneRecord(
             completed=tuple(self._completed), turns=tuple(self._milestone_turns)
         )

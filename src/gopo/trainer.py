@@ -38,8 +38,11 @@ Run directory layout::
     checkpoints/{expert,critic,csa}-{step}.ckpt
     final_report.csv                     final evaluation row
 
-``gopo eval`` rebuilds the policies with ``build_policies`` and reads the
-latest step saved for every network back with ``load_checkpoints``.
+``config.copy`` is ``simenv.to_json`` of the parsed config, which parses
+back to the same config (a scenario table given as a file is written
+inline).  ``gopo eval`` rebuilds the policies with ``build_policies`` and
+reads the latest step saved for every network back with
+``load_checkpoints``.
 """
 
 from __future__ import annotations
@@ -83,6 +86,7 @@ from .simenv import (
     list_of,
     parse_fields,
     reference_responses,
+    to_json,
 )
 
 VARIANTS = ("full", "no-expert", "untrained")
@@ -157,15 +161,6 @@ class GlobalConfig:
     tse: TseConfig
     train: TrainConfig
     output_dir: str
-
-    def to_dict(self) -> dict:
-        return {
-            "env": self.env.to_dict(),
-            "reward": dataclasses.asdict(self.reward),
-            "tse": dataclasses.asdict(self.tse),
-            "train": dataclasses.asdict(self.train),
-            "output_dir": self.output_dir,
-        }
 
     @classmethod
     def from_dict(cls, data, base_dir=None) -> "GlobalConfig":
@@ -247,22 +242,16 @@ def rollout(
         turns=tuple(turns),
         milestones=env.milestone_record(),
         seed=env_seed,
-        terminal_reason=env.terminal_reason or "horizon",
+        terminal_reason=env.terminal_reason,
     )
 
 
 def compute_advantages(
-    traj: Trajectory,
-    policy: ExpertPolicy,
-    discount: float,
-    values: np.ndarray | None = None,
+    traj: Trajectory, values: np.ndarray, discount: float
 ) -> tuple[np.ndarray, np.ndarray]:
-    """One-step TD targets on the joint reward, with terminal value 0, and
-    the advantages ``target - value`` of every turn.  ``values`` are the
-    critic's values of the turns' planner states; by default one critic
-    forward over the episode computes them."""
-    if values is None:
-        values = critic_value(policy, expert_rows(policy, [t.expert_state for t in traj.turns]))
+    """One-step TD(0) targets on the joint reward, with terminal value 0,
+    and the advantages ``target - value`` of every turn; ``values`` are the
+    critic's values of the turns' planner states."""
     joint = np.array([t.reward.joint for t in traj.turns])
     targets = joint + discount * np.append(values[1:], 0.0)
     return targets, targets - values
@@ -303,7 +292,7 @@ def episode_gradients(
     if expert is not None:
         feats = expert_rows(expert, [t.expert_state for t in turns])
         values = critic_value(expert, feats)
-        targets, advantages = compute_advantages(traj, expert, discount, values)
+        targets, advantages = compute_advantages(traj, values, discount)
         out["expert"] = expert_loss(expert, feats, [t.skills for t in turns], advantages)
         out["critic"] = critic_loss(expert, feats, targets, values)
     loss, grad, _ = csa_loss(
@@ -457,7 +446,7 @@ def train(cfg: GlobalConfig, out_dir=None) -> tuple[MetricReport, list[Trajector
     ckpt_dir = run_dir / "checkpoints"
     ckpt_dir.mkdir(exist_ok=True)
     (run_dir / "config.copy").write_text(
-        json.dumps(cfg.to_dict(), indent=2) + "\n", encoding="utf-8"
+        json.dumps(to_json(cfg), indent=2) + "\n", encoding="utf-8"
     )
 
     expert, csa = build_policies(cfg.env, train_cfg)

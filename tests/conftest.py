@@ -162,12 +162,12 @@ def make_reward(r_expert, r_csa, dim_scores, weights):
 def write_tiny_config(path, out_dir, **train_overrides):
     """A complete config file over the tiny world, small enough that CLI
     round trips run in a second or two."""
-    import dataclasses
     import json
 
     from gopo.metrics import TseConfig
     from gopo.rewards import RewardConfig
-    from gopo.trainer import TrainConfig
+    from gopo.simenv import to_json
+    from gopo.trainer import GlobalConfig, TrainConfig
 
     train = dict(
         episodes=16,
@@ -179,12 +179,8 @@ def write_tiny_config(path, out_dir, **train_overrides):
         seed=3,
     )
     train.update(train_overrides)
-    data = {
-        "env": make_tiny_env_cfg().to_dict(),
-        "reward": dataclasses.asdict(RewardConfig()),
-        "tse": dataclasses.asdict(TseConfig()),
-        "train": dataclasses.asdict(TrainConfig(**train)),
-        "output_dir": str(out_dir),
-    }
-    path.write_text(json.dumps(data, indent=2), encoding="utf-8")
+    cfg = GlobalConfig(
+        make_tiny_env_cfg(), RewardConfig(), TseConfig(), TrainConfig(**train), str(out_dir)
+    )
+    path.write_text(json.dumps(to_json(cfg), indent=2), encoding="utf-8")
     return path

@@ -9,6 +9,8 @@ the policies' ``first_rows``/``advance``, and reuse only the per-row network
 calls; every loss term, upstream gradient, draw and entropy is evaluated one
 step at a time.  ``oracle_bleu`` counts n-grams with ``Counter``s, pair by
 pair, and ``ChoiceDialogueEnv`` draws every user state with ``rng.choice``.
+``validate_trajectory`` checks every invariant a trajectory the environment
+plays must hold.
 """
 
 import math
@@ -21,7 +23,6 @@ from gopo.core import (
     NUM_MILESTONES,
     BusinessContext,
     CsaState,
-    Response,
     TurnSummary,
 )
 from gopo.simenv import TERMINAL_ALL_MILESTONES, TERMINAL_HORIZON, DialogueEnv
@@ -53,6 +54,46 @@ def oracle_esndcg(pred, teacher, dedupe):
     if ideal == 0:
         return 1.0 if len(pred) == 0 else 0.0
     return oracle_dcg(pred, teacher, dedupe) / ideal
+
+
+def validate_trajectory(traj, pool_size, horizon):
+    """Check every trajectory invariant; return None if all hold, otherwise a
+    description of the first violated one."""
+    if len(traj.turns) > horizon:
+        return f"turn count {len(traj.turns)} exceeds horizon {horizon}"
+    for i, turn in enumerate(traj.turns):
+        if turn.skills is not None:
+            for s in turn.skills:
+                if s >= pool_size:
+                    return (
+                        f"skill id range: turn {i + 1} uses skill {s} "
+                        f"outside pool of size {pool_size}"
+                    )
+        r = turn.reward
+        if not 0.0 <= r.r_expert <= 1.0:
+            return f"r_expert out of [0,1] at turn {i + 1}: {r.r_expert}"
+        if not 0.0 <= r.r_csa <= 1.0:
+            return f"r_csa out of [0,1] at turn {i + 1}: {r.r_csa}"
+        if any(not 0.0 <= s <= 1.0 for s in r.dim_scores):
+            return f"dim score out of [0,1] at turn {i + 1}: {r.dim_scores}"
+        if r.joint != r.w_expert * r.r_expert + r.w_csa * r.r_csa:
+            return f"joint reward inconsistent at turn {i + 1}"
+    m = traj.milestones
+    prev_turn = 0
+    for i in range(NUM_MILESTONES):
+        if m.completed[i] != (m.turns[i] is not None):
+            return f"milestone turn defined iff completed violated at index {i}"
+        t = m.turns[i]
+        if t is not None:
+            if t < 1:
+                return f"milestone turn must be positive at index {i}: {t}"
+            if t <= prev_turn:
+                return (
+                    f"milestone order: turn {t} of milestone {i + 1} not after "
+                    f"turn {prev_turn} of the previous completed milestone"
+                )
+            prev_turn = t
+    return None
 
 
 def central_difference_grad(fn, params, step=1e-5):
@@ -304,10 +345,6 @@ def oracle_csa_act(policy, state, rng, greedy=False):
     return tuple(tokens), log_prob, entropies
 
 
-def _oracle_tokens(x):
-    return x.tokens if isinstance(x, Response) else tuple(x)
-
-
 def _oracle_ngrams(tokens, n):
     return Counter(tuple(tokens[i : i + n]) for i in range(len(tokens) - n + 1))
 
@@ -317,8 +354,8 @@ def oracle_bleu(candidates, references, max_n=4):
     count of a pair sums ``min(candidate count, reference count)`` over its
     distinct candidate n-grams; smoothing, dropped orders and brevity
     penalty as ``gopo.metrics.bleu`` documents them."""
-    cands = [_oracle_tokens(c) for c in candidates]
-    refs = [_oracle_tokens(r) for r in references]
+    cands = [tuple(c) for c in candidates]
+    refs = [tuple(r) for r in references]
     log_precisions = []
     for n in range(1, max_n + 1):
         clipped = 0

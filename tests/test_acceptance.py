@@ -18,9 +18,11 @@ from gopo.agents import (
     ExpertPolicy,
     FeatureSpec,
     critic_loss,
+    critic_value,
     csa_loss,
     expert_act,
     expert_loss,
+    expert_rows,
 )
 from gopo.core import MilestoneRecord, read_trajectories
 from gopo.metrics import TseConfig, bleu, tse
@@ -139,11 +141,12 @@ class TestGradientSuite:
             state = random_expert_state(spec, rng)
             (action,) = expert_act(policy, state, rng)
             adv = float(rng.normal(0, 1))
-            _, grad = expert_loss(policy, state, action, adv)
+            rows = expert_rows(policy, [state])
+            _, grad = expert_loss(policy, rows, [action], [adv])
 
             def f(params):
                 policy.actor.set_params(params)
-                return expert_loss(policy, state, action, adv)[0]
+                return expert_loss(policy, rows, [action], [adv])[0]
 
             fd = central_difference_grad(f, policy.actor.get_params())
             worst = max(worst, max_rel_error(grad, fd))
@@ -161,11 +164,12 @@ class TestGradientSuite:
             policy.critic.set_params(rng.normal(0, 0.5, policy.critic.n_params))
             state = random_expert_state(spec, rng)
             target = float(rng.normal(0, 2))
-            _, grad = critic_loss(policy, state, target)
+            rows = expert_rows(policy, [state])
+            _, grad = critic_loss(policy, rows, [target], critic_value(policy, rows))
 
             def f(params):
                 policy.critic.set_params(params)
-                return critic_loss(policy, state, target)[0]
+                return critic_loss(policy, rows, [target], critic_value(policy, rows))[0]
 
             fd = central_difference_grad(f, policy.critic.get_params())
             worst = max(worst, max_rel_error(grad, fd))
@@ -187,11 +191,11 @@ class TestGradientSuite:
             state = random_csa_state(spec, rng)
             action = random_response(spec, rng)
             r_a = float(rng.normal(0, 1))
-            _, grad, _ = csa_loss(policy, state, action, r_a)
+            _, grad, _ = csa_loss(policy, [state], [action], [r_a])
 
             def f(params):
                 policy.generator.set_params(params)
-                return csa_loss(policy, state, action, r_a)[0]
+                return csa_loss(policy, [state], [action], [r_a])[0]
 
             fd = central_difference_grad(f, policy.generator.get_params())
             worst = max(worst, max_rel_error(grad, fd))

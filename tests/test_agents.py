@@ -65,12 +65,13 @@ def _expert_terms(policy, state, action):
     pass: with unit advantage and no entropy bonus the loss is minus the
     log-probability; with zero advantage and unit coefficient, minus the
     entropy."""
+    rows = expert_rows(policy, [state])
     saved = policy.entropy_coeff
     try:
         policy.entropy_coeff = 0.0
-        log_prob = -expert_loss(policy, state, action, advantage=1.0)[0]
+        log_prob = -expert_loss(policy, rows, [action], [1.0])[0]
         policy.entropy_coeff = 1.0
-        entropy = -expert_loss(policy, state, action, advantage=0.0)[0]
+        entropy = -expert_loss(policy, rows, [action], [0.0])[0]
     finally:
         policy.entropy_coeff = saved
     return log_prob, entropy
@@ -79,8 +80,13 @@ def _expert_terms(policy, state, action):
 def _csa_terms(policy, state, response):
     """The log-probability and summed entropy of a response, from the loss
     pass: ``L_p`` at unit reward and ``L_d`` are their negatives."""
-    _, _, comps = csa_loss(policy, state, response, r_a=1.0)
+    _, _, comps = csa_loss(policy, [state], [response], [1.0])
     return -comps["L_p"], -comps["L_d"]
+
+
+def _critic_loss(policy, rows, targets):
+    """``critic_loss`` at the values of the critic's current parameters."""
+    return critic_loss(policy, rows, targets, critic_value(policy, rows))
 
 
 def _acted_log_prob(net, act):
@@ -148,7 +154,7 @@ class TestExpertAct:
             action, log_prob = _acted_log_prob(
                 policy.actor, lambda: expert_act(policy, state, rng)
             )
-            loss, _ = expert_loss(policy, state, action, advantage=1.0)
+            loss, _ = expert_loss(policy, expert_rows(policy, [state]), [action], [1.0])
             assert loss == pytest.approx(-log_prob, abs=1e-12)
 
 
@@ -156,7 +162,8 @@ class TestExpertLoss:
     def test_zero_advantage_zero_entropy_coeff(self, spec):
         policy = _expert(spec, seed=7, entropy_coeff=0.0)
         state = random_expert_state(spec, np.random.default_rng(5))
-        loss, grad = expert_loss(policy, state, SkillSequence((1, 2)), advantage=0.0)
+        rows = expert_rows(policy, [state])
+        loss, grad = expert_loss(policy, rows, [SkillSequence((1, 2))], [0.0])
         assert loss == 0.0
         assert np.all(grad == 0.0)
 
@@ -166,7 +173,7 @@ class TestExpertLoss:
         state = random_expert_state(spec, rng)
         (action,) = expert_act(policy, state, rng)
         log_prob_before, _ = _expert_terms(policy, state, action)
-        _, grad = expert_loss(policy, state, action, advantage=1.0)
+        _, grad = expert_loss(policy, expert_rows(policy, [state]), [action], [1.0])
         policy.actor.set_params(policy.actor.get_params() - 1e-3 * grad)
         log_prob_after, _ = _expert_terms(policy, state, action)
         assert log_prob_after > log_prob_before
@@ -178,13 +185,13 @@ class TestExpertLoss:
             policy.actor.set_params(rng.normal(0, 0.4, policy.actor.n_params))
             state = random_expert_state(spec, rng)
             (action,) = expert_act(policy, state, rng)
-            adv = float(rng.normal(0, 1))
-            _, grad = expert_loss(policy, state, action, adv)
+            rows, actions, advs = expert_rows(policy, [state]), [action], [rng.normal(0, 1)]
+            _, grad = expert_loss(policy, rows, actions, advs)
 
             def f(params):
                 old = policy.actor.get_params()
                 policy.actor.set_params(params)
-                val = expert_loss(policy, state, action, adv)[0]
+                val = expert_loss(policy, rows, actions, advs)[0]
                 policy.actor.set_params(old)
                 return val
 
@@ -194,14 +201,15 @@ class TestExpertLoss:
     def test_logit_shift_invariance(self, spec):
         policy = _expert(spec, seed=9)
         state = random_expert_state(spec, np.random.default_rng(8))
+        rows = expert_rows(policy, [state])
         (action,) = expert_act(policy, state, None, greedy=True)
         lp, ent = _expert_terms(policy, state, action)
-        loss, _ = expert_loss(policy, state, action, advantage=0.7)
+        loss, _ = expert_loss(policy, rows, [action], [0.7])
         # add a constant to every output logit via the last-layer bias
         policy.actor.biases[-1] = policy.actor.biases[-1] + 3.7
         (action2,) = expert_act(policy, state, None, greedy=True)
         lp2, ent2 = _expert_terms(policy, state, action2)
-        loss2, _ = expert_loss(policy, state, action2, advantage=0.7)
+        loss2, _ = expert_loss(policy, rows, [action2], [0.7])
         assert action2 == action
         assert lp2 == pytest.approx(lp, abs=1e-9)
         assert ent2 == pytest.approx(ent, abs=1e-9)
@@ -211,27 +219,27 @@ class TestExpertLoss:
 class TestCritic:
     def test_zero_weight_value_is_zero(self, spec):
         policy = _expert(spec, zero=True)
-        state = random_expert_state(spec, np.random.default_rng(9))
-        assert critic_value(policy, state) == 0.0
+        rows = expert_rows(policy, [random_expert_state(spec, np.random.default_rng(9))])
+        assert critic_value(policy, rows).tolist() == [0.0]
 
     def test_target_equal_value_gives_zero_loss(self, spec):
         policy = _expert(spec, seed=10)
-        state = random_expert_state(spec, np.random.default_rng(10))
-        v = critic_value(policy, state)
-        loss, grad = critic_loss(policy, state, target=v)
+        rows = expert_rows(policy, [random_expert_state(spec, np.random.default_rng(10))])
+        v = critic_value(policy, rows)
+        loss, grad = critic_loss(policy, rows, v, v)
         assert loss == 0.0
         assert np.all(grad == 0.0)
 
     def test_gradient_matches_finite_differences(self, spec):
         rng = np.random.default_rng(11)
         policy = _expert(spec, seed=11)
-        state = random_expert_state(spec, rng)
-        _, grad = critic_loss(policy, state, target=0.37)
+        rows = expert_rows(policy, [random_expert_state(spec, rng)])
+        _, grad = _critic_loss(policy, rows, [0.37])
 
         def f(params):
             old = policy.critic.get_params()
             policy.critic.set_params(params)
-            val = critic_loss(policy, state, 0.37)[0]
+            val = _critic_loss(policy, rows, [0.37])[0]
             policy.critic.set_params(old)
             return val
 
@@ -283,7 +291,7 @@ class TestCsaLoss:
         rng = np.random.default_rng(17)
         state = random_csa_state(spec, rng)
         resp = random_response(spec, rng)
-        loss, grad, comps = csa_loss(policy, state, resp, r_a=0.0)
+        loss, grad, comps = csa_loss(policy, [state], [resp], [0.0])
         assert loss == 0.0
         assert np.all(grad == 0.0)
 
@@ -294,7 +302,7 @@ class TestCsaLoss:
         policy.generator.biases[-1][3] = 60.0
         state = random_csa_state(spec, np.random.default_rng(18))
         (resp,) = csa_act(policy, state, None, greedy=True)
-        _, _, comps = csa_loss(policy, state, resp, r_a=0.0)
+        _, _, comps = csa_loss(policy, [state], [resp], [0.0])
         assert abs(comps["L_d"]) < 1e-4
 
     def test_coverage_bounds(self, spec):
@@ -310,7 +318,7 @@ class TestCsaLoss:
 
         resp = Response(tokens=(0, 5), markers=frozenset({0, 5}))
         # token 5 carries marker 5 in the tiny config
-        _, _, comps = csa_loss(policy, state, resp, r_a=0.0)
+        _, _, comps = csa_loss(policy, [state], [resp], [0.0])
         assert 0.0 <= comps["L_s"] <= 1.0
 
     def test_full_expected_coverage_gives_zero_distance(self, spec):
@@ -326,7 +334,7 @@ class TestCsaLoss:
         from gopo.core import Response
 
         resp = Response(tokens=(0, 5), markers=frozenset({0, 5}))
-        _, _, comps = csa_loss(policy, state, resp, r_a=0.0)
+        _, _, comps = csa_loss(policy, [state], [resp], [0.0])
         # step distributions put ~all mass on token 0 (marker 0): marker 5
         # stays uncovered, so the distance is the mean of one covered and one
         # uncovered marker
@@ -339,7 +347,7 @@ class TestCsaLoss:
         from gopo.core import Response
 
         resp = Response(tokens=(9, 9), markers=frozenset())
-        _, _, comps = csa_loss(policy, state, resp, r_a=0.0)
+        _, _, comps = csa_loss(policy, [state], [resp], [0.0])
         assert comps["L_s"] == pytest.approx(1.0, abs=1e-6)
 
     def test_null_constraint_zero_distance(self, spec):
@@ -348,7 +356,7 @@ class TestCsaLoss:
         state = random_csa_state(spec, rng, allow_null_constraint=True)
         state = CsaState(state.utterance, None, state.business_ctx)
         resp = random_response(spec, rng)
-        _, _, comps = csa_loss(policy, state, resp, r_a=0.3)
+        _, _, comps = csa_loss(policy, [state], [resp], [0.3])
         assert comps["L_s"] == 0.0
 
     def test_gradient_matches_finite_differences(self, spec):
@@ -358,13 +366,13 @@ class TestCsaLoss:
             policy.generator.set_params(rng.normal(0, 0.3, policy.generator.n_params))
             state = random_csa_state(spec, rng)
             resp = random_response(spec, rng)
-            r_a = float(rng.normal(0, 1))
-            _, grad, _ = csa_loss(policy, state, resp, r_a)
+            r_a = [rng.normal(0, 1)]
+            _, grad, _ = csa_loss(policy, [state], [resp], r_a)
 
             def f(params):
                 old = policy.generator.get_params()
                 policy.generator.set_params(params)
-                val = csa_loss(policy, state, resp, r_a)[0]
+                val = csa_loss(policy, [state], [resp], r_a)[0]
                 policy.generator.set_params(old)
                 return val
 
@@ -376,7 +384,7 @@ class TestCsaLoss:
         rng = np.random.default_rng(22)
         state = random_csa_state(spec, rng)
         resp, log_prob = _acted_log_prob(policy.generator, lambda: csa_act(policy, state, rng))
-        _, _, comps = csa_loss(policy, state, resp, r_a=1.0)
+        _, _, comps = csa_loss(policy, [state], [resp], [1.0])
         assert comps["L_p"] == pytest.approx(-log_prob, abs=1e-12)
 
 
@@ -387,7 +395,7 @@ class TestBatchedLossesMatchOracles:
     TOL = 1e-12
 
     def _check_expert(self, policy, state, action, adv):
-        loss, grad = expert_loss(policy, state, action, adv)
+        loss, grad = expert_loss(policy, expert_rows(policy, [state]), [action], [adv])
         want_loss, want_grad = oracle_expert_loss(policy, state, action, adv)
         assert loss == pytest.approx(want_loss, rel=self.TOL, abs=self.TOL)
         assert scaled_diff(grad, want_grad) <= self.TOL
@@ -411,7 +419,7 @@ class TestBatchedLossesMatchOracles:
             self._check_expert(policy, state, action, -0.8)
 
     def _check_csa(self, policy, state, action, r_a):
-        loss, grad, comps = csa_loss(policy, state, action, r_a)
+        loss, grad, comps = csa_loss(policy, [state], [action], [r_a])
         want_loss, want_grad, want_comps = oracle_csa_loss(policy, state, action, r_a)
         assert loss == pytest.approx(want_loss, rel=self.TOL, abs=self.TOL)
         for key in ("L_p", "L_s", "L_d"):
@@ -578,7 +586,8 @@ class TestActMatchesOracle:
                 if slot < len(want):
                     chosen[want[slot]] = 1.0
             _, forced = _recorded_input(
-                policy.actor, lambda: expert_loss(policy, state, action, 1.0)
+                policy.actor,
+                lambda: expert_loss(policy, expert_rows(policy, [state]), [action], [1.0]),
             )
             assert np.array_equal(np.stack(rows), forced)
 
@@ -618,7 +627,7 @@ class TestActMatchesOracle:
                     prev = want[step]
                     emitted[sorted(spec.token_markers[prev])] = 1.0
             _, forced = _recorded_input(
-                policy.generator, lambda: csa_loss(policy, state, resp, 1.0)
+                policy.generator, lambda: csa_loss(policy, [state], [resp], [1.0])
             )
             assert np.array_equal(np.stack(rows), forced)
 
@@ -667,13 +676,13 @@ class TestDiversityDirection:
         n_steps = len(resp.tokens) + (1 if len(resp.tokens) < spec.max_response_len else 0)
 
         def mean_step_entropy():
-            _, _, comps = csa_loss(policy, state, resp, r_a=0.0)
+            _, _, comps = csa_loss(policy, [state], [resp], [0.0])
             return -comps["L_d"] / n_steps
 
         before = mean_step_entropy()
         adam = AdamState.zeros(policy.generator.n_params)
         for _ in range(300):
-            _, grad, _ = csa_loss(policy, state, resp, r_a=0.0)
+            _, grad, _ = csa_loss(policy, [state], [resp], [0.0])
             params, adam = adam_step(policy.generator.get_params(), grad, adam, lr=0.02)
             policy.generator.set_params(params)
         after = mean_step_entropy()
@@ -738,8 +747,12 @@ class TestEpisodeLossesEqualTurnSums:
             policy.actor.set_params(rng.normal(0, 0.5, policy.actor.n_params))
             states, actions, advs = _expert_episode(spec, rng)
             loss, grad = expert_loss(policy, expert_rows(policy, states), actions, advs)
-            for one_turn in (expert_loss, oracle_expert_loss):
-                turns = [one_turn(policy, s, a, adv) for s, a, adv in zip(states, actions, advs)]
+            one_turn = [
+                expert_loss(policy, expert_rows(policy, [s]), [a], [adv])
+                for s, a, adv in zip(states, actions, advs)
+            ]
+            oracle = [oracle_expert_loss(policy, *turn) for turn in zip(states, actions, advs)]
+            for turns in (one_turn, oracle):
                 assert loss == pytest.approx(sum(t[0] for t in turns), rel=self.TOL, abs=self.TOL)
                 assert scaled_diff(grad, sum(t[1] for t in turns)) <= self.TOL
 
@@ -750,14 +763,13 @@ class TestEpisodeLossesEqualTurnSums:
             policy.critic.set_params(rng.normal(0, 0.5, policy.critic.n_params))
             states = [random_expert_state(spec, rng) for _ in range(7)]
             targets = rng.normal(0, 1, len(states))
-            rows = expert_rows(policy, states)
-            loss, grad = critic_loss(policy, rows, targets)
-            turns = [critic_loss(policy, s, t) for s, t in zip(states, targets)]
+            loss, grad = _critic_loss(policy, expert_rows(policy, states), targets)
+            turns = [
+                _critic_loss(policy, expert_rows(policy, [s]), [t])
+                for s, t in zip(states, targets)
+            ]
             assert loss == pytest.approx(sum(t[0] for t in turns), rel=self.TOL, abs=self.TOL)
             assert scaled_diff(grad, sum(t[1] for t in turns)) <= self.TOL
-            # values handed in from the caller's forward give the same pass
-            given = critic_loss(policy, rows, targets, critic_value(policy, rows))
-            assert given[0] == loss and np.array_equal(given[1], grad)
 
     def test_csa(self, spec):
         rng = np.random.default_rng(53)
@@ -766,8 +778,9 @@ class TestEpisodeLossesEqualTurnSums:
             policy.generator.set_params(rng.normal(0, 0.4, policy.generator.n_params))
             states, actions, r_as = _csa_episode(spec, rng)
             loss, grad, comps = csa_loss(policy, states, actions, r_as)
-            for one_turn in (csa_loss, oracle_csa_loss):
-                turns = [one_turn(policy, s, a, r) for s, a, r in zip(states, actions, r_as)]
+            one_turn = [csa_loss(policy, [s], [a], [r]) for s, a, r in zip(states, actions, r_as)]
+            oracle = [oracle_csa_loss(policy, *turn) for turn in zip(states, actions, r_as)]
+            for turns in (one_turn, oracle):
                 assert loss == pytest.approx(sum(t[0] for t in turns), rel=self.TOL, abs=self.TOL)
                 for key in ("L_p", "L_s", "L_d"):
                     want = sum(t[2][key] for t in turns)
@@ -843,8 +856,8 @@ class TestEpisodeLossGradients:
         policy.critic.set_params(rng.normal(0, 0.5, policy.critic.n_params))
         rows = expert_rows(policy, [random_expert_state(spec, rng) for _ in range(3)])
         targets = rng.normal(0, 1, 3)
-        _, grad = critic_loss(policy, rows, targets)
-        self._check(policy.critic, lambda: critic_loss(policy, rows, targets)[0], grad)
+        _, grad = _critic_loss(policy, rows, targets)
+        self._check(policy.critic, lambda: _critic_loss(policy, rows, targets)[0], grad)
 
     def test_csa(self, spec):
         rng = np.random.default_rng(58)

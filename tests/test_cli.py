@@ -10,8 +10,8 @@ from hypothesis import given, settings, strategies as st
 from gopo.cli import load_config, main
 from gopo.metrics import METRIC_CSV_HEADER, TseConfig
 from gopo.rewards import RewardConfig
-from gopo.simenv import ConfigError
-from gopo.trainer import CURVES_CSV_HEADER, TrainConfig
+from gopo.simenv import ConfigError, to_json
+from gopo.trainer import CURVES_CSV_HEADER, GlobalConfig, TrainConfig
 from conftest import DEFAULT_CONFIG_FILE, write_tiny_config
 
 REPO = Path(__file__).resolve().parents[1]
@@ -83,6 +83,31 @@ class TestConfigLoading:
         tiny_config.write_text(json.dumps(data))
         with pytest.raises(ConfigError, match="absent.json"):
             load_config(tiny_config)
+
+
+class TestConfigCopyIsAFixedPoint:
+    """The config copy, ``json.dumps(to_json(cfg), indent=2)``, parses back
+    to ``cfg`` and writes the same text again, byte for byte."""
+
+    @staticmethod
+    def _check(cfg):
+        text = json.dumps(to_json(cfg), indent=2)
+        parsed = GlobalConfig.from_dict(json.loads(text))
+        assert parsed == cfg
+        assert json.dumps(to_json(parsed), indent=2) == text
+        return text
+
+    def test_default_config(self, default_cfg):
+        self._check(default_cfg)
+
+    def test_scenario_table_file_is_written_inline(self, tiny_config, tmp_path):
+        data = json.loads(tiny_config.read_text())
+        table = data["env"]["scenario_table"]
+        (tmp_path / "table.json").write_text(json.dumps(table))
+        data["env"]["scenario_table"] = {"file": "table.json"}
+        tiny_config.write_text(json.dumps(data))
+        text = self._check(load_config(tiny_config)[0])
+        assert json.loads(text)["env"]["scenario_table"] == table
 
 
 class TestTrainCommand:

@@ -18,9 +18,9 @@ from gopo.core import (
     response_markers,
     trajectory_from_json,
     trajectory_to_json,
-    validate_trajectory,
 )
 from conftest import make_reward
+from oracles import validate_trajectory
 
 
 def _breakdown(r_e=0.5, r_a=0.8, w=(0.3, 0.7)):

@@ -11,6 +11,7 @@ from gopo.simenv import (
     TERMINAL_ALL_MILESTONES,
     TERMINAL_HORIZON,
     reference_responses,
+    to_json,
 )
 from oracles import ChoiceDialogueEnv
 
@@ -352,7 +353,7 @@ class TestReferences:
 
 class TestConfig:
     def test_round_trip(self, env_cfg):
-        assert EnvConfig.from_dict(env_cfg.to_dict()) == env_cfg
+        assert EnvConfig.from_dict(to_json(env_cfg)) == env_cfg
 
     def test_missing_scenario_entry_rejected(self, env_cfg):
         table = dict(env_cfg.scenario_table)
@@ -369,13 +370,13 @@ class TestConfig:
             dataclasses.replace(env_cfg, emotion_transition=mats)
 
     def test_unknown_key_rejected(self, env_cfg):
-        data = env_cfg.to_dict()
+        data = to_json(env_cfg)
         data["mystery"] = 1
         with pytest.raises(ConfigError, match="mystery"):
             EnvConfig.from_dict(data)
 
     def test_missing_key_rejected(self, env_cfg):
-        data = env_cfg.to_dict()
+        data = to_json(env_cfg)
         del data["horizon"]
         with pytest.raises(ConfigError, match="horizon"):
             EnvConfig.from_dict(data)

@@ -16,7 +16,6 @@ from gopo.core import (
     TurnRecord,
     read_trajectories,
     trajectory_to_json,
-    validate_trajectory,
 )
 from gopo.metrics import METRIC_CSV_HEADER, TseConfig
 from gopo.neural import load_checkpoint
@@ -36,7 +35,7 @@ from gopo.trainer import (
     rollout,
     train,
 )
-from oracles import oracle_discounted_returns
+from oracles import oracle_discounted_returns, validate_trajectory
 
 
 def tiny_train_cfg(**overrides):
@@ -137,12 +136,28 @@ class TestRollout:
             assert r.joint == r.w_expert * r.r_expert + r.w_csa * r.r_csa
         assert validate_trajectory(traj, len(tiny_env_cfg.skill_pool), tiny_env_cfg.horizon) is None
 
-    def test_no_expert_rollout(self, tiny_world):
+    def test_no_expert_rollout(self, tiny_world, tiny_env_cfg):
         env, _, csa = tiny_world
         traj = rollout(env, None, csa, RewardConfig(), np.random.default_rng(0), env_seed=1)
         assert all(t.skills is None for t in traj.turns)
         assert all(t.reward.r_expert == 0.0 for t in traj.turns)
         assert all(t.csa_state.constraint is None for t in traj.turns)
+        assert validate_trajectory(
+            traj, len(tiny_env_cfg.skill_pool), tiny_env_cfg.horizon
+        ) is None
+
+    @pytest.mark.parametrize("with_planner", [True, False])
+    def test_greedy_rollouts_are_valid(self, tiny_world, tiny_env_cfg, with_planner):
+        env, expert, csa = tiny_world
+        for seed in range(5):
+            traj = rollout(
+                env, expert if with_planner else None, csa, RewardConfig(), None,
+                env_seed=seed, greedy=True,
+            )
+            assert traj.terminal_reason in ("all_milestones", "horizon")
+            assert validate_trajectory(
+                traj, len(tiny_env_cfg.skill_pool), tiny_env_cfg.horizon
+            ) is None
 
     def test_untrained_policies_still_fully_scored(self, tiny_world):
         env, expert, csa = tiny_world
@@ -176,45 +191,34 @@ class TestAdvantages:
             turns.append(TurnRecord(state, None, csa_state, resp, reward))
         return Trajectory(0, tuple(turns), MilestoneRecord(), 0, "horizon")
 
-    def test_perfect_critic_gives_zero_advantages(self, tiny_env_cfg):
+    def test_perfect_critic_gives_zero_advantages(self):
         # a zero critic is exact for an all-zero reward stream, the
         # degenerate Bellman fixed point
-        spec = FeatureSpec.from_env_config(tiny_env_cfg)
-        policy = ExpertPolicy(spec, hidden=16, seed=0)
-        policy.critic.set_params(np.zeros(policy.critic.n_params))
         traj = self._hand_trajectory([0.0, 0.0, 0.0])
-        _, adv = compute_advantages(traj, policy, discount=0.9)
+        _, adv = compute_advantages(traj, np.zeros(3), discount=0.9)
         assert adv == pytest.approx([0, 0, 0])
 
-    def test_zero_critic_single_turn(self, tiny_env_cfg):
-        spec = FeatureSpec.from_env_config(tiny_env_cfg)
-        policy = ExpertPolicy(spec, hidden=16, seed=0)
-        policy.critic.set_params(np.zeros(policy.critic.n_params))
+    def test_zero_critic_single_turn(self):
         traj = self._hand_trajectory([0.7])
-        _, adv = compute_advantages(traj, policy, discount=0.9)
+        _, adv = compute_advantages(traj, np.zeros(1), discount=0.9)
         assert adv == pytest.approx([0.7])
 
-    def test_zero_critic_matches_hand_bellman(self, tiny_env_cfg):
-        spec = FeatureSpec.from_env_config(tiny_env_cfg)
-        policy = ExpertPolicy(spec, hidden=16, seed=0)
-        policy.critic.set_params(np.zeros(policy.critic.n_params))
+    def test_zero_critic_matches_hand_bellman(self):
         joints = [0.2, 0.5, 1.0]
-        _, adv = compute_advantages(self._hand_trajectory(joints), policy, discount=0.9)
+        _, adv = compute_advantages(self._hand_trajectory(joints), np.zeros(3), discount=0.9)
         # with a zero critic, TD(0) advantages reduce to the raw rewards
         assert adv == pytest.approx(joints)
 
-    def test_td_identity_against_returns(self, tiny_env_cfg):
+    def test_td_identity_against_returns(self):
         # TD(0) advantage with the true value function is zero; emulate by
         # regressing the critic is overkill, so check the algebra instead:
         # advantage = (R_t + g*V') - V for hand-picked V values
-        spec = FeatureSpec.from_env_config(tiny_env_cfg)
-        policy = ExpertPolicy(spec, hidden=16, seed=4)
         traj = self._hand_trajectory([0.3, 0.6, 0.9])
         g = 0.8
-        values = [critic_value(policy, t.expert_state) for t in traj.turns] + [0.0]
+        values = [0.4, -0.25, 0.7, 0.0]
         targets = [traj.turns[i].reward.joint + g * values[i + 1] for i in range(3)]
         expected = [targets[i] - values[i] for i in range(3)]
-        got_targets, got_adv = compute_advantages(traj, policy, g)
+        got_targets, got_adv = compute_advantages(traj, np.array(values[:3]), g)
         assert got_targets == pytest.approx(targets)
         assert got_adv == pytest.approx(expected)
 
@@ -229,12 +233,11 @@ class TestAdvantages:
             )
             states = [t.expert_state for t in traj.turns]
             values = critic_value(expert, expert_rows(expert, states))
-            want = np.array([critic_value(expert, s) for s in states])
+            want = np.array([critic_value(expert, expert_rows(expert, [s]))[0] for s in states])
             assert np.max(np.abs(values - want)) <= 1e-12 * max(np.max(np.abs(want)), 1.0)
             g = 0.8
-            targets, adv = compute_advantages(traj, expert, g, values)
-            got_targets, got_adv = compute_advantages(traj, expert, g)
-            assert np.array_equal(targets, got_targets) and np.array_equal(adv, got_adv)
+            targets, adv = compute_advantages(traj, values, g)
+            assert np.array_equal(adv, targets - values)
             joint = [t.reward.joint for t in traj.turns]
             hand = [j + g * v for j, v in zip(joint, list(want[1:]) + [0.0])]
             assert targets == pytest.approx(hand, rel=1e-12, abs=1e-12)
