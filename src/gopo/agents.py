@@ -278,8 +278,7 @@ class ExpertPolicy:
         self.spec = spec
         self.entropy_coeff = float(entropy_coeff)
         self.stop_index = spec.n_skills
-        ss = seed if isinstance(seed, np.random.SeedSequence) else np.random.SeedSequence(seed)
-        actor_seed, critic_seed = ss.spawn(2)
+        actor_seed, critic_seed = np.random.SeedSequence(seed).spawn(2)
         in_dim = spec.expert_dim + spec.n_skills + MAX_SKILL_SEQUENCE_LEN
         self.actor = Mlp([in_dim, hidden, spec.n_skills + 1], head="softmax", seed=actor_seed)
         self.critic = Mlp([spec.expert_dim, hidden, 1], head="linear", seed=critic_seed)

@@ -3,8 +3,8 @@
 The configuration is one JSON file with four sections (env, reward, tse,
 train) plus an output directory, parsed by ``GlobalConfig.from_dict``
 through the one strict parser ``simenv.parse_fields``: every key must be
-present, an unknown key fails naming the key, and every value is checked,
-so a config file pins a run completely.  ``gopo train`` writes the parsed
+present, an unknown or repeated key fails naming the key, and every value
+is checked, so a config file pins a run completely.  ``gopo train`` writes the parsed
 config back as the run directory's ``config.copy`` (self-contained; ``--out``
 places the run directory and leaves the copy's ``output_dir`` as the file
 gave it), and ``gopo eval`` evaluates the latest step at which every network
@@ -43,18 +43,31 @@ from .trainer import (
 log = logging.getLogger("gopo")
 
 
+def _unique_keys(pairs: list) -> dict:
+    """A JSON object's pairs as a dict; a key given twice raises ConfigError."""
+    obj = {}
+    for key, value in pairs:
+        if key in obj:
+            raise ConfigError(f"repeated key {key!r} in one object")
+        obj[key] = value
+    return obj
+
+
 def load_config(path) -> tuple[GlobalConfig, str]:
     """Read and strictly parse a config file; returns the config and the raw
-    file text."""
+    file text.  A key repeated within one object is an error, not a silent
+    override."""
     p = Path(path)
     if not p.is_file():
         raise ConfigError(f"config file not found: {p}")
     try:
         text = p.read_text(encoding="utf-8")
-        data = json.loads(text)
+        data = json.loads(text, object_pairs_hook=_unique_keys)
+    except ConfigError as exc:
+        raise ConfigError(f"config file {p}: {exc}") from exc
     except ValueError as exc:
         raise ConfigError(f"config file {p} is not valid JSON: {exc}") from exc
-    return GlobalConfig.from_dict(data, base_dir=p.parent), text
+    return GlobalConfig.from_dict(data), text
 
 
 _LOG_LEVELS = {"error": logging.ERROR, "info": logging.INFO, "debug": logging.DEBUG}

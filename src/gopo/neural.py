@@ -206,24 +206,24 @@ def clip_grad_norm(grad: np.ndarray, max_norm: float) -> np.ndarray:
 # -- checkpointing --------------------------------------------------------------
 
 
-def save_checkpoint(path, net: Mlp, adam: AdamState | None = None) -> None:
-    """Versioned binary dump of architecture, parameters, and optimizer state;
-    round-trips exactly."""
-    arrays = {
-        "version": np.array([CHECKPOINT_VERSION]),
-        "layer_sizes": np.array(net.layer_sizes),
-        "head": np.array(net.head),
-        "params": net.get_params(),
-    }
-    if adam is not None:
-        arrays["adam_m"] = adam.m
-        arrays["adam_v"] = adam.v
-        arrays["adam_step"] = np.array([adam.step])
+def save_checkpoint(path, net: Mlp) -> None:
+    """Versioned binary dump of a network: architecture and parameters,
+    nothing else; round-trips exactly."""
     with open(path, "wb") as fh:
-        np.savez(fh, **arrays)
+        np.savez(
+            fh,
+            version=np.array([CHECKPOINT_VERSION]),
+            layer_sizes=np.array(net.layer_sizes),
+            head=np.array(net.head),
+            params=net.get_params(),
+        )
 
 
-def load_checkpoint(path) -> tuple[Mlp, AdamState | None]:
+def load_checkpoint(path) -> tuple[Mlp, None]:
+    """The network saved by ``save_checkpoint``, paired with ``None`` for
+    callers that unpack a pair (``perfbench/make_checkpoints.py``).  Arrays
+    other than the four saved ones, such as Adam moments in a file written
+    by an earlier version, are left unread."""
     with open(path, "rb") as fh:
         data = np.load(fh, allow_pickle=False)
         version = int(data["version"][0])
@@ -231,11 +231,4 @@ def load_checkpoint(path) -> tuple[Mlp, AdamState | None]:
             raise ValueError(f"unsupported checkpoint version {version}")
         net = Mlp(tuple(int(s) for s in data["layer_sizes"]), head=str(data["head"]))
         net.set_params(data["params"])
-        adam = None
-        if "adam_m" in data:
-            adam = AdamState(
-                m=data["adam_m"].copy(),
-                v=data["adam_v"].copy(),
-                step=int(data["adam_step"][0]),
-            )
-    return net, adam
+    return net, None

@@ -31,16 +31,15 @@ class RewardConfig:
     ``dim_weights`` mix the four judge scores into the responder reward.
     ``w_expert_min``/``w_expert_max`` bound the planner weight's linear ramp
     over the episode; ``w_csa_floor`` keeps the responder weight strictly
-    positive at every turn.  ``dedupe_predictions`` zeroes the relevance of
-    repeated predicted skills (training default); switch it off to evaluate
-    the discounted gain literally.
+    positive at every turn.  The planner's reward always zeroes the
+    relevance of repeated predicted skills (``esndcg``'s default); ``dcg``
+    and ``esndcg`` take ``dedupe=False`` to evaluate the gain literally.
     """
 
     dim_weights: tuple[float, float, float, float] = (0.25, 0.25, 0.25, 0.25)
     w_expert_min: float = 0.2
     w_expert_max: float = 0.8
     w_csa_floor: float = 0.05
-    dedupe_predictions: bool = True
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "dim_weights", tuple(self.dim_weights))

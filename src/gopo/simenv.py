@@ -46,10 +46,8 @@ one ``rng.choice`` would play.
 from __future__ import annotations
 
 import dataclasses
-import json
 import math
 from dataclasses import dataclass
-from pathlib import Path
 from typing import Mapping
 
 import numpy as np
@@ -175,30 +173,26 @@ def _named_matrices(value, key: str) -> dict[str, tuple[tuple[float, ...], ...]]
     return {name: _matrix(m, f"{key}.{name}") for name, m in check_object(value, key).items()}
 
 
-def _scenario_table(value, key: str, base_dir) -> dict[tuple[str, str, int], tuple[int, ...]]:
-    """The table given inline, or as ``{"file": path}`` naming a JSON file
-    resolved against ``base_dir`` (the config file's directory)."""
-    table = check_object(value, key)
-    if set(table) == {"file"}:
-        ref = Path(check_scalar(table["file"], str, f"{key}.file"))
-        if base_dir is not None and not ref.is_absolute():
-            ref = Path(base_dir) / ref
-        if not ref.is_file():
-            raise ConfigError(f"{key} file not found: {ref}")
-        try:
-            table = json.loads(ref.read_text(encoding="utf-8"))
-        except ValueError as exc:
-            raise ConfigError(f"{key} file {ref} is not valid JSON: {exc}") from exc
-        check_object(table, key)
+def _scenario_table(value, key: str) -> dict[tuple[str, str, int], tuple[int, ...]]:
+    """The table keyed ``intent|emotion|phase``; two keys that name the same
+    entry (``phase`` spelt ``1`` and ``01``) are rejected."""
     out = {}
-    for entry, seq in table.items():
+    spelt = {}
+    for entry, seq in check_object(value, key).items():
         parts = entry.split("|")
         if len(parts) != 3 or not parts[2].isdecimal():
             raise ConfigError(
                 f"malformed scenario key {key}[{entry!r}]: "
                 "expected intent|emotion|phase with an integer phase"
             )
-        out[(parts[0], parts[1], int(parts[2]))] = check_list(seq, f"{key}[{entry!r}]", int)
+        combo = (parts[0], parts[1], int(parts[2]))
+        if combo in spelt:
+            raise ConfigError(
+                f"scenario keys {key}[{spelt[combo]!r}] and {key}[{entry!r}] "
+                "name the same entry"
+            )
+        spelt[combo] = entry
+        out[combo] = check_list(seq, f"{key}[{entry!r}]", int)
     return out
 
 
@@ -219,6 +213,7 @@ _ENV_FIELDS = {
     "intent_transition": list_of(_matrix),
     "initial_intent_dist": list_of(float),
     "initial_emotion_dist": list_of(float),
+    "scenario_table": _scenario_table,
     "milestone_rules": list_of(list_of(int)),
 }
 
@@ -263,11 +258,9 @@ class EnvConfig:
         validate_env_config(self)
 
     @classmethod
-    def from_dict(cls, data, path: str = "env", base_dir=None) -> "EnvConfig":
-        """Strict parse of the JSON object at ``path`` (see ``parse_fields``);
-        a scenario table file is resolved against ``base_dir``."""
-        items = dict(_ENV_FIELDS, scenario_table=lambda v, k: _scenario_table(v, k, base_dir))
-        return parse_fields(cls, data, path, items)
+    def from_dict(cls, data, path: str = "env") -> "EnvConfig":
+        """Strict parse of the JSON object at ``path`` (see ``parse_fields``)."""
+        return parse_fields(cls, data, path, _ENV_FIELDS)
 
 
 _ROW_SUM_TOL = 1e-9

@@ -35,14 +35,15 @@ Run directory layout::
     trajectories.jsonl                   every training rollout, in order
     metrics.csv                          periodic greedy evaluation rows
     curves.csv                           step,mean_joint_reward,expert_loss,csa_loss
-    checkpoints/{expert,critic,csa}-{step}.ckpt
+    checkpoints/{expert,critic,csa}-{step}.ckpt   each network's parameters
     final_report.csv                     final evaluation row
 
 ``config.copy`` is ``simenv.to_json`` of the parsed config, which parses
-back to the same config (a scenario table given as a file is written
-inline).  ``gopo eval`` rebuilds the policies with ``build_policies`` and
-reads the latest step saved for every network back with
-``load_checkpoints``.
+back to the same config.  A checkpoint holds one network's architecture and
+parameters only; the Adam moments, like the responder's baseline, live only
+for the duration of ``train``.  ``gopo eval`` rebuilds the policies with
+``build_policies`` and reads the latest step saved for every network back
+with ``load_checkpoints``.
 """
 
 from __future__ import annotations
@@ -163,11 +164,11 @@ class GlobalConfig:
     output_dir: str
 
     @classmethod
-    def from_dict(cls, data, base_dir=None) -> "GlobalConfig":
+    def from_dict(cls, data) -> "GlobalConfig":
         """Strict parse of a whole config file's JSON value (see
-        ``parse_fields``); ``base_dir`` resolves a scenario table file."""
+        ``parse_fields``)."""
         return parse_fields(cls, data, "", {
-            "env": lambda v, k: EnvConfig.from_dict(v, k, base_dir),
+            "env": EnvConfig.from_dict,
             "reward": lambda v, k: parse_fields(
                 RewardConfig, v, k, {"dim_weights": list_of(float)}
             ),
@@ -209,11 +210,7 @@ def rollout(
         state = obs.expert_state
         if expert is not None:
             (skills,) = expert_act(expert, state, rng, greedy=greedy)
-            r_e = esndcg(
-                skills.skills,
-                env.teacher_sequence(state).skills,
-                dedupe=reward_cfg.dedupe_predictions,
-            )
+            r_e = esndcg(skills.skills, env.teacher_sequence(state).skills)
         else:
             skills = None
             r_e = 0.0
@@ -357,7 +354,7 @@ def build_policies(
             spec,
             hidden=train_cfg.hidden_size,
             entropy_coeff=train_cfg.entropy_coeff,
-            seed=np.random.SeedSequence((train_cfg.seed, _STREAM_EXPERT_INIT)),
+            seed=(train_cfg.seed, _STREAM_EXPERT_INIT),
         )
     csa = CsaPolicy(
         spec,
@@ -367,7 +364,7 @@ def build_policies(
             train_cfg.lambda_skill,
             train_cfg.lambda_diversity,
         ),
-        seed=np.random.SeedSequence((train_cfg.seed, _STREAM_CSA_INIT)),
+        seed=(train_cfg.seed, _STREAM_CSA_INIT),
     )
     return expert, csa
 
@@ -470,7 +467,7 @@ def train(cfg: GlobalConfig, out_dir=None) -> tuple[MetricReport, list[Trajector
 
     def save_ckpts(step: int) -> None:
         for name, net in nets.items():
-            save_checkpoint(ckpt_dir / f"{name}-{step}.ckpt", net, adam[name])
+            save_checkpoint(ckpt_dir / f"{name}-{step}.ckpt", net)
 
     # Running-mean baseline for the responder's own reward; subtracting a
     # baseline leaves the policy-gradient expectation unchanged while

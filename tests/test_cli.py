@@ -4,11 +4,13 @@ import json
 import tempfile
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from gopo.cli import load_config, main
 from gopo.metrics import METRIC_CSV_HEADER, TseConfig
+from gopo.neural import load_checkpoint, save_checkpoint
 from gopo.rewards import RewardConfig
 from gopo.simenv import ConfigError, to_json
 from gopo.trainer import CURVES_CSV_HEADER, GlobalConfig, TrainConfig
@@ -60,30 +62,6 @@ class TestConfigLoading:
         with pytest.raises(ConfigError, match="tse"):
             load_config(tiny_config)
 
-    def test_scenario_table_as_referenced_file(self, tiny_config, tmp_path):
-        data = json.loads(tiny_config.read_text())
-        table = data["env"]["scenario_table"]
-        (tmp_path / "table.json").write_text(json.dumps(table))
-        data["env"]["scenario_table"] = {"file": "table.json"}
-        tiny_config.write_text(json.dumps(data))
-        cfg, _ = load_config(tiny_config)
-        assert len(cfg.env.scenario_table) == len(table)
-
-    def test_scenario_file_that_is_not_json_rejected(self, tiny_config, tmp_path):
-        (tmp_path / "table.json").write_text("{not json")
-        data = json.loads(tiny_config.read_text())
-        data["env"]["scenario_table"] = {"file": "table.json"}
-        tiny_config.write_text(json.dumps(data))
-        with pytest.raises(ConfigError, match="env.scenario_table file .*table.json"):
-            load_config(tiny_config)
-
-    def test_missing_scenario_file_rejected(self, tiny_config):
-        data = json.loads(tiny_config.read_text())
-        data["env"]["scenario_table"] = {"file": "absent.json"}
-        tiny_config.write_text(json.dumps(data))
-        with pytest.raises(ConfigError, match="absent.json"):
-            load_config(tiny_config)
-
 
 class TestConfigCopyIsAFixedPoint:
     """The config copy, ``json.dumps(to_json(cfg), indent=2)``, parses back
@@ -99,15 +77,6 @@ class TestConfigCopyIsAFixedPoint:
 
     def test_default_config(self, default_cfg):
         self._check(default_cfg)
-
-    def test_scenario_table_file_is_written_inline(self, tiny_config, tmp_path):
-        data = json.loads(tiny_config.read_text())
-        table = data["env"]["scenario_table"]
-        (tmp_path / "table.json").write_text(json.dumps(table))
-        data["env"]["scenario_table"] = {"file": "table.json"}
-        tiny_config.write_text(json.dumps(data))
-        text = self._check(load_config(tiny_config)[0])
-        assert json.loads(text)["env"]["scenario_table"] == table
 
 
 class TestTrainCommand:
@@ -130,18 +99,18 @@ class TestTrainCommand:
         given, _ = load_config(tiny_config)
         assert copy == given
 
-    def test_config_copy_of_scenario_file_config_reruns(self, tiny_config, tmp_path):
-        data = json.loads(tiny_config.read_text())
-        (tmp_path / "table.json").write_text(json.dumps(data["env"]["scenario_table"]))
-        data["env"]["scenario_table"] = {"file": "table.json"}
-        tiny_config.write_text(json.dumps(data))
-        first, second = tmp_path / "first", tmp_path / "second"
-        assert main(["train", str(tiny_config), "--out", str(first)]) == 0
-        assert main(["train", str(first / "config.copy"), "--out", str(second)]) == 0
-        assert (
-            (first / "trajectories.jsonl").read_bytes()
-            == (second / "trajectories.jsonl").read_bytes()
-        )
+    def test_resaved_checkpoint_is_byte_identical(self, tiny_config, tmp_path):
+        # the re-save of perfbench/make_checkpoints.py: a checkpoint holds the
+        # four arrays of the network and nothing else
+        assert main(["train", str(tiny_config), "--out", str(tmp_path / "run")]) == 0
+        ckpts = sorted((tmp_path / "run" / "checkpoints").glob("*.ckpt"))
+        assert {p.name.split("-")[0] for p in ckpts} == {"expert", "critic", "csa"}
+        for path in ckpts:
+            net, _ = load_checkpoint(path)
+            save_checkpoint(tmp_path / "resaved.ckpt", net)
+            assert (tmp_path / "resaved.ckpt").read_bytes() == path.read_bytes()
+            with np.load(path) as data:
+                assert data.files == ["version", "layer_sizes", "head", "params"]
 
     def test_seed_override_changes_trajectories(self, tiny_config, tmp_path):
         assert main(["train", str(tiny_config), "--out", str(tmp_path / "a")]) == 0
@@ -167,7 +136,10 @@ class TestConfigErrorsExitCleanly:
         return self._run_on(tiny_config, capsys, data)
 
     def _run_on(self, tiny_config, capsys, data):
-        tiny_config.write_text(json.dumps(data))
+        return self._run_text(tiny_config, capsys, json.dumps(data))
+
+    def _run_text(self, tiny_config, capsys, text):
+        tiny_config.write_text(text)
         rc = main(["train", str(tiny_config)])
         err = capsys.readouterr().err
         assert rc == 1
@@ -184,6 +156,33 @@ class TestConfigErrorsExitCleanly:
 
         err = self._run(tiny_config, capsys, mutate)
         assert "env.scenario_table['a|b|x']" in err
+
+    def test_scenario_keys_naming_one_entry(self, tiny_config, capsys):
+        # a phase spelt "01" beside "1" would otherwise replace that entry
+        data = json.loads(tiny_config.read_text())
+        table = data["env"]["scenario_table"]
+        first = next(iter(table))
+        respelt = first[:-1] + "0" + first[-1]
+        table[respelt] = [0]
+        err = self._run_on(tiny_config, capsys, data)
+        assert f"env.scenario_table['{first}'] and env.scenario_table['{respelt}']" in err
+
+    def test_scenario_table_given_as_file(self, tiny_config, tmp_path, capsys):
+        # the table is given inline only; a file reference is a malformed key
+        data = json.loads(tiny_config.read_text())
+        (tmp_path / "table.json").write_text(json.dumps(data["env"]["scenario_table"]))
+        data["env"]["scenario_table"] = {"file": "table.json"}
+        err = self._run_on(tiny_config, capsys, data)
+        assert "error: malformed scenario key env.scenario_table['file']" in err
+
+    def test_repeated_key_in_file(self, tiny_config, capsys):
+        # a second "seed" would otherwise silently replace the first
+        text = tiny_config.read_text()
+        assert text.count('"seed": 3,') == 1
+        err = self._run_text(
+            tiny_config, capsys, text.replace('"seed": 3,', '"seed": 3, "seed": 7,')
+        )
+        assert "repeated key 'seed'" in err
 
     def test_fractional_episode_count(self, tiny_config, capsys):
         err = self._run(tiny_config, capsys, lambda d: d["train"].update(episodes=1.5))
@@ -221,6 +220,7 @@ class TestConfigErrorsExitCleanly:
         pytest.param("train", "workers", id="train.workers"),
         pytest.param("train", "horizon", id="train.horizon"),
         pytest.param("env", "seed", id="env.seed"),
+        pytest.param("reward", "dedupe_predictions", id="reward.dedupe_predictions"),
     ])
     def test_removed_keys_are_unknown(self, tiny_config, capsys, section, key):
         err = self._run(tiny_config, capsys, lambda d: d[section].update({key: 1}))

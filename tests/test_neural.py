@@ -271,16 +271,32 @@ class TestClip:
 class TestCheckpoint:
     def test_round_trip_exact(self, tmp_path):
         net = Mlp([5, 9, 4], head="softmax", seed=11)
-        adam = AdamState(m=RNG.normal(0, 1, net.n_params), v=np.abs(RNG.normal(0, 1, net.n_params)), step=42)
         path = tmp_path / "net.ckpt"
-        save_checkpoint(path, net, adam)
-        net2, adam2 = load_checkpoint(path)
+        save_checkpoint(path, net)
+        net2, _ = load_checkpoint(path)
         assert net2.layer_sizes == net.layer_sizes
         assert net2.head == net.head
         assert np.array_equal(net2.get_params(), net.get_params())
-        assert np.array_equal(adam2.m, adam.m)
-        assert np.array_equal(adam2.v, adam.v)
-        assert adam2.step == 42
+
+    def test_file_with_optimizer_state_still_loads(self, tmp_path):
+        # files written before checkpoints held parameters only
+        net = Mlp([5, 9, 4], head="softmax", seed=11)
+        path = tmp_path / "old.ckpt"
+        with open(path, "wb") as fh:
+            np.savez(
+                fh,
+                version=np.array([1]),
+                layer_sizes=np.array(net.layer_sizes),
+                head=np.array(net.head),
+                params=net.get_params(),
+                adam_m=RNG.normal(0, 1, net.n_params),
+                adam_v=np.abs(RNG.normal(0, 1, net.n_params)),
+                adam_step=np.array([42]),
+            )
+        net2, unread = load_checkpoint(path)
+        assert unread is None
+        assert (net2.layer_sizes, net2.head) == (net.layer_sizes, net.head)
+        assert np.array_equal(net2.get_params(), net.get_params())
 
     def test_round_trip_without_optimizer(self, tmp_path):
         net = Mlp([3, 4, 2], head="linear", seed=0)
