@@ -12,20 +12,25 @@ Constraints enter the responder only through its features; compliance is
 learned through the coverage loss and the judge reward, not enforced by
 decoding-time masking.
 
-Sampling conventions: acting returns only the symbols it chose.  The
-first slot/step masks STOP/END so emitted sequences are never empty.  A
-sampled step draws by the package's one draw rule, the environment's
-(``simenv.cumulative`` and ``simenv.draw``): ``Generator.choice``'s own
-inverse-CDF rule, one ``random()`` searched in the cumulative distribution
-(``_draw``), so it picks the index ``rng.choice(q.size, p=q / q.sum())``
-would.  A greedy step takes the argmax of the network's logits
-(``Mlp.forward(x, logits=True)``), the lowest index on a tie, and runs no
-softmax.  Log-probabilities and entropies exist only in the teacher-forced
-loss pass (``_sequence_terms``): a sequence's log-probability follows the
-sampling law (masked, renormalized first step), while its entropy is that
-of the raw per-step distributions including the stop symbol.  Every loss
-here is a deterministic function of (parameters, state, action), so all
-gradients are checkable against central finite differences.
+Sampling conventions: acting returns only the symbols it chose.  Every
+step reads the network's logits (``Mlp.forward(x, logits=True)``) and
+runs no softmax.  The first slot/step masks STOP/END so emitted sequences
+are never empty.  A sampled step draws from the law of ``stable_softmax``,
+the floored softmax the loss pass uses, masked and renormalised on the
+first step: it takes that law's unnormalised weights
+(``neural.softmax_weights``), zeroes STOP/END on the first step, and makes
+one draw from their cumulative sum by the package's one draw rule
+(``simenv.draw``: one ``random()`` scaled by the total and searched from
+the right).  The index is the one ``rng.choice(q.size, p=q)`` picks on the
+normalised law ``q``, from the same one ``random()``, except when that
+``random()`` falls within rounding of a boundary.  A greedy step takes the
+argmax of the logits, the lowest index on a tie.  Log-probabilities and
+entropies exist only in the teacher-forced loss pass
+(``_sequence_terms``): a sequence's log-probability follows the sampling
+law (masked, renormalized first step), while its entropy is that of the
+raw per-step distributions including the stop symbol.  Every loss here is
+a deterministic function of (parameters, state, action), so all gradients
+are checkable against central finite differences.
 
 Each policy defines its network-input row once: ``first_rows`` builds the
 step-0 rows of stacked feature rows, and ``advance`` turns one row, in
@@ -56,8 +61,8 @@ from .core import (
     SkillSequence,
     response_markers,
 )
-from .neural import Mlp
-from .simenv import EnvConfig, cumulative, draw
+from .neural import Mlp, softmax_weights
+from .simenv import EnvConfig, draw
 
 N_PHASES = 3
 _BUSINESS_DIM = 6  # order status one-hot (3) + stock level one-hot (3)
@@ -149,21 +154,6 @@ class FeatureSpec:
         return f
 
 
-def _draw(q: np.ndarray, rng: np.random.Generator) -> int:
-    """One draw from ``q / q.sum()`` exactly as ``rng.choice(q.size, p=q /
-    q.sum())`` makes it, by the environment's rule (``simenv.draw``): the
-    same cumulative distribution, one ``random()``, the same index.  Like
-    ``choice``, it raises before drawing when the distribution is not
-    finite."""
-    return draw(cumulative(q / q.sum()), rng)
-
-
-def _masked(p: np.ndarray, banned: int) -> np.ndarray:
-    q = p.copy()
-    q[banned] = 0.0
-    return q / q.sum()
-
-
 def _sequence_terms(
     p: np.ndarray,
     symbols: np.ndarray,
@@ -213,23 +203,28 @@ def _act(policy, net: Mlp, x: np.ndarray, cap: int, stop: int, rng, greedy: bool
     """The autoregressive loop both policies act with: from the step-0 row
     ``x``, pick the step's symbol with ``stop`` masked on the first step,
     and advance ``x`` in place, until ``stop`` or ``cap`` steps; one
-    ``forward`` per step.  A sampled step runs the network's distribution
-    and draws from it.  A greedy step takes the argmax of the logits
-    (``forward(x, logits=True)``), the lowest index on a tie.  Returns the
-    emitted symbols only: their log-probability and entropies are the loss
-    pass's (``_sequence_terms``)."""
+    ``forward(x, logits=True)`` per step and no softmax.  A sampled step
+    makes one draw (``simenv.draw``) from the cumulative
+    ``softmax_weights`` of the logits, proportional to ``stable_softmax``'s
+    law: the index ``rng.choice`` picks on that law, except within
+    rounding of a boundary.  It raises, before drawing, on non-finite
+    logits.  A greedy step takes the argmax of the logits, the lowest index
+    on a tie.  Returns the emitted symbols only: their log-probability and
+    entropies are the loss pass's (``_sequence_terms``)."""
     symbols: list[int] = []
     prev = None
     for step in range(cap):
+        # forward returns a fresh array, so the step-0 mask goes in place
+        z = net.forward(x, logits=True)
         if greedy:
-            z = net.forward(x, logits=True)
             if step == 0:
-                # forward returns a fresh array, so the mask goes in place
                 z[stop] = -np.inf
             sym = int(z.argmax())
         else:
-            p = net.forward(x)
-            sym = _draw(_masked(p, stop) if step == 0 else p, rng)
+            w = softmax_weights(z)
+            if step == 0:
+                w[stop] = 0.0
+            sym = draw(np.add.accumulate(w), rng)
         if sym == stop:
             break
         symbols.append(sym)
@@ -282,25 +277,27 @@ class ExpertPolicy:
         in_dim = spec.expert_dim + spec.n_skills + MAX_SKILL_SEQUENCE_LEN
         self.actor = Mlp([in_dim, hidden, spec.n_skills + 1], head="softmax", seed=actor_seed)
         self.critic = Mlp([spec.expert_dim, hidden, 1], head="linear", seed=critic_seed)
+        # where the chosen-skill multi-hot and the slot one-hot start in an
+        # actor row
+        self._chosen_at = spec.expert_dim
+        self._slot_at = spec.expert_dim + spec.n_skills
 
     def first_rows(self, features: np.ndarray) -> np.ndarray:
         """The slot-0 actor rows of stacked feature rows.  An actor row holds
         the planner features, the chosen-skill multi-hot and the slot
         one-hot; at slot 0 no skill is chosen."""
         x = np.zeros((len(features), self.actor.layer_sizes[0]))
-        x[:, : self.spec.expert_dim] = features
-        x[:, self.spec.expert_dim + self.spec.n_skills] = 1.0
+        x[:, : self._chosen_at] = features
+        x[:, self._slot_at] = 1.0
         return x
 
     def advance(self, x: np.ndarray, slot: int, skill: int, prev: int | None) -> None:
         """Turn the row of ``slot`` into the next slot's row, in place, after
         ``skill`` was chosen at ``slot``.  ``prev``, the skill chosen at the
         slot before, is not needed here; it is the responder's argument."""
-        chosen_at = self.spec.expert_dim
-        slot_at = chosen_at + self.spec.n_skills
-        x[chosen_at + skill] = 1.0
-        x[slot_at + slot] = 0.0
-        x[slot_at + slot + 1] = 1.0
+        x[self._chosen_at + skill] = 1.0
+        x[self._slot_at + slot] = 0.0
+        x[self._slot_at + slot + 1] = 1.0
 
 
 def expert_act(
@@ -401,6 +398,11 @@ class CsaPolicy:
         self.generator = Mlp(
             [in_dim, hidden, spec.vocab_size + 1], head="softmax", seed=seed
         )
+        # where the previous-token one-hot and the emitted and missing marker
+        # multi-hots start in a generator row
+        self._prev_at = spec.csa_dim
+        self._emitted_at = self._prev_at + spec.vocab_size + 1
+        self._missing_at = self._emitted_at + spec.n_markers
         # carriers[w, m] = 1 if output symbol w emits marker m (END emits none)
         self.carriers = np.zeros((spec.vocab_size + 1, spec.n_markers))
         for t, markers in enumerate(spec.token_markers):
@@ -415,26 +417,21 @@ class CsaPolicy:
         missing."""
         spec = self.spec
         x = np.zeros((len(features), self.generator.layer_sizes[0]))
-        x[:, : spec.csa_dim] = features
-        missing_at = spec.csa_dim + spec.vocab_size + 1 + spec.n_markers
+        x[:, : self._prev_at] = features
         required = features[:, spec.n_skills : spec.n_skills + spec.n_markers]
-        x[:, missing_at : missing_at + spec.n_markers] = required
+        x[:, self._missing_at : self._missing_at + spec.n_markers] = required
         return x
 
     def advance(self, x: np.ndarray, step: int, token: int, prev: int | None) -> None:
         """Turn the row of ``step`` into the next step's row, in place, after
         ``token`` was emitted at ``step`` (``prev`` at the step before)."""
-        spec = self.spec
-        prev_at = spec.csa_dim
-        emitted_at = prev_at + spec.vocab_size + 1
-        missing_at = emitted_at + spec.n_markers
         if prev is not None:
-            x[prev_at + prev] = 0.0
-        x[prev_at + token] = 1.0
-        for m in spec.token_markers[token]:
-            x[emitted_at + m] = 1.0
-            x[missing_at + m] = 0.0
-        x[-1] = (step + 1) / spec.max_response_len
+            x[self._prev_at + prev] = 0.0
+        x[self._prev_at + token] = 1.0
+        for m in self.spec.token_markers[token]:
+            x[self._emitted_at + m] = 1.0
+            x[self._missing_at + m] = 0.0
+        x[-1] = (step + 1) / self.spec.max_response_len
 
 
 def csa_act(

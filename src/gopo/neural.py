@@ -16,7 +16,8 @@ losses.  A single vector gives the same bytes as a one-row batch.
 ``forward`` applies the head to the raw pre-activation: ``stable_softmax``
 for a softmax head, the identity for a linear head.  ``forward(x,
 logits=True)`` returns the pre-activation itself, so a caller that needs
-only the argmax of a softmax head skips the softmax.
+only the argmax of a softmax head, or only weights to draw from
+(``softmax_weights``), skips the softmax.
 
 ``backward`` takes the upstream gradient with respect to the network OUTPUT
 (probabilities for a softmax head), so losses can be written directly in
@@ -49,6 +50,22 @@ def stable_softmax(logits: np.ndarray) -> np.ndarray:
     strictly-positive floor; each row sums to 1 exactly up to rounding."""
     p = _softmax_raw(logits)
     return (p + PROB_FLOOR) / (1.0 + p.shape[-1] * PROB_FLOOR)
+
+
+def softmax_weights(logits: np.ndarray) -> np.ndarray:
+    """Unnormalised weights of ``stable_softmax(logits)`` for one row of
+    logits: ``e + PROB_FLOOR * e.sum()`` with ``e = exp(logits -
+    logits.max())``.  Since ``stable_softmax`` is ``(e / e.sum() +
+    PROB_FLOOR) / (1 + n * PROB_FLOOR)``, the weights are those
+    probabilities times one positive factor, so a caller that draws from
+    them by their own sum needs no division.  Non-finite logits give
+    non-finite weights.  (The reductions of a vector are numpy scalars,
+    which broadcast faster than the one-entry arrays of a row-wise
+    ``keepdims`` form.)"""
+    e = logits - np.maximum.reduce(logits)
+    np.exp(e, out=e)
+    e += PROB_FLOOR * np.add.reduce(e)
+    return e
 
 
 class Mlp:

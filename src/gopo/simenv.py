@@ -36,11 +36,16 @@ keep intents sticky and let them drift toward the phase's typical activity,
 from browsing and inquiry toward purchase.
 
 The user's initial intent and emotion and each turn's transitions are drawn
-by ``Generator.choice``'s own rule (``draw``): one ``random()`` searched in
-the cumulative distribution (``cumulative``).  The environment builds the
-cumulative distribution of each initial distribution and each transition
-row once, on construction, so a draw costs one search; every episode is the
-one ``rng.choice`` would play.
+by the package's one draw rule (``draw``): one ``random()``, scaled by the
+last entry of the cumulative weights and searched from the right.  The
+environment builds the cumulative distribution of each initial
+distribution and each transition row once, on construction
+(``cumulative``, ``Generator.choice``'s own: it ends in exactly 1.0), so a
+draw costs one search and picks exactly the index ``rng.choice`` picks;
+every episode is the one ``rng.choice`` would play.  The policies draw by
+the same rule from unnormalised cumulative weights, so their index is
+``rng.choice``'s except when ``random()`` falls within rounding of a
+boundary.
 """
 
 from __future__ import annotations
@@ -583,8 +588,8 @@ class DialogueEnv:
 
 def cumulative(p: np.ndarray) -> np.ndarray:
     """The cumulative distribution ``Generator.choice`` searches for weights
-    ``p``: ``p.cumsum()`` divided by its last entry.  Like ``choice``, it
-    raises when the weights are not finite."""
+    ``p``: ``p.cumsum()`` divided by its last entry, so it ends in exactly
+    1.0.  Like ``choice``, it raises when the weights are not finite."""
     cdf = p.cumsum()
     if not math.isfinite(cdf[-1]):
         raise ValueError("probabilities are not finite")
@@ -593,10 +598,17 @@ def cumulative(p: np.ndarray) -> np.ndarray:
 
 
 def draw(cdf: np.ndarray, rng: np.random.Generator) -> int:
-    """One draw from the distribution whose ``cumulative`` is ``cdf``, as
-    ``rng.choice`` makes it: one ``random()``, searched from the right, so
-    the same index."""
-    return int(cdf.searchsorted(rng.random(), side="right"))
+    """One draw from the cumulative weights ``cdf``, which need not be
+    normalised: one ``random()``, scaled by ``cdf[-1]`` and searched from
+    the right.  On a ``cumulative`` distribution (last entry exactly 1.0)
+    this is ``rng.choice``'s rule bit for bit, so the same index; on other
+    weights it samples the same law as ``rng.choice`` on the normalised
+    weights, with the same index except within rounding of a boundary.
+    Raises, before drawing, when ``cdf[-1]`` is not finite."""
+    total = cdf.item(-1)
+    if not math.isfinite(total):
+        raise ValueError("probabilities are not finite")
+    return int(cdf.searchsorted(rng.random() * total, side="right"))
 
 
 def _normalized(a) -> np.ndarray:

@@ -7,7 +7,6 @@ from gopo.agents import (
     CsaPolicy,
     ExpertPolicy,
     FeatureSpec,
-    _draw,
     critic_loss,
     critic_value,
     csa_act,
@@ -25,7 +24,8 @@ from gopo.core import (
     response_markers,
 )
 import gopo.neural
-from gopo.neural import AdamState, adam_step
+from gopo.neural import AdamState, adam_step, softmax_weights, stable_softmax
+from gopo.simenv import draw
 from conftest import random_csa_state, random_expert_state, random_response
 from oracles import (
     central_difference_grad,
@@ -92,15 +92,15 @@ def _critic_loss(policy, rows, targets):
 def _acted_log_prob(net, act):
     """Run ``act()`` with ``net.forward`` recorded and return its result and
     the log-probability, under the distributions the act drew from (the
-    first one with its stop symbol, the last output, masked), of the
-    symbols it realized: the emitted ones and the closing stop, absent at
-    the cap."""
+    ``stable_softmax`` of each step's logits, the first one with its stop
+    symbol, the last output, masked), of the symbols it realized: the
+    emitted ones and the closing stop, absent at the cap."""
     dists = []
     forward = net.forward
 
     def recorder(x, **kwargs):
         out = forward(x, **kwargs)
-        dists.append(out.copy())
+        dists.append(stable_softmax(out))
         return out
 
     net.forward = recorder
@@ -499,15 +499,13 @@ def test_greedy_step_is_the_argmax_of_the_logits(spec):
 def test_act_runs_one_forward_per_step_and_greedy_no_softmax(
     spec, monkeypatch, policy_kind, greedy
 ):
-    """Acting runs one ``Mlp.forward`` per realized step, on logits when
-    greedy and on the distribution when sampled, and a greedy act never
-    runs the softmax."""
-    if greedy:
-        def no_softmax(*args, **kwargs):
-            raise AssertionError("a greedy act ran the softmax")
+    """Acting runs one ``Mlp.forward(x, logits=True)`` per realized step,
+    greedy or sampled, and no act runs the softmax."""
+    def no_softmax(*args, **kwargs):
+        raise AssertionError("an act ran the softmax")
 
-        monkeypatch.setattr(gopo.neural, "stable_softmax", no_softmax)
-        monkeypatch.setattr(gopo.neural, "_softmax_raw", no_softmax)
+    monkeypatch.setattr(gopo.neural, "stable_softmax", no_softmax)
+    monkeypatch.setattr(gopo.neural, "_softmax_raw", no_softmax)
     rng = np.random.default_rng(61)
     for trial in range(10):
         if policy_kind == "expert":
@@ -526,7 +524,7 @@ def test_act_runs_one_forward_per_step_and_greedy_no_softmax(
         (result,) = act(policy, state, rng, greedy=greedy)
         symbols = result.skills if policy_kind == "expert" else result.tokens
         assert len(calls) == min(len(symbols) + 1, cap)
-        assert all(kwargs.get("logits", False) == greedy for kwargs in calls)
+        assert all(kwargs == {"logits": True} for kwargs in calls)
 
 
 class TestActMatchesOracle:
@@ -632,36 +630,55 @@ class TestActMatchesOracle:
             assert np.array_equal(np.stack(rows), forced)
 
 
+def _sampled_step(logits, banned, rng):
+    """A sampled act step as ``agents._act`` makes it: the cumulative
+    ``softmax_weights`` of the logits, ``banned`` (if any) zeroed, one
+    ``draw``."""
+    w = softmax_weights(logits)
+    if banned is not None:
+        w[banned] = 0.0
+    return draw(np.add.accumulate(w), rng)
+
+
 class TestDraw:
     def test_picks_the_index_choice_picks(self):
+        """On the floored softmax law, masked and renormalised on half the
+        trials (a first step), the sampled step picks the index
+        ``rng.choice`` picks, with the same one ``random()``."""
         gen = np.random.default_rng(51)
         mine, theirs = np.random.default_rng(52), np.random.default_rng(52)
         for trial in range(20_000):
             logits = gen.normal(0.0, gen.uniform(0.1, 20.0), int(gen.integers(2, 70)))
-            q = np.exp(logits - logits.max())
-            q /= q.sum()
+            q = stable_softmax(logits)
+            banned = None
             if trial % 2 == 0:
-                # a first-step distribution: one symbol masked to zero
-                q[int(gen.integers(q.size))] = 0.0
+                banned = int(gen.integers(q.size))
+                q[banned] = 0.0
                 q /= q.sum()
-            assert _draw(q, mine) == int(theirs.choice(q.size, p=q / q.sum()))
+            assert _sampled_step(logits, banned, mine) == int(theirs.choice(q.size, p=q))
         assert mine.random() == theirs.random()
 
     def test_nan_distribution_raises_like_choice(self):
-        q = np.array([0.25, np.nan, 0.75])
-        mine, theirs = np.random.default_rng(53), np.random.default_rng(53)
-        with pytest.raises(ValueError):
-            _draw(q, mine)
-        with pytest.raises(ValueError):
-            theirs.choice(q.size, p=q / q.sum())
-        assert mine.random() == theirs.random()
+        """Non-finite logits raise before any ``random()`` is drawn, masked
+        or not."""
+        mine, fresh = np.random.default_rng(53), np.random.default_rng(53)
+        for logits in (
+            [0.25, np.nan, 0.75], [1.0, np.inf, 0.0], [np.inf, np.inf, 0.0], [-np.inf] * 3
+        ):
+            for banned in (None, 2):
+                # inf - inf warns before it gives NaN weights
+                with np.errstate(invalid="ignore"), pytest.raises(ValueError):
+                    _sampled_step(np.array(logits), banned, mine)
+        assert mine.random() == fresh.random()
 
     def test_sampled_csa_act_with_nan_parameters_raises(self, spec):
         policy = _csa(spec, seed=54)
         policy.generator.set_params(np.full(policy.generator.n_params, np.nan))
         state = random_csa_state(spec, np.random.default_rng(54))
+        mine, fresh = np.random.default_rng(55), np.random.default_rng(55)
         with pytest.raises(ValueError):
-            csa_act(policy, state, np.random.default_rng(55))
+            csa_act(policy, state, mine)
+        assert mine.random() == fresh.random()
 
 
 class TestDiversityDirection:

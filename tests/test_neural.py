@@ -10,6 +10,7 @@ from gopo.neural import (
     clip_grad_norm,
     load_checkpoint,
     save_checkpoint,
+    softmax_weights,
     stable_softmax,
 )
 from oracles import central_difference_grad, max_rel_error, scaled_diff
@@ -76,6 +77,19 @@ class TestForward:
             p = stable_softmax(np.array([scale, -scale, 0.0]))
             assert np.all(np.isfinite(p)) and np.all(p > 0)
             assert p.sum() == pytest.approx(1.0, abs=1e-9)
+
+    def test_softmax_weights_are_the_unnormalised_law(self):
+        """``softmax_weights`` divided by its sum is ``stable_softmax`` up
+        to rounding, floor-level entries of saturated logits included."""
+        rng = np.random.default_rng(63)
+        for _ in range(3000):
+            width = int(rng.integers(2, 70))
+            logits = rng.normal(0, rng.uniform(0.1, 20.0), width)
+            saturated = rng.random(width) < 0.1
+            logits[saturated] = rng.choice([-1e3, 60.0], int(saturated.sum()))
+            w = softmax_weights(logits)
+            assert np.all(w > 0)
+            np.testing.assert_allclose(w / w.sum(), stable_softmax(logits), rtol=1e-13, atol=0)
 
     def test_extreme_weights_no_nan(self):
         net = Mlp([3, 8, 4], head="softmax", seed=5)

@@ -3,6 +3,7 @@ import dataclasses
 import numpy as np
 import pytest
 
+import gopo.simenv
 from gopo.core import Response, SkillSequence, response_markers
 from gopo.simenv import (
     ConfigError,
@@ -10,6 +11,7 @@ from gopo.simenv import (
     EnvConfig,
     TERMINAL_ALL_MILESTONES,
     TERMINAL_HORIZON,
+    draw,
     reference_responses,
     to_json,
 )
@@ -226,6 +228,46 @@ class TestDrawsMatchChoice:
             assert played == self._play(oracle, cfg, seed), seed
             reasons.add(played[1])
         assert reasons == {TERMINAL_ALL_MILESTONES, TERMINAL_HORIZON}
+
+
+class _FixedRandom:
+    """A generator stand-in whose ``random()`` returns the given value."""
+
+    def __init__(self, u):
+        self.u = u
+
+    def random(self):
+        return self.u
+
+
+class TestDrawOnEnvironmentCdfs:
+    """Every cumulative distribution the environment builds ends in exactly
+    1.0, so ``draw``'s scaling by the last entry leaves ``random()``
+    unchanged: the pick is ``searchsorted(u, side="right")``, the rule
+    ``rng.choice`` applies, at every boundary and just beside it."""
+
+    @pytest.mark.parametrize("world", ["tiny", "default"])
+    def test_draw_is_choices_search(self, world, env_cfg, tiny_env_cfg, monkeypatch):
+        cfg = tiny_env_cfg if world == "tiny" else env_cfg
+        built = []
+        cumulative = gopo.simenv.cumulative
+        monkeypatch.setattr(
+            gopo.simenv, "cumulative", lambda p: built.append(cumulative(p)) or built[-1]
+        )
+        DialogueEnv(cfg)
+        # two initial distributions, two emotion matrices, one intent
+        # matrix per phase
+        n_rows = 2 * len(cfg.emotions) + 3 * len(cfg.intents)
+        assert len(built) == 2 + n_rows
+        gen = np.random.default_rng(57)
+        below_one = np.nextafter(1.0, 0.0)
+        for cdf in built:
+            assert cdf[-1] == 1.0
+            edges = np.concatenate([cdf, np.nextafter(cdf, 0.0), np.nextafter(cdf, 1.0)])
+            us = np.concatenate([[0.0, below_one], edges[edges < 1.0], gen.random(500)])
+            for u in us:
+                want = int(cdf.searchsorted(u, side="right"))
+                assert draw(cdf, _FixedRandom(float(u))) == want
 
 
 class TestTeacher:
