@@ -18,7 +18,6 @@ from .core import (
     SkillSequence,
     Trajectory,
     TurnRecord,
-    TurnSummary,
 )
 from .metrics import MetricReport, TseConfig, aggregate, bleu, gre, tse
 from .rewards import (
@@ -53,7 +52,6 @@ __all__ = [
     "Trajectory",
     "TseConfig",
     "TurnRecord",
-    "TurnSummary",
     "aggregate",
     "bleu",
     "csa_reward",

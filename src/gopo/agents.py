@@ -49,6 +49,7 @@ per turn and shared by the critic and the actor.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -127,8 +128,8 @@ class FeatureSpec:
             for s in state.prev_skills:
                 f[off + s] = 1.0
         off += self.n_skills
-        for turn in state.history:
-            for m in turn.markers:
+        for markers in state.history:
+            for m in markers:
                 f[off + m] += 1.0
         f[off : off + self.n_markers] /= max(self.history_window, 1)
         off += self.n_markers
@@ -209,8 +210,10 @@ def _act(policy, net: Mlp, x: np.ndarray, cap: int, stop: int, rng, greedy: bool
     law: the index ``rng.choice`` picks on that law, except within
     rounding of a boundary.  It raises, before drawing, on non-finite
     logits.  A greedy step takes the argmax of the logits, the lowest index
-    on a tie.  Returns the emitted symbols only: their log-probability and
-    entropies are the loss pass's (``_sequence_terms``)."""
+    on a tie, and raises when the chosen logit is not finite (``argmax``
+    picks the first NaN if there is one).  Returns the emitted symbols
+    only: their log-probability and entropies are the loss pass's
+    (``_sequence_terms``)."""
     symbols: list[int] = []
     prev = None
     for step in range(cap):
@@ -220,6 +223,8 @@ def _act(policy, net: Mlp, x: np.ndarray, cap: int, stop: int, rng, greedy: bool
             if step == 0:
                 z[stop] = -np.inf
             sym = int(z.argmax())
+            if not math.isfinite(z.item(sym)):
+                raise ValueError("logits are not finite")
         else:
             w = softmax_weights(z)
             if step == 0:

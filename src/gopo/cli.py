@@ -10,9 +10,11 @@ places the run directory and leaves the copy's ``output_dir`` as the file
 gave it), and ``gopo eval`` evaluates the latest step at which every network
 of the variant has a checkpoint and prints its metrics row, which it writes
 to a file only when given ``--out``; the trainer module lays out the run
-directory.  Exit codes: 0 success; 1 invalid
-configuration, checkpoint or command-line usage, reported as one
-``error: ...`` line on stderr; 2 runtime failure (a diverged loss or an
+directory.  ``gopo report`` merges the last metrics row of each run
+directory and rejects a row without the header's columns or with a
+non-numeric field after the variant.  Exit codes: 0 success; 1 invalid
+configuration, checkpoint, metrics row or command-line usage, reported as
+one ``error: ...`` line on stderr; 2 runtime failure (a diverged loss or an
 I/O error).  Log verbosity comes from the GOPO_LOG_LEVEL environment
 variable (error, info, or debug).
 """
@@ -123,6 +125,16 @@ def cmd_ablate(args) -> int:
     return 0
 
 
+def _is_metrics_row(line: str) -> bool:
+    """Whether ``line`` has the columns of ``METRIC_CSV_HEADER``, with a
+    number in every field after the variant."""
+    try:
+        numbers = [float(x) for x in line.split(",")[1:]]
+    except ValueError:
+        return False
+    return len(numbers) == METRIC_CSV_HEADER.count(",")
+
+
 def cmd_report(args) -> int:
     runs_dir = Path(args.runs)
     if not runs_dir.is_dir():
@@ -135,6 +147,8 @@ def cmd_report(args) -> int:
             # header only: the run ended before its first evaluation
             log.info("skipping %s: no evaluation row in metrics.csv", run)
             continue
+        if not _is_metrics_row(metric_lines[-1]):
+            raise ConfigError(f"malformed last row in {run / 'metrics.csv'}")
         merged_rows.append(f"{run.name},{metric_lines[-1]}")
         curves_file = run / "curves.csv"
         if curves_file.is_file():

@@ -14,9 +14,11 @@ normative (field names and order are part of the wire format):
      milestones: {completed, turns},
      terminal_reason}
 
-The wire format carries the scored trace of an episode, not the full internal
-observations; decoding a line rebuilds a trajectory whose states carry the
-recorded intent/emotion/phase/turn but empty history and utterances.
+A turn's ``skills`` are the responder's constraint (``[]`` for the null
+constraint of the no-planner ablation).  The wire format carries the scored
+trace of an episode, not the full internal observations; decoding a line
+rebuilds a trajectory whose states carry the recorded intent/emotion/phase/
+turn and constraint but empty history and utterances.
 Re-encoding a decoded line reproduces it byte for byte.
 """
 
@@ -77,29 +79,16 @@ class SkillSequence:
 
 
 @dataclass(frozen=True)
-class TurnSummary:
-    """Compact record of one past turn, kept in the planner's history window."""
-
-    intent: str
-    emotion: str
-    skills: tuple[int, ...]
-    markers: frozenset[int]
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "skills", tuple(self.skills))
-        object.__setattr__(self, "markers", frozenset(self.markers))
-
-
-@dataclass(frozen=True)
 class ExpertState:
     """Observation of the strategy planner.
 
-    ``phase`` (1-based task phase) and ``turn`` (1-based turn index) locate
-    the state in the episode; the scenario lookup and the feature encoding
-    both need them.
+    ``history`` holds the marker sets of the last ``history_window``
+    responses, oldest first.  ``phase`` (1-based task phase) and ``turn``
+    (1-based turn index) locate the state in the episode; the scenario
+    lookup and the feature encoding both need them.
     """
 
-    history: tuple[TurnSummary, ...]
+    history: tuple[frozenset[int], ...]
     intent: str
     emotion: str
     prev_skills: SkillSequence | None
@@ -217,11 +206,11 @@ MILESTONE_NAMES = ("requirement_matching", "information_delivery", "proactive_gu
 
 @dataclass(frozen=True)
 class TurnRecord:
-    """One scored turn: what the planner saw and chose, what the responder
-    saw and said, and how the turn was rewarded."""
+    """One scored turn: what the planner saw, what the responder saw and
+    said, and how the turn was rewarded.  The planner's choice is the
+    responder's constraint, ``csa_state.constraint``."""
 
     expert_state: ExpertState
-    skills: SkillSequence | None
     csa_state: CsaState
     response: Response
     reward: RewardBreakdown
@@ -256,7 +245,7 @@ def trajectory_to_dict(traj: Trajectory) -> dict:
                 "turn": i + 1,
                 "intent": t.expert_state.intent,
                 "emotion": t.expert_state.emotion,
-                "skills": list(t.skills.skills) if t.skills is not None else [],
+                "skills": list(t.csa_state.constraint or ()),
                 "response_tokens": list(t.response.tokens),
                 "r_expert": t.reward.r_expert,
                 "r_csa": t.reward.r_csa,
@@ -323,7 +312,7 @@ def trajectory_from_dict(record: dict) -> Trajectory:
             w_csa=entry["w_csa"],
             joint=entry["joint"],
         )
-        turns.append(TurnRecord(expert_state, skills, csa_state, response, reward))
+        turns.append(TurnRecord(expert_state, csa_state, response, reward))
         prev_skills = skills
     return Trajectory(
         episode_id=record["episode_id"],

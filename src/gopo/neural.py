@@ -240,12 +240,16 @@ def load_checkpoint(path) -> tuple[Mlp, None]:
     """The network saved by ``save_checkpoint``, paired with ``None`` for
     callers that unpack a pair (``perfbench/make_checkpoints.py``).  Arrays
     other than the four saved ones, such as Adam moments in a file written
-    by an earlier version, are left unread."""
+    by an earlier version, are left unread.  Raises ValueError on an
+    unknown version or a parameter that is not finite."""
     with open(path, "rb") as fh:
         data = np.load(fh, allow_pickle=False)
         version = int(data["version"][0])
         if version != CHECKPOINT_VERSION:
             raise ValueError(f"unsupported checkpoint version {version}")
         net = Mlp(tuple(int(s) for s in data["layer_sizes"]), head=str(data["head"]))
-        net.set_params(data["params"])
+        params = data["params"]
+        if not np.isfinite(params).all():
+            raise ValueError("checkpoint parameters are not finite")
+        net.set_params(params)
     return net, None

@@ -59,7 +59,6 @@ import numpy as np
 
 from .core import (
     BusinessContext,
-    CsaState,
     ExpertState,
     MilestoneRecord,
     NUM_MILESTONES,
@@ -67,7 +66,6 @@ from .core import (
     Skill,
     SkillSequence,
     Trajectory,
-    TurnSummary,
 )
 
 
@@ -207,7 +205,6 @@ _ENV_FIELDS = {
     "skill_pool": list_of(_skill),
     "intents": list_of(str),
     "emotions": list_of(str),
-    "vocab_size": int,
     "horizon": int,
     "history_window": int,
     "marker_count": int,
@@ -243,7 +240,6 @@ class EnvConfig:
     skill_pool: tuple[Skill, ...]
     intents: tuple[str, ...]
     emotions: tuple[str, ...]
-    vocab_size: int
     horizon: int
     history_window: int
     marker_count: int
@@ -261,6 +257,11 @@ class EnvConfig:
 
     def __post_init__(self) -> None:
         validate_env_config(self)
+
+    @property
+    def vocab_size(self) -> int:
+        """The number of tokens: one ``token_markers`` entry each."""
+        return len(self.token_markers)
 
     @classmethod
     def from_dict(cls, data, path: str = "env") -> "EnvConfig":
@@ -304,13 +305,8 @@ def validate_env_config(cfg: EnvConfig) -> None:
         raise ConfigError("env.intents must be non-empty and unique")
     if len(set(cfg.emotions)) != len(cfg.emotions) or not cfg.emotions:
         raise ConfigError("env.emotions must be non-empty and unique")
-    if cfg.vocab_size < 1:
-        raise ConfigError("env.vocab_size must be positive")
-    if cfg.vocab_size != len(cfg.token_markers):
-        raise ConfigError(
-            f"env.token_markers has {len(cfg.token_markers)} entries for "
-            f"vocab_size {cfg.vocab_size}"
-        )
+    if not cfg.token_markers:
+        raise ConfigError("env.token_markers is empty")
     for t, markers in enumerate(cfg.token_markers):
         if not markers <= set(range(cfg.marker_count)):
             raise ConfigError(f"env.token_markers[{t}] outside marker alphabet")
@@ -442,7 +438,7 @@ class DialogueEnv:
         )
         self._completed = [False] * NUM_MILESTONES
         self._milestone_turns: list[int | None] = [None] * NUM_MILESTONES
-        self._history: tuple[TurnSummary, ...] = ()
+        self._history: tuple[frozenset[int], ...] = ()
         self._prev_skills: SkillSequence | None = None
         self._done = False
         self._active = True
@@ -453,7 +449,9 @@ class DialogueEnv:
     def step(
         self, skills: SkillSequence | None, response: Response
     ) -> tuple[EnvObservation, tuple[float, float, float, float], tuple[bool, bool, bool], bool]:
-        """Score one exchange and advance the user state.
+        """Score one exchange (``judge`` of the response under ``skills``,
+        the responder's constraint) and advance the user state; the next
+        planner state's history ends with the response's marker set.
 
         Returns (next observation, judge dimension scores, newly completed
         milestones, done).  Raises if called before reset or after the
@@ -467,12 +465,7 @@ class DialogueEnv:
             for s in skills:
                 if s >= len(self.cfg.skill_pool):
                     raise ValueError(f"skill id {s} outside the pool")
-        csa_state = CsaState(
-            utterance=self._obs.csa_utterance,
-            constraint=skills,
-            business_ctx=self._business,
-        )
-        scores = self.judge(csa_state, response)
+        scores = self.judge(skills, response)
         turn_no = self._turn + 1
 
         delta = [False] * NUM_MILESTONES
@@ -484,19 +477,11 @@ class DialogueEnv:
             self._phase = min(p + 1, NUM_MILESTONES)
 
         compliant = scores[1] >= self.cfg.compliance_threshold
-        old_intent = self.cfg.intents[self._intent_idx]
-        old_emotion = self.cfg.emotions[self._emotion_idx]
         self._emotion_idx = draw(self._emotion_cdfs[compliant][self._emotion_idx], self._rng)
         self._intent_idx = draw(
             self._intent_cdfs[self._phase - 1][self._intent_idx], self._rng
         )
-        summary = TurnSummary(
-            intent=old_intent,
-            emotion=old_emotion,
-            skills=skills.skills if skills is not None else (),
-            markers=response.markers,
-        )
-        self._history = (self._history + (summary,))[-self.cfg.history_window :]
+        self._history = (self._history + (response.markers,))[-self.cfg.history_window :]
         self._prev_skills = skills
         self._turn = turn_no
 
@@ -529,21 +514,22 @@ class DialogueEnv:
         return SkillSequence(self.cfg.scenario_table[key])
 
     def judge(
-        self, state: CsaState, response: Response
+        self, constraint: SkillSequence | None, response: Response
     ) -> tuple[float, float, float, float]:
-        """Deterministic rule-based response scores, each in [0, 1]:
-        politeness, constraint compliance, phase relevance, diversity.
+        """Deterministic rule-based scores of a response under the skill
+        constraint it was generated for, each in [0, 1]: politeness,
+        constraint compliance, phase relevance, diversity.
 
         A null constraint is vacuously compliant.  Phase relevance is judged
         against the environment's current phase.
         """
         markers = response.markers
         s1 = 1.0 if markers & self.cfg.politeness_markers else 0.0
-        if state.constraint is None:
+        if constraint is None:
             s2 = 1.0
         else:
             required: set[int] = set()
-            for s in state.constraint:
+            for s in constraint:
                 required |= self._required[s]
             s2 = len(markers & required) / len(required)
         phase_markers = self.cfg.phase_markers[self._phase - 1]

@@ -231,7 +231,7 @@ def rollout(
             w_csa=weights[1],
             joint=joint_reward(r_e, r_a, weights),
         )
-        turns.append(TurnRecord(state, skills, csa_state, response, breakdown))
+        turns.append(TurnRecord(state, csa_state, response, breakdown))
         if done:
             break
     return Trajectory(
@@ -290,7 +290,8 @@ def episode_gradients(
         feats = expert_rows(expert, [t.expert_state for t in turns])
         values = critic_value(expert, feats)
         targets, advantages = compute_advantages(traj, values, discount)
-        out["expert"] = expert_loss(expert, feats, [t.skills for t in turns], advantages)
+        skills = [t.csa_state.constraint for t in turns]
+        out["expert"] = expert_loss(expert, feats, skills, advantages)
         out["critic"] = critic_loss(expert, feats, targets, values)
     loss, grad, _ = csa_loss(
         csa, [t.csa_state for t in turns], [t.response for t in turns], csa_coeffs

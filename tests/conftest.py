@@ -14,7 +14,6 @@ from gopo.core import (
     RewardBreakdown,
     Skill,
     SkillSequence,
-    TurnSummary,
     response_markers,
 )
 from gopo.cli import load_config
@@ -56,7 +55,6 @@ def make_tiny_env_cfg(horizon=4):
         skill_pool=pool,
         intents=intents,
         emotions=emotions,
-        vocab_size=10,
         horizon=horizon,
         history_window=2,
         marker_count=6,
@@ -89,21 +87,8 @@ def tiny_env_cfg():
 
 def random_expert_state(spec, rng):
     history = tuple(
-        TurnSummary(
-            intent=spec.intents[rng.integers(len(spec.intents))],
-            emotion=spec.emotions[rng.integers(len(spec.emotions))],
-            skills=tuple(
-                int(s)
-                for s in rng.choice(
-                    spec.n_skills, size=rng.integers(0, 3), replace=False
-                )
-            ),
-            markers=frozenset(
-                int(m)
-                for m in rng.choice(
-                    spec.n_markers, size=rng.integers(0, 4), replace=False
-                )
-            ),
+        frozenset(
+            int(m) for m in rng.choice(spec.n_markers, size=rng.integers(0, 4), replace=False)
         )
         for _ in range(rng.integers(0, spec.history_window + 1))
     )

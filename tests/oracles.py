@@ -22,8 +22,6 @@ from gopo.core import (
     MAX_SKILL_SEQUENCE_LEN,
     NUM_MILESTONES,
     BusinessContext,
-    CsaState,
-    TurnSummary,
 )
 from gopo.simenv import TERMINAL_ALL_MILESTONES, TERMINAL_HORIZON, DialogueEnv
 
@@ -62,8 +60,8 @@ def validate_trajectory(traj, pool_size, horizon):
     if len(traj.turns) > horizon:
         return f"turn count {len(traj.turns)} exceeds horizon {horizon}"
     for i, turn in enumerate(traj.turns):
-        if turn.skills is not None:
-            for s in turn.skills:
+        if turn.csa_state.constraint is not None:
+            for s in turn.csa_state.constraint:
                 if s >= pool_size:
                     return (
                         f"skill id range: turn {i + 1} uses skill {s} "
@@ -415,8 +413,7 @@ class ChoiceDialogueEnv(DialogueEnv):
         cfg = self.cfg
         if self._done:
             raise RuntimeError("step() after the episode ended")
-        csa_state = CsaState(self._obs.csa_utterance, skills, self._business)
-        scores = self.judge(csa_state, response)
+        scores = self.judge(skills, response)
         turn_no = self._turn + 1
         delta = [False] * NUM_MILESTONES
         p = self._phase
@@ -426,18 +423,12 @@ class ChoiceDialogueEnv(DialogueEnv):
             delta[p - 1] = True
             self._phase = min(p + 1, NUM_MILESTONES)
         compliant = scores[1] >= cfg.compliance_threshold
-        summary = TurnSummary(
-            intent=cfg.intents[self._intent_idx],
-            emotion=cfg.emotions[self._emotion_idx],
-            skills=skills.skills if skills is not None else (),
-            markers=response.markers,
-        )
         key = "compliant" if compliant else "noncompliant"
         self._emotion_idx = self._choice(cfg.emotion_transition[key], self._emotion_idx)
         self._intent_idx = self._choice(
             cfg.intent_transition[self._phase - 1], self._intent_idx
         )
-        self._history = (self._history + (summary,))[-cfg.history_window :]
+        self._history = (self._history + (response.markers,))[-cfg.history_window :]
         self._prev_skills = skills
         self._turn = turn_no
         if all(self._completed):

@@ -680,6 +680,25 @@ class TestDraw:
             csa_act(policy, state, mine)
         assert mine.random() == fresh.random()
 
+    def test_greedy_act_on_nan_network_raises(self, spec):
+        """``argmax`` of an all-NaN row is 0, so a greedy step would
+        otherwise pick symbol 0 on every step."""
+        rng = np.random.default_rng(56)
+        csa, expert = _csa(spec, seed=56), _expert(spec, seed=56)
+        for net in (csa.generator, expert.actor):
+            net.set_params(np.full(net.n_params, np.nan))
+        with pytest.raises(ValueError, match="logits are not finite"):
+            csa_act(csa, random_csa_state(spec, rng), None, greedy=True)
+        with pytest.raises(ValueError, match="logits are not finite"):
+            expert_act(expert, random_expert_state(spec, rng), None, greedy=True)
+
+    def test_greedy_act_on_infinite_maximum_raises(self, spec):
+        rng = np.random.default_rng(57)
+        csa = _csa(spec, seed=57)
+        csa.generator.biases[-1][0] = np.inf
+        with pytest.raises(ValueError, match="logits are not finite"):
+            csa_act(csa, random_csa_state(spec, rng), None, greedy=True)
+
 
 class TestDiversityDirection:
     def test_entropy_rises_under_diversity_only_updates(self, spec):

@@ -253,8 +253,13 @@ class TestConfigErrorsExitCleanly:
             "unknown key env.emotion_transition.bored", id="unknown-emotion-matrix",
         ),
         pytest.param(
-            lambda d: d["env"].update(vocab_size=0, token_markers=[]),
-            "env.vocab_size must be positive", id="empty-vocabulary",
+            lambda d: d["env"].update(token_markers=[]),
+            "env.token_markers is empty", id="empty-vocabulary",
+        ),
+        pytest.param(
+            # the vocabulary size is the number of token_markers entries
+            lambda d: d["env"].update(vocab_size=len(d["env"]["token_markers"])),
+            "error: unknown key env.vocab_size", id="vocab-size-key",
         ),
         pytest.param(
             lambda d: d["env"]["token_markers"].__setitem__(3, []),
@@ -477,6 +482,23 @@ class TestEvalCommand:
         assert rc == 1
         assert err.startswith(f"error: cannot load checkpoint {expert_path}")
 
+    def test_nan_parameter_exits_1_naming_file(self, tiny_config, tmp_path, capsys):
+        ckpts = self._trained(tiny_config, tmp_path)
+        (csa_path,) = ckpts.glob("csa-*.ckpt")
+        csa, _ = load_checkpoint(csa_path)
+        params = csa.get_params()
+        params[0] = np.nan
+        csa.set_params(params)
+        save_checkpoint(csa_path, csa)
+        capsys.readouterr()
+        rc = main([
+            "eval", "--checkpoint-dir", str(ckpts), "--config", str(tiny_config),
+            "--episodes", "1",
+        ])
+        captured = capsys.readouterr()
+        assert rc == 1 and captured.out == ""
+        assert captured.err.startswith(f"error: cannot load checkpoint {csa_path}")
+
     def test_mixed_steps_evaluate_latest_common_step(self, tmp_path, capsys):
         # two updates, checkpointed after each: steps 1 and 2
         config = write_tiny_config(tmp_path / "config.json", tmp_path / "out", eval_every=1)
@@ -601,6 +623,20 @@ class TestReportCommand:
         assert [line.split(",")[0] for line in out] == ["run", "a"]
         curves = (runs / "report_curves.csv").read_text().strip().splitlines()
         assert {line.split(",")[0] for line in curves[1:]} == {"a"}
+
+    @pytest.mark.parametrize("row", [
+        pytest.param("full,abc", id="short"),
+        pytest.param("full,200,0.5,0.1,7.9,0.3,0.002,0.58,1", id="long"),
+        pytest.param("full,200,0.5,0.1,seven,0.3,0.002,0.58", id="non-numeric"),
+    ])
+    def test_malformed_row_exits_1_naming_file(self, tmp_path, capsys, row):
+        runs = tmp_path / "runs"
+        (runs / "a").mkdir(parents=True)
+        metrics = runs / "a" / "metrics.csv"
+        metrics.write_text(f"{METRIC_CSV_HEADER}\n{row}\n")
+        assert main(["report", "--runs", str(runs)]) == 1
+        assert capsys.readouterr().err.startswith(f"error: malformed last row in {metrics}")
+        assert not (runs / "report_metrics.csv").exists()
 
     def test_only_header_only_runs_exit_1(self, tmp_path, capsys):
         (tmp_path / "runs" / "b").mkdir(parents=True)

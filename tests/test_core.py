@@ -14,7 +14,6 @@ from gopo.core import (
     SkillSequence,
     Trajectory,
     TurnRecord,
-    TurnSummary,
     response_markers,
     trajectory_from_json,
     trajectory_to_json,
@@ -34,7 +33,7 @@ def _turn(skills=(1, 2), phase=1, turn=1, intent="inquire", emotion="calm", rewa
     )
     csa = CsaState(utterance=(1, 2), constraint=seq, business_ctx=BusinessContext(0, 1))
     resp = Response(tokens=(3, 4, 3), markers=frozenset({3, 4}))
-    return TurnRecord(state, seq, csa, resp, reward or _breakdown())
+    return TurnRecord(state, csa, resp, reward or _breakdown())
 
 
 def _trajectory(turns=(), milestones=None, episode_id=7, seed=123):
@@ -144,7 +143,7 @@ class TestSerialization:
         for a, b in zip(back.turns, traj.turns):
             assert a.reward == b.reward
             assert a.response.tokens == b.response.tokens
-            assert a.skills == b.skills
+            assert a.csa_state.constraint == b.csa_state.constraint
             assert a.expert_state.intent == b.expert_state.intent
         # phase is rebuilt from the milestone record
         assert [t.expert_state.phase for t in back.turns] == [1, 2, 3]
@@ -152,7 +151,7 @@ class TestSerialization:
     def test_null_skills_round_trip(self):
         traj = _trajectory(turns=[_turn(skills=())])
         back = trajectory_from_json(trajectory_to_json(traj))
-        assert back.turns[0].skills is None
+        assert back.turns[0].csa_state.constraint is None
 
 
 class TestValueSemantics:
@@ -190,7 +189,3 @@ class TestTurnSummaryAndStates:
     def test_business_context_ranges(self):
         with pytest.raises(ValueError):
             BusinessContext(order_status=3, stock_level=0)
-
-    def test_turn_summary_normalizes_collections(self):
-        s = TurnSummary("a", "b", [1, 2], {3})
-        assert s.skills == (1, 2) and s.markers == frozenset({3})

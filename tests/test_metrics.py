@@ -37,7 +37,7 @@ def _traj_with_scores(per_turn_scores, milestones=None, episode_id=0):
         csa = CsaState((1,), None, BusinessContext(0, 0))
         resp = Response(tokens=(1, 2), markers=frozenset())
         reward = make_reward(0.5, 0.5, scores, (0.4, 0.6))
-        turns.append(TurnRecord(state, None, csa, resp, reward))
+        turns.append(TurnRecord(state, csa, resp, reward))
     return Trajectory(
         episode_id=episode_id,
         turns=tuple(turns),

@@ -312,6 +312,16 @@ class TestCheckpoint:
         assert (net2.layer_sizes, net2.head) == (net.layer_sizes, net.head)
         assert np.array_equal(net2.get_params(), net.get_params())
 
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    def test_non_finite_parameters_rejected(self, tmp_path, value):
+        net = Mlp([3, 4, 2], head="softmax", seed=0)
+        params = net.get_params()
+        params[5] = value
+        net.set_params(params)
+        save_checkpoint(tmp_path / "n.ckpt", net)
+        with pytest.raises(ValueError, match="not finite"):
+            load_checkpoint(tmp_path / "n.ckpt")
+
     def test_round_trip_without_optimizer(self, tmp_path):
         net = Mlp([3, 4, 2], head="linear", seed=0)
         save_checkpoint(tmp_path / "n.ckpt", net)

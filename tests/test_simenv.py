@@ -15,6 +15,7 @@ from gopo.simenv import (
     reference_responses,
     to_json,
 )
+from conftest import make_tiny_env_cfg
 from oracles import ChoiceDialogueEnv
 
 
@@ -148,6 +149,28 @@ class TestStep:
         resp = _full_marker_response(env_cfg, (milestone_skill,))
         _, _, delta, _ = env.step(other, resp)
         assert not delta[0]
+
+
+class TestHistory:
+    def test_history_is_the_last_response_marker_sets(self):
+        """After ``k`` steps the planner's history holds the marker sets of
+        the last ``min(k, history_window)`` responses, oldest first."""
+        cfg = make_tiny_env_cfg(horizon=7)
+        # skill 0 qualifies for no milestone, so every episode runs to the
+        # horizon
+        skills = SkillSequence((0,))
+        rng = np.random.default_rng(3)
+        env = DialogueEnv(cfg)
+        for seed in range(5):
+            env.reset(seed)
+            said = []
+            for k in range(1, cfg.horizon + 1):
+                n = int(rng.integers(1, cfg.max_response_len + 1))
+                resp = _response(cfg, [int(t) for t in rng.integers(0, cfg.vocab_size, n)])
+                obs, _, _, done = env.step(skills, resp)
+                said.append(resp.markers)
+                assert obs.expert_state.history == tuple(said[-min(k, cfg.history_window):])
+            assert done
 
 
 class TestDeterminism:
@@ -303,41 +326,28 @@ class TestJudge:
     def test_full_required_markers(self, env_cfg):
         env = DialogueEnv(env_cfg)
         env.reset(seed=0)
-        obs = env._obs
-        from gopo.core import CsaState
-
         seq = SkillSequence((2, 5))
-        state = CsaState(obs.csa_utterance, seq, obs.business_ctx)
         resp = _full_marker_response(env_cfg, seq.skills)
-        assert env.judge(state, resp)[1] == 1.0
+        assert env.judge(seq, resp)[1] == 1.0
 
     def test_half_required_markers(self, env_cfg):
         env = DialogueEnv(env_cfg)
-        obs = env.reset(seed=0)
-        from gopo.core import CsaState
-
+        env.reset(seed=0)
         seq = SkillSequence((2, 5))  # required markers {2, 13, 5, 14}
-        state = CsaState(obs.csa_utterance, seq, obs.business_ctx)
         resp = _response(env_cfg, [2, 13])
-        assert env.judge(state, resp)[1] == pytest.approx(0.5)
+        assert env.judge(seq, resp)[1] == pytest.approx(0.5)
 
     def test_repeated_token_diversity(self, env_cfg):
         env = DialogueEnv(env_cfg)
-        obs = env.reset(seed=0)
-        from gopo.core import CsaState
-
-        state = CsaState(obs.csa_utterance, None, obs.business_ctx)
+        env.reset(seed=0)
         resp = _response(env_cfg, [7, 7, 7, 7])
-        assert env.judge(state, resp)[3] == pytest.approx(0.25)
+        assert env.judge(None, resp)[3] == pytest.approx(0.25)
 
     def test_politeness_marker(self, env_cfg):
         env = DialogueEnv(env_cfg)
-        obs = env.reset(seed=0)
-        from gopo.core import CsaState
-
-        state = CsaState(obs.csa_utterance, None, obs.business_ctx)
-        assert env.judge(state, _response(env_cfg, [12]))[0] == 1.0
-        assert env.judge(state, _response(env_cfg, [0]))[0] == 0.0
+        env.reset(seed=0)
+        assert env.judge(None, _response(env_cfg, [12]))[0] == 1.0
+        assert env.judge(None, _response(env_cfg, [0]))[0] == 0.0
 
     def test_boundedness(self, env_cfg, tiny_env_cfg):
         import numpy as np
@@ -345,16 +355,14 @@ class TestJudge:
         rng = np.random.default_rng(0)
         env = DialogueEnv(tiny_env_cfg)
         env.reset(seed=0)
-        from gopo.core import CsaState
-
         for _ in range(200):
             n = int(rng.integers(1, tiny_env_cfg.max_response_len + 1))
             tokens = [int(t) for t in rng.integers(0, tiny_env_cfg.vocab_size, n)]
             resp = _response(tiny_env_cfg, tokens)
             k = int(rng.integers(1, 4))
             seq = SkillSequence(tuple(int(s) for s in rng.choice(4, k, replace=False)))
-            state = CsaState((0,), seq if rng.random() < 0.8 else None, env._business)
-            assert all(0.0 <= s <= 1.0 for s in env.judge(state, resp))
+            constraint = seq if rng.random() < 0.8 else None
+            assert all(0.0 <= s <= 1.0 for s in env.judge(constraint, resp))
 
 
 class TestReferences:
@@ -396,6 +404,11 @@ class TestReferences:
 class TestConfig:
     def test_round_trip(self, env_cfg):
         assert EnvConfig.from_dict(to_json(env_cfg)) == env_cfg
+
+    def test_vocab_size_is_token_count(self, env_cfg, tiny_env_cfg):
+        for cfg in (env_cfg, tiny_env_cfg):
+            assert cfg.vocab_size == len(cfg.token_markers)
+            assert "vocab_size" not in to_json(cfg)
 
     def test_missing_scenario_entry_rejected(self, env_cfg):
         table = dict(env_cfg.scenario_table)

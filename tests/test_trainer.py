@@ -139,7 +139,6 @@ class TestRollout:
     def test_no_expert_rollout(self, tiny_world, tiny_env_cfg):
         env, _, csa = tiny_world
         traj = rollout(env, None, csa, RewardConfig(), np.random.default_rng(0), env_seed=1)
-        assert all(t.skills is None for t in traj.turns)
         assert all(t.reward.r_expert == 0.0 for t in traj.turns)
         assert all(t.csa_state.constraint is None for t in traj.turns)
         assert validate_trajectory(
@@ -188,7 +187,7 @@ class TestAdvantages:
                 r_expert=j, r_csa=0.0, dim_scores=(0, 0, 0, 0),
                 w_expert=1.0, w_csa=1.0, joint=j,
             )
-            turns.append(TurnRecord(state, None, csa_state, resp, reward))
+            turns.append(TurnRecord(state, csa_state, resp, reward))
         return Trajectory(0, tuple(turns), MilestoneRecord(), 0, "horizon")
 
     def test_perfect_critic_gives_zero_advantages(self):
