@@ -4,19 +4,22 @@ The configuration is one JSON file with four sections (env, reward, tse,
 train) plus an output directory, parsed by ``GlobalConfig.from_dict``
 through the one strict parser ``simenv.parse_fields``: every key must be
 present, an unknown or repeated key fails naming the key, and every value
-is checked, so a config file pins a run completely.  ``gopo train`` writes the parsed
-config back as the run directory's ``config.copy`` (self-contained; ``--out``
-places the run directory and leaves the copy's ``output_dir`` as the file
-gave it), and ``gopo eval`` evaluates the latest step at which every network
-of the variant has a checkpoint and prints its metrics row, which it writes
+is read as its dataclass field's annotated type, so a config file pins a
+run completely.  ``gopo train`` writes the parsed config back as the run
+directory's ``config.copy`` (self-contained; ``--out`` places the run
+directory and leaves the copy's ``output_dir`` as the file gave it), and
+``gopo eval`` evaluates the latest step at which every network of the
+variant has a checkpoint over ``train.eval_episodes`` episodes unless
+``--episodes`` says otherwise, and prints its metrics row, which it writes
 to a file only when given ``--out``; the trainer module lays out the run
-directory.  ``gopo report`` merges the last metrics row of each run
-directory and rejects a row without the header's columns or with a
-non-numeric field after the variant.  Exit codes: 0 success; 1 invalid
-configuration, checkpoint, metrics row or command-line usage, reported as
-one ``error: ...`` line on stderr; 2 runtime failure (a diverged loss or an
-I/O error).  Log verbosity comes from the GOPO_LOG_LEVEL environment
-variable (error, info, or debug).
+directory.  ``gopo report`` merges the last metrics row and the curves of
+each run directory; it rejects a metrics row without the header's columns
+or with a non-numeric field after the variant, and a curves row without
+the header's columns or with a non-numeric field.  Exit codes: 0 success;
+1 invalid configuration, checkpoint, metrics or curves row or command-line
+usage, reported as one ``error: ...`` line on stderr; 2 runtime failure (a
+diverged loss or an I/O error).  Log verbosity comes from the GOPO_LOG_LEVEL
+environment variable (error, info, or debug).
 """
 
 from __future__ import annotations
@@ -104,8 +107,9 @@ def cmd_eval(args) -> int:
     expert, csa = build_policies(cfg.env, cfg.train)
     step = load_checkpoints(args.checkpoint_dir, expert, csa)
     log.info("evaluating the checkpoints of step %d in %s", step, args.checkpoint_dir)
+    episodes = args.episodes if args.episodes is not None else cfg.train.eval_episodes
     seed = args.seed if args.seed is not None else cfg.train.seed
-    report, _ = _evaluate(cfg, expert, csa, args.episodes, seed)
+    report, _ = _evaluate(cfg, expert, csa, episodes, seed)
     csv_text = METRIC_CSV_HEADER + "\n" + report.csv_row() + "\n"
     print(csv_text, end="")
     if args.out:
@@ -125,14 +129,15 @@ def cmd_ablate(args) -> int:
     return 0
 
 
-def _is_metrics_row(line: str) -> bool:
-    """Whether ``line`` has the columns of ``METRIC_CSV_HEADER``, with a
-    number in every field after the variant."""
+def _is_row(line: str, header: str, first_number: int) -> bool:
+    """Whether ``line`` has the columns of ``header``, with a number in every
+    field from column ``first_number`` on."""
+    fields = line.split(",")
     try:
-        numbers = [float(x) for x in line.split(",")[1:]]
+        [float(x) for x in fields[first_number:]]
     except ValueError:
         return False
-    return len(numbers) == METRIC_CSV_HEADER.count(",")
+    return len(fields) == header.count(",") + 1
 
 
 def cmd_report(args) -> int:
@@ -147,12 +152,14 @@ def cmd_report(args) -> int:
             # header only: the run ended before its first evaluation
             log.info("skipping %s: no evaluation row in metrics.csv", run)
             continue
-        if not _is_metrics_row(metric_lines[-1]):
+        if not _is_row(metric_lines[-1], METRIC_CSV_HEADER, 1):
             raise ConfigError(f"malformed last row in {run / 'metrics.csv'}")
         merged_rows.append(f"{run.name},{metric_lines[-1]}")
         curves_file = run / "curves.csv"
         if curves_file.is_file():
             for line in curves_file.read_text(encoding="utf-8").strip().splitlines()[1:]:
+                if not _is_row(line, CURVES_CSV_HEADER, 0):
+                    raise ConfigError(f"malformed row in {curves_file}")
                 curve_rows.append(f"{run.name},{line}")
     if len(merged_rows) == 1:
         raise ConfigError(f"no run directories with evaluation rows under {runs_dir}")
@@ -211,7 +218,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("eval", help="greedy evaluation of saved checkpoints")
     p.add_argument("--checkpoint-dir", required=True)
-    p.add_argument("--episodes", type=_int_at_least(1), default=200)
+    p.add_argument(
+        "--episodes", type=_int_at_least(1), default=None, help="override train.eval_episodes"
+    )
     p.add_argument("--config", required=True)
     p.add_argument("--seed", type=_int_at_least(0), default=None)
     p.add_argument(

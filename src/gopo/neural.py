@@ -106,8 +106,12 @@ class Mlp:
             )
         acts = [x]
         for w, b in zip(self.weights[:-1], self.biases[:-1]):
-            acts.append(np.tanh(acts[-1] @ w + b))
-        acts.append(acts[-1] @ self.weights[-1] + self.biases[-1])
+            h = acts[-1] @ w
+            h += b
+            acts.append(np.tanh(h, out=h))
+        h = acts[-1] @ self.weights[-1]
+        h += self.biases[-1]
+        acts.append(h)
         return acts
 
     def forward(self, x: np.ndarray, logits: bool = False) -> np.ndarray:

@@ -52,6 +52,7 @@ from __future__ import annotations
 
 import dataclasses
 import math
+import typing
 from dataclasses import dataclass
 from typing import Mapping
 
@@ -86,20 +87,6 @@ def check_scalar(value, kind: type, key: str):
     return value
 
 
-def _check(value, item, key: str):
-    """``value`` checked by ``item``: a scalar type for ``check_scalar`` or a
-    function of (value, key) that returns the parsed value."""
-    return check_scalar(value, item, key) if isinstance(item, type) else item(value, key)
-
-
-def check_list(value, key: str, item) -> tuple:
-    """``value`` as a tuple if it is a JSON list whose entries pass ``item``
-    (see ``_check``); otherwise a ConfigError naming the key or entry."""
-    if not isinstance(value, list):
-        raise ConfigError(f"{key} must be a list, got {value!r}")
-    return tuple(_check(v, item, f"{key}[{i}]") for i, v in enumerate(value))
-
-
 def check_object(value, key: str) -> dict:
     """``value`` if it is a JSON object; otherwise a ConfigError naming the key."""
     if not isinstance(value, dict):
@@ -107,23 +94,44 @@ def check_object(value, key: str) -> dict:
     return value
 
 
-def parse_fields(cls, data, path: str, items: Mapping | None = None):
+def parse(kind, value, key: str):
+    """``value``, the JSON value at ``key``, read as the annotated type
+    ``kind``: a scalar by ``check_scalar``, a dataclass by ``parse_fields``,
+    a ``tuple[...]`` or ``frozenset[...]`` from a list of its entry type, the
+    tuple-keyed scenario table by ``_scenario_table`` and any other
+    ``Mapping[str, ...]`` from an object; a ConfigError names the deepest
+    offending key."""
+    if dataclasses.is_dataclass(kind):
+        return parse_fields(kind, value, key)
+    origin, args = typing.get_origin(kind), typing.get_args(kind)
+    if origin is None:
+        return check_scalar(value, kind, key)
+    if origin is tuple or origin is frozenset:
+        if not isinstance(value, list):
+            raise ConfigError(f"{key} must be a list, got {value!r}")
+        return origin(parse(args[0], v, f"{key}[{i}]") for i, v in enumerate(value))
+    if args[0] is not str:
+        return _scenario_table(value, key, args[1])
+    return {name: parse(args[1], v, f"{key}.{name}")
+            for name, v in check_object(value, key).items()}
+
+
+def parse_fields(cls, data, path: str):
     """``cls(**fields)`` from ``data``, the JSON object at ``path`` (``""`` for
     the top level of a config file).
 
     ``data`` must hold every field of the dataclass ``cls`` and no other key.
-    Each value is checked by ``items[name]`` (see ``_check``), by default the
-    type of the field's default.  A TypeError or ValueError raised by ``cls``
-    becomes a ConfigError naming ``path``; a ConfigError passes unchanged."""
+    Each value is read by ``parse`` as its field's annotated type.  A
+    TypeError or ValueError raised by ``cls`` becomes a ConfigError naming
+    ``path``; a ConfigError passes unchanged."""
     check_object(data, path or "config")
     prefix = f"{path}." if path else ""
-    items = items or {}
+    kinds = typing.get_type_hints(cls)
     kwargs = {}
     for f in dataclasses.fields(cls):
         if f.name not in data:
             raise ConfigError(f"missing key {prefix}{f.name}")
-        check = items.get(f.name, type(f.default))
-        kwargs[f.name] = _check(data[f.name], check, prefix + f.name)
+        kwargs[f.name] = parse(kinds[f.name], data[f.name], prefix + f.name)
     unknown = sorted(set(data) - set(kwargs))
     if unknown:
         raise ConfigError(f"unknown key {prefix}{unknown[0]}")
@@ -136,11 +144,11 @@ def parse_fields(cls, data, path: str, items: Mapping | None = None):
 
 
 def to_json(value):
-    """A config value as the JSON value ``parse_fields`` reads back to it: a
-    dataclass becomes its fields in order, a frozenset a sorted list and a
-    tuple a list; a mapping with tuple keys (the scenario table) is written
-    in key order with its keys joined by ``|``, any other mapping in its
-    own order."""
+    """A config value as the JSON value that ``parse`` reads back to it as
+    its annotated type: a dataclass becomes its fields in order, a frozenset
+    a sorted list and a tuple a list; a mapping with tuple keys (the
+    scenario table) is written in key order with its keys joined by ``|``,
+    any other mapping in its own order."""
     if dataclasses.is_dataclass(value):
         return {f.name: to_json(getattr(value, f.name)) for f in dataclasses.fields(value)}
     if isinstance(value, frozenset):
@@ -154,31 +162,10 @@ def to_json(value):
     return value
 
 
-def list_of(item):
-    """A check for a JSON list whose entries pass ``item``."""
-    return lambda value, key: check_list(value, key, item)
-
-
-def _marker_set(value, key: str) -> frozenset[int]:
-    return frozenset(check_list(value, key, int))
-
-
-def _skill(value, key: str) -> Skill:
-    return parse_fields(
-        Skill, value, key, {"id": int, "name": str, "required_markers": _marker_set}
-    )
-
-
-_matrix = list_of(list_of(float))
-
-
-def _named_matrices(value, key: str) -> dict[str, tuple[tuple[float, ...], ...]]:
-    return {name: _matrix(m, f"{key}.{name}") for name, m in check_object(value, key).items()}
-
-
-def _scenario_table(value, key: str) -> dict[tuple[str, str, int], tuple[int, ...]]:
-    """The table keyed ``intent|emotion|phase``; two keys that name the same
-    entry (``phase`` spelt ``1`` and ``01``) are rejected."""
+def _scenario_table(value, key: str, entry_kind) -> dict[tuple[str, str, int], tuple]:
+    """The table keyed ``intent|emotion|phase``, each entry read as
+    ``entry_kind``; two keys that name the same entry (``phase`` spelt ``1``
+    and ``01``) are rejected."""
     out = {}
     spelt = {}
     for entry, seq in check_object(value, key).items():
@@ -195,29 +182,8 @@ def _scenario_table(value, key: str) -> dict[tuple[str, str, int], tuple[int, ..
                 "name the same entry"
             )
         spelt[combo] = entry
-        out[combo] = check_list(seq, f"{key}[{entry!r}]", int)
+        out[combo] = parse(entry_kind, seq, f"{key}[{entry!r}]")
     return out
-
-
-# How each ``env`` field is parsed; ``compliance_threshold`` and
-# ``max_response_len`` are checked against their defaults' types.
-_ENV_FIELDS = {
-    "skill_pool": list_of(_skill),
-    "intents": list_of(str),
-    "emotions": list_of(str),
-    "horizon": int,
-    "history_window": int,
-    "marker_count": int,
-    "token_markers": list_of(_marker_set),
-    "politeness_markers": _marker_set,
-    "phase_markers": list_of(_marker_set),
-    "emotion_transition": _named_matrices,
-    "intent_transition": list_of(_matrix),
-    "initial_intent_dist": list_of(float),
-    "initial_emotion_dist": list_of(float),
-    "scenario_table": _scenario_table,
-    "milestone_rules": list_of(list_of(int)),
-}
 
 
 # --- configuration -----------------------------------------------------------
@@ -262,11 +228,6 @@ class EnvConfig:
     def vocab_size(self) -> int:
         """The number of tokens: one ``token_markers`` entry each."""
         return len(self.token_markers)
-
-    @classmethod
-    def from_dict(cls, data, path: str = "env") -> "EnvConfig":
-        """Strict parse of the JSON object at ``path`` (see ``parse_fields``)."""
-        return parse_fields(cls, data, path, _ENV_FIELDS)
 
 
 _ROW_SUM_TOL = 1e-9

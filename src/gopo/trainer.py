@@ -84,7 +84,6 @@ from .simenv import (
     ConfigError,
     DialogueEnv,
     EnvConfig,
-    list_of,
     parse_fields,
     reference_responses,
     to_json,
@@ -167,15 +166,7 @@ class GlobalConfig:
     def from_dict(cls, data) -> "GlobalConfig":
         """Strict parse of a whole config file's JSON value (see
         ``parse_fields``)."""
-        return parse_fields(cls, data, "", {
-            "env": EnvConfig.from_dict,
-            "reward": lambda v, k: parse_fields(
-                RewardConfig, v, k, {"dim_weights": list_of(float)}
-            ),
-            "tse": lambda v, k: parse_fields(TseConfig, v, k, {"task_weights": list_of(float)}),
-            "train": lambda v, k: parse_fields(TrainConfig, v, k),
-            "output_dir": str,
-        })
+        return parse_fields(cls, data, "")
 
 
 def episode_seeds(base_seed: int, stream: int, episode_id: int) -> tuple[int, int]:

@@ -193,9 +193,9 @@ class TestConfigErrorsExitCleanly:
         assert "env.horizon must be of type int, got '4'" in err
 
     @pytest.mark.parametrize(
-        "key, value, message",
+        "section, key, value, message",
         [
-            pytest.param(key, value, message, id=key)
+            pytest.param("env", key, value, message, id=key)
             for key, value, message in [
                 ("skill_pool", [1], "env.skill_pool[0] must be an object, got 1"),
                 ("intents", 3, "env.intents must be a list, got 3"),
@@ -203,10 +203,31 @@ class TestConfigErrorsExitCleanly:
                 ("emotion_transition", [], "env.emotion_transition must be an object, got []"),
                 ("scenario_table", [], "env.scenario_table must be an object, got []"),
             ]
+        ] + [
+            # each nested container kind names its deepest key, the case's id
+            pytest.param(section, key, value, f"{message_key} {message}", id=message_key)
+            for section, key, value, message_key, message in [
+                ("env", "emotion_transition", {"compliant": [[1.0, "x"]]},
+                 "env.emotion_transition.compliant[0][1]", "must be of type float, got 'x'"),
+                ("env", "intent_transition", [[[1.0], [None]]],
+                 "env.intent_transition[0][1][0]", "must be of type float, got None"),
+                ("env", "milestone_rules", [[1.5]],
+                 "env.milestone_rules[0][0]", "must be of type int, got 1.5"),
+                ("env", "skill_pool", [{"id": 0, "name": "open", "required_markers": ["m"]}],
+                 "env.skill_pool[0].required_markers[0]", "must be of type int, got 'm'"),
+                ("env", "scenario_table", {"browse|calm|0": [True], "browse|calm|1": [0]},
+                 "env.scenario_table['browse|calm|0'][0]", "must be of type int, got True"),
+                ("reward", "dim_weights", [0.25, "0.25", 0.25, 0.25],
+                 "reward.dim_weights[1]", "must be of type float, got '0.25'"),
+                ("tse", "task_weights", [False, 0.5, 0.5],
+                 "tse.task_weights[0]", "must be of type float, got False"),
+            ]
         ],
     )
-    def test_mistyped_list_valued_env_field(self, tiny_config, capsys, key, value, message):
-        err = self._run(tiny_config, capsys, lambda d: d["env"].update({key: value}))
+    def test_mistyped_list_valued_env_field(
+        self, tiny_config, capsys, section, key, value, message
+    ):
+        err = self._run(tiny_config, capsys, lambda d: d[section].update({key: value}))
         assert message in err
 
     def test_integer_token_marker_set(self, tiny_config, capsys):
@@ -550,6 +571,20 @@ class TestEvalCommand:
             == (tmp_path / "out" / "final_report.csv").read_bytes()
         )
 
+    def test_episodes_default_to_the_config_eval_episodes(self, tmp_path):
+        """Without ``--episodes`` the evaluation plays ``train.eval_episodes``
+        episodes, so it rebuilds the run's final report byte for byte."""
+        config = write_tiny_config(tmp_path / "config.json", tmp_path / "out")
+        assert main(["train", str(config)]) == 0
+        assert main([
+            "eval", "--checkpoint-dir", str(tmp_path / "out" / "checkpoints"),
+            "--config", str(config), "--out", str(tmp_path / "eval.csv"),
+        ]) == 0
+        assert (
+            (tmp_path / "eval.csv").read_bytes()
+            == (tmp_path / "out" / "final_report.csv").read_bytes()
+        )
+
     def test_trained_checkpoints_reproduce_their_recorded_row(self, tmp_path, capsys):
         """Greedy evaluation of fully trained weights prints, byte for byte,
         the final metrics row the run that trained them recorded: the
@@ -637,6 +672,23 @@ class TestReportCommand:
         assert main(["report", "--runs", str(runs)]) == 1
         assert capsys.readouterr().err.startswith(f"error: malformed last row in {metrics}")
         assert not (runs / "report_metrics.csv").exists()
+
+    @pytest.mark.parametrize("row", [
+        pytest.param("1,abc", id="short"),
+        pytest.param("1,0.5,0.1,0.2,0.3", id="long"),
+        pytest.param("1,0.5,nope,0.2", id="non-numeric"),
+    ])
+    def test_malformed_curve_row_exits_1_naming_file(self, tmp_path, capsys, row):
+        runs = tmp_path / "runs"
+        (runs / "a").mkdir(parents=True)
+        (runs / "a" / "metrics.csv").write_text(
+            f"{METRIC_CSV_HEADER}\nfull,200,0.5,0.1,7.9,0.3,0.002,0.58\n"
+        )
+        curves = runs / "a" / "curves.csv"
+        curves.write_text(f"{CURVES_CSV_HEADER}\n1,0.5,0.1,0.2\n{row}\n")
+        assert main(["report", "--runs", str(runs)]) == 1
+        assert capsys.readouterr().err.startswith(f"error: malformed row in {curves}")
+        assert not (runs / "report_curves.csv").exists()
 
     def test_only_header_only_runs_exit_1(self, tmp_path, capsys):
         (tmp_path / "runs" / "b").mkdir(parents=True)

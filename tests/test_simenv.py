@@ -12,6 +12,7 @@ from gopo.simenv import (
     TERMINAL_ALL_MILESTONES,
     TERMINAL_HORIZON,
     draw,
+    parse_fields,
     reference_responses,
     to_json,
 )
@@ -403,7 +404,7 @@ class TestReferences:
 
 class TestConfig:
     def test_round_trip(self, env_cfg):
-        assert EnvConfig.from_dict(to_json(env_cfg)) == env_cfg
+        assert parse_fields(EnvConfig, to_json(env_cfg), "env") == env_cfg
 
     def test_vocab_size_is_token_count(self, env_cfg, tiny_env_cfg):
         for cfg in (env_cfg, tiny_env_cfg):
@@ -428,13 +429,13 @@ class TestConfig:
         data = to_json(env_cfg)
         data["mystery"] = 1
         with pytest.raises(ConfigError, match="mystery"):
-            EnvConfig.from_dict(data)
+            parse_fields(EnvConfig, data, "env")
 
     def test_missing_key_rejected(self, env_cfg):
         data = to_json(env_cfg)
         del data["horizon"]
         with pytest.raises(ConfigError, match="horizon"):
-            EnvConfig.from_dict(data)
+            parse_fields(EnvConfig, data, "env")
 
     def test_duplicate_skill_names_rejected(self, env_cfg):
         from gopo.core import Skill
