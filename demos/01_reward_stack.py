@@ -2,8 +2,10 @@
 normalized planner reward, the judged responder reward, and the turn-indexed
 joint mixture."""
 
+from pathlib import Path
+
+from gopo.cli import load_config
 from gopo.rewards import (
-    RewardConfig,
     csa_reward,
     dcg,
     esndcg,
@@ -33,7 +35,7 @@ print("\nRepetition with dedupe on vs. the literal formula:")
 print(f"  dedupe on : {dcg((GREET, GREET), teacher, dedupe=True):.4f}")
 print(f"  dedupe off: {dcg((GREET, GREET), teacher, dedupe=False):.4f}")
 
-cfg = RewardConfig()
+cfg = load_config(Path(__file__).resolve().parents[1] / "configs" / "default.json")[0].reward
 print("\nResponder reward = weighted judge scores:")
 scores = (1.0, 0.75, 0.5, 0.9)  # politeness, compliance, relevance, diversity
 print(f"  scores {scores} weights {cfg.dim_weights} -> {csa_reward(scores, cfg):.4f}")

@@ -19,12 +19,14 @@ from gopo.cli import load_config
 from gopo.core import CsaState
 from gopo.simenv import DialogueEnv
 
-cfg = load_config(Path(__file__).resolve().parents[1] / "configs" / "default.json")[0].env
+default = load_config(Path(__file__).resolve().parents[1] / "configs" / "default.json")[0]
+cfg, train = default.env, default.train
 spec = FeatureSpec.from_env_config(cfg)
 rng = np.random.default_rng(0)
 
-expert = ExpertPolicy(spec, hidden=32, seed=1)
-csa = CsaPolicy(spec, hidden=32, seed=2)
+expert = ExpertPolicy(spec, hidden=32, entropy_coeff=train.entropy_coeff, seed=1)
+loss_weights = (train.lambda_pg, train.lambda_skill, train.lambda_diversity)
+csa = CsaPolicy(spec, hidden=32, loss_weights=loss_weights, seed=2)
 env = DialogueEnv(cfg)
 obs = env.reset(seed=3)
 

@@ -1,10 +1,13 @@
 """The three evaluation lenses on hand-built episodes: task efficiency with
 turn decay, judged response effectiveness, and n-gram overlap."""
 
-from gopo.core import MilestoneRecord
-from gopo.metrics import TseConfig, bleu, tse
+from pathlib import Path
 
-cfg = TseConfig(task_weights=(0.5, 0.3, 0.2), decay=0.9)
+from gopo.cli import load_config
+from gopo.core import MilestoneRecord
+from gopo.metrics import bleu, tse
+
+cfg = load_config(Path(__file__).resolve().parents[1] / "configs" / "default.json")[0].tse
 print(f"task weights {cfg.task_weights}, decay {cfg.decay}")
 
 print("\nTask efficiency rewards early completion:")

@@ -271,9 +271,9 @@ class ExpertPolicy:
     def __init__(
         self,
         spec: FeatureSpec,
-        hidden: int = 64,
-        entropy_coeff: float = 0.01,
-        seed=0,
+        hidden: int,
+        entropy_coeff: float,
+        seed,
     ):
         self.spec = spec
         self.entropy_coeff = float(entropy_coeff)
@@ -386,16 +386,12 @@ class CsaPolicy:
     def __init__(
         self,
         spec: FeatureSpec,
-        hidden: int = 64,
-        loss_weights: tuple[float, float, float] = (1.0, 0.5, 0.01),
-        seed=0,
+        hidden: int,
+        loss_weights: tuple[float, float, float],
+        seed,
     ):
         self.spec = spec
-        self.lambda_pg, self.lambda_skill, self.lambda_div = (
-            float(loss_weights[0]),
-            float(loss_weights[1]),
-            float(loss_weights[2]),
-        )
+        self.lambda_pg, self.lambda_skill, self.lambda_div = map(float, loss_weights)
         self.end_index = spec.vocab_size
         # static features + previous-token one-hot + emitted and missing
         # marker multi-hots + position

@@ -13,13 +13,13 @@ variant has a checkpoint over ``train.eval_episodes`` episodes unless
 ``--episodes`` says otherwise, and prints its metrics row, which it writes
 to a file only when given ``--out``; the trainer module lays out the run
 directory.  ``gopo report`` merges the last metrics row and the curves of
-each run directory; it rejects a metrics row without the header's columns
-or with a non-numeric field after the variant, and a curves row without
-the header's columns or with a non-numeric field.  Exit codes: 0 success;
-1 invalid configuration, checkpoint, metrics or curves row or command-line
-usage, reported as one ``error: ...`` line on stderr; 2 runtime failure (a
-diverged loss or an I/O error).  Log verbosity comes from the GOPO_LOG_LEVEL
-environment variable (error, info, or debug).
+each run directory; it rejects a non-UTF-8 file, a metrics row without the
+header's columns or with a non-numeric field after the variant, and a
+curves row without the header's columns or with a non-numeric field.  Exit
+codes: 0 success; 1 invalid configuration, checkpoint, metrics or curves
+file or command-line usage, reported as one ``error: ...`` line on stderr;
+2 runtime failure (a diverged loss or an I/O error).  Log verbosity comes
+from the GOPO_LOG_LEVEL environment variable (error, info, or debug).
 """
 
 from __future__ import annotations
@@ -140,6 +140,14 @@ def _is_row(line: str, header: str, first_number: int) -> bool:
     return len(fields) == header.count(",") + 1
 
 
+def _lines(path: Path) -> list[str]:
+    """The stripped lines of a UTF-8 text file; other bytes raise ConfigError."""
+    try:
+        return path.read_text(encoding="utf-8").strip().splitlines()
+    except UnicodeDecodeError:
+        raise ConfigError(f"{path} is not UTF-8 text") from None
+
+
 def cmd_report(args) -> int:
     runs_dir = Path(args.runs)
     if not runs_dir.is_dir():
@@ -147,7 +155,7 @@ def cmd_report(args) -> int:
     merged_rows = ["run," + METRIC_CSV_HEADER]
     curve_rows = ["run," + CURVES_CSV_HEADER]
     for run in sorted(p for p in runs_dir.iterdir() if (p / "metrics.csv").is_file()):
-        metric_lines = (run / "metrics.csv").read_text(encoding="utf-8").strip().splitlines()
+        metric_lines = _lines(run / "metrics.csv")
         if len(metric_lines) < 2:
             # header only: the run ended before its first evaluation
             log.info("skipping %s: no evaluation row in metrics.csv", run)
@@ -157,7 +165,7 @@ def cmd_report(args) -> int:
         merged_rows.append(f"{run.name},{metric_lines[-1]}")
         curves_file = run / "curves.csv"
         if curves_file.is_file():
-            for line in curves_file.read_text(encoding="utf-8").strip().splitlines()[1:]:
+            for line in _lines(curves_file)[1:]:
                 if not _is_row(line, CURVES_CSV_HEADER, 0):
                     raise ConfigError(f"malformed row in {curves_file}")
                 curve_rows.append(f"{run.name},{line}")

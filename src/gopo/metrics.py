@@ -24,10 +24,10 @@ _WEIGHT_SUM_TOL = 1e-12
 
 @dataclass(frozen=True)
 class TseConfig:
-    """Task weights and per-turn decay of the task-efficiency score."""
+    """Task weights and per-turn decay of the ``tse`` score; no field has a default."""
 
-    task_weights: tuple[float, float, float] = (0.5, 0.3, 0.2)
-    decay: float = 0.9
+    task_weights: tuple[float, float, float]
+    decay: float
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "task_weights", tuple(self.task_weights))

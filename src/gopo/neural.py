@@ -181,6 +181,10 @@ class Mlp:
 
 # -- optimizer ----------------------------------------------------------------
 
+ADAM_BETA1 = 0.9
+ADAM_BETA2 = 0.999
+ADAM_EPS = 1e-8
+
 
 @dataclass
 class AdamState:
@@ -200,19 +204,17 @@ def adam_step(
     grad: np.ndarray,
     state: AdamState,
     lr: float,
-    beta1: float = 0.9,
-    beta2: float = 0.999,
-    eps: float = 1e-8,
 ) -> tuple[np.ndarray, AdamState]:
-    """One bias-corrected Adam update; returns fresh arrays, inputs untouched."""
+    """One bias-corrected Adam update with ``ADAM_BETA1``, ``ADAM_BETA2`` and
+    ``ADAM_EPS``; returns fresh arrays, inputs untouched."""
     if params.shape != grad.shape or params.shape != state.m.shape:
         raise ValueError("parameter/gradient/state layouts do not match")
     t = state.step + 1
-    m = beta1 * state.m + (1.0 - beta1) * grad
-    v = beta2 * state.v + (1.0 - beta2) * grad**2
-    m_hat = m / (1.0 - beta1**t)
-    v_hat = v / (1.0 - beta2**t)
-    new_params = params - lr * m_hat / (np.sqrt(v_hat) + eps)
+    m = ADAM_BETA1 * state.m + (1.0 - ADAM_BETA1) * grad
+    v = ADAM_BETA2 * state.v + (1.0 - ADAM_BETA2) * grad**2
+    m_hat = m / (1.0 - ADAM_BETA1**t)
+    v_hat = v / (1.0 - ADAM_BETA2**t)
+    new_params = params - lr * m_hat / (np.sqrt(v_hat) + ADAM_EPS)
     return new_params, AdamState(m=m, v=v, step=t)
 
 

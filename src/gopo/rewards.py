@@ -26,7 +26,7 @@ _WEIGHT_SUM_TOL = 1e-12
 
 @dataclass(frozen=True)
 class RewardConfig:
-    """Weights and schedule parameters of the reward stack.
+    """Weights and schedule parameters of the reward stack; no field has a default.
 
     ``dim_weights`` mix the four judge scores into the responder reward.
     ``w_expert_min``/``w_expert_max`` bound the planner weight's linear ramp
@@ -36,10 +36,10 @@ class RewardConfig:
     and ``esndcg`` take ``dedupe=False`` to evaluate the gain literally.
     """
 
-    dim_weights: tuple[float, float, float, float] = (0.25, 0.25, 0.25, 0.25)
-    w_expert_min: float = 0.2
-    w_expert_max: float = 0.8
-    w_csa_floor: float = 0.05
+    dim_weights: tuple[float, float, float, float]
+    w_expert_min: float
+    w_expert_max: float
+    w_csa_floor: float
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "dim_weights", tuple(self.dim_weights))

@@ -97,10 +97,10 @@ def check_object(value, key: str) -> dict:
 def parse(kind, value, key: str):
     """``value``, the JSON value at ``key``, read as the annotated type
     ``kind``: a scalar by ``check_scalar``, a dataclass by ``parse_fields``,
-    a ``tuple[...]`` or ``frozenset[...]`` from a list of its entry type, the
-    tuple-keyed scenario table by ``_scenario_table`` and any other
-    ``Mapping[str, ...]`` from an object; a ConfigError names the deepest
-    offending key."""
+    a ``tuple[...]`` or ``frozenset[...]`` from a list of its entry type (a
+    repeat in a set's list is an error), the tuple-keyed scenario table by
+    ``_scenario_table`` and any other ``Mapping[str, ...]`` from an object;
+    a ConfigError names the deepest offending key."""
     if dataclasses.is_dataclass(kind):
         return parse_fields(kind, value, key)
     origin, args = typing.get_origin(kind), typing.get_args(kind)
@@ -109,7 +109,11 @@ def parse(kind, value, key: str):
     if origin is tuple or origin is frozenset:
         if not isinstance(value, list):
             raise ConfigError(f"{key} must be a list, got {value!r}")
-        return origin(parse(args[0], v, f"{key}[{i}]") for i, v in enumerate(value))
+        entries = [parse(args[0], v, f"{key}[{i}]") for i, v in enumerate(value)]
+        for i, entry in enumerate(entries):
+            if origin is frozenset and entry in entries[:i]:
+                raise ConfigError(f"{key}[{i}] repeats entry {entry!r}")
+        return origin(entries)
     if args[0] is not str:
         return _scenario_table(value, key, args[1])
     return {name: parse(args[1], v, f"{key}.{name}")
@@ -192,7 +196,7 @@ def _scenario_table(value, key: str, entry_kind) -> dict[tuple[str, str, int], t
 @dataclass(frozen=True)
 class EnvConfig:
     """Full definition of the scripted environment, validated on
-    construction by ``validate_env_config``.
+    construction by ``validate_env_config``; no field has a default.
 
     ``scenario_table`` maps every (intent, emotion, phase) combination to the
     reference skill sequence used for reward shaping.  ``milestone_rules``
@@ -218,8 +222,8 @@ class EnvConfig:
     initial_emotion_dist: tuple[float, ...]
     scenario_table: Mapping[tuple[str, str, int], tuple[int, ...]]
     milestone_rules: tuple[tuple[int, ...], ...]
-    compliance_threshold: float = 0.5
-    max_response_len: int = 16
+    compliance_threshold: float
+    max_response_len: int
 
     def __post_init__(self) -> None:
         validate_env_config(self)

@@ -108,24 +108,24 @@ class TrainingDiverged(RuntimeError):
 
 @dataclass(frozen=True)
 class TrainConfig:
-    """Optimization and run-control parameters."""
+    """Optimization and run-control parameters; no field has a default."""
 
-    episodes: int = 2400
-    discount: float = 0.5
-    batch_size: int = 8
-    lr_expert_actor: float = 0.015
-    lr_expert_critic: float = 0.05
-    lr_csa: float = 0.01
-    entropy_coeff: float = 0.01
-    lambda_pg: float = 1.0
-    lambda_skill: float = 2.0
-    lambda_diversity: float = 0.05
-    hidden_size: int = 64
-    critic_warmup: int = 60
-    eval_every: int = 50
-    eval_episodes: int = 200
-    seed: int = 0
-    variant: str = "full"
+    episodes: int
+    discount: float
+    batch_size: int
+    lr_expert_actor: float
+    lr_expert_critic: float
+    lr_csa: float
+    entropy_coeff: float
+    lambda_pg: float
+    lambda_skill: float
+    lambda_diversity: float
+    hidden_size: int
+    critic_warmup: int
+    eval_every: int
+    eval_episodes: int
+    seed: int
+    variant: str
 
     def __post_init__(self) -> None:
         if not 0.0 < self.discount <= 1.0:

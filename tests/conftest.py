@@ -1,3 +1,4 @@
+import dataclasses
 import sys
 from pathlib import Path
 
@@ -21,12 +22,15 @@ from gopo.rewards import joint_reward
 from gopo.simenv import EnvConfig
 
 DEFAULT_CONFIG_FILE = Path(__file__).resolve().parents[1] / "configs" / "default.json"
+# the one definition of every default value; tests derive their configs from
+# its sections with ``dataclasses.replace``
+DEFAULT_CFG = load_config(DEFAULT_CONFIG_FILE)[0]
 
 
 @pytest.fixture(scope="session")
 def default_cfg():
     """The default configuration, parsed from ``configs/default.json``."""
-    return load_config(DEFAULT_CONFIG_FILE)[0]
+    return DEFAULT_CFG
 
 
 @pytest.fixture(scope="session")
@@ -76,6 +80,7 @@ def make_tiny_env_cfg(horizon=4):
         initial_emotion_dist=(0.8, 0.2),
         scenario_table=scenario,
         milestone_rules=((1,), (2,), (3,)),
+        compliance_threshold=0.5,
         max_response_len=6,
     )
 
@@ -149,10 +154,8 @@ def write_tiny_config(path, out_dir, **train_overrides):
     round trips run in a second or two."""
     import json
 
-    from gopo.metrics import TseConfig
-    from gopo.rewards import RewardConfig
     from gopo.simenv import to_json
-    from gopo.trainer import GlobalConfig, TrainConfig
+    from gopo.trainer import GlobalConfig
 
     train = dict(
         episodes=16,
@@ -165,7 +168,11 @@ def write_tiny_config(path, out_dir, **train_overrides):
     )
     train.update(train_overrides)
     cfg = GlobalConfig(
-        make_tiny_env_cfg(), RewardConfig(), TseConfig(), TrainConfig(**train), str(out_dir)
+        make_tiny_env_cfg(),
+        DEFAULT_CFG.reward,
+        DEFAULT_CFG.tse,
+        dataclasses.replace(DEFAULT_CFG.train, **train),
+        str(out_dir),
     )
     path.write_text(json.dumps(to_json(cfg), indent=2), encoding="utf-8")
     return path

@@ -160,7 +160,7 @@ class TestGradientSuite:
         rng = np.random.default_rng(202)
         worst = 0.0
         for i in range(self.N_INSTANCES):
-            policy = ExpertPolicy(spec, hidden=8, seed=int(rng.integers(1 << 30)))
+            policy = ExpertPolicy(spec, hidden=8, entropy_coeff=0.01, seed=int(rng.integers(1 << 30)))
             policy.critic.set_params(rng.normal(0, 0.5, policy.critic.n_params))
             state = random_expert_state(spec, rng)
             target = float(rng.normal(0, 2))

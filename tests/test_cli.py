@@ -1,4 +1,6 @@
 import contextlib
+import dataclasses
+import inspect
 import io
 import json
 import tempfile
@@ -8,11 +10,12 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from gopo.agents import CsaPolicy, ExpertPolicy
 from gopo.cli import load_config, main
 from gopo.metrics import METRIC_CSV_HEADER, TseConfig
-from gopo.neural import load_checkpoint, save_checkpoint
+from gopo.neural import adam_step, load_checkpoint, save_checkpoint
 from gopo.rewards import RewardConfig
-from gopo.simenv import ConfigError, to_json
+from gopo.simenv import ConfigError, EnvConfig, to_json
 from gopo.trainer import CURVES_CSV_HEADER, GlobalConfig, TrainConfig
 from conftest import DEFAULT_CONFIG_FILE, write_tiny_config
 
@@ -25,10 +28,22 @@ def tiny_config(tmp_path):
 
 
 class TestConfigLoading:
-    def test_default_file_matches_section_defaults(self, default_cfg):
-        assert default_cfg.reward == RewardConfig()
-        assert default_cfg.tse == TseConfig()
-        assert default_cfg.train == TrainConfig()
+    def test_config_file_is_the_only_source_of_defaults(self):
+        # every default value lives in configs/default.json alone: no config
+        # section field, no policy hyperparameter and no Adam knob has a
+        # default of its own
+        for cls in (EnvConfig, RewardConfig, TseConfig, TrainConfig):
+            defaulted = [
+                f.name for f in dataclasses.fields(cls)
+                if f.default is not dataclasses.MISSING
+                or f.default_factory is not dataclasses.MISSING
+            ]
+            assert defaulted == [], cls.__name__
+        for policy in (ExpertPolicy, CsaPolicy):
+            params = inspect.signature(policy.__init__).parameters.values()
+            defaulted = [p.name for p in params if p.default is not inspect.Parameter.empty]
+            assert defaulted == [], policy.__name__
+        assert list(inspect.signature(adam_step).parameters) == ["params", "grad", "state", "lr"]
 
     def test_missing_file_names_path(self, tmp_path):
         with pytest.raises(ConfigError, match="nowhere.json"):
@@ -287,6 +302,19 @@ class TestConfigErrorsExitCleanly:
             "env.skill_pool[done].required_markers has a marker no token carries",
             id="marker-without-carrier",
         ),
+        # a set-valued list names its first repeated entry
+        pytest.param(lambda d: d["env"].update(politeness_markers=[5, 5]),
+                     "error: env.politeness_markers[1] repeats entry 5",
+                     id="repeated-politeness-marker"),
+        pytest.param(lambda d: d["env"]["skill_pool"][0].update(required_markers=[0, 5, 0]),
+                     "error: env.skill_pool[0].required_markers[2] repeats entry 0",
+                     id="repeated-required-marker"),
+        pytest.param(lambda d: d["env"]["token_markers"].__setitem__(0, [0, 0]),
+                     "error: env.token_markers[0][1] repeats entry 0",
+                     id="repeated-token-marker"),
+        pytest.param(lambda d: d["env"]["phase_markers"].__setitem__(0, [0, 1, 5, 1]),
+                     "error: env.phase_markers[0][3] repeats entry 1",
+                     id="repeated-phase-marker"),
         pytest.param(lambda d: d["train"].update(seed=-1), "train.seed must be non-negative",
                      id="negative-seed"),
         pytest.param(lambda d: d["train"].update(lr_csa=float("nan")),
@@ -689,6 +717,21 @@ class TestReportCommand:
         assert main(["report", "--runs", str(runs)]) == 1
         assert capsys.readouterr().err.startswith(f"error: malformed row in {curves}")
         assert not (runs / "report_curves.csv").exists()
+
+    @pytest.mark.parametrize("name", ["metrics.csv", "curves.csv"])
+    def test_non_utf8_file_exits_1_naming_file(self, tmp_path, capsys, name):
+        runs = tmp_path / "runs"
+        (runs / "a").mkdir(parents=True)
+        (runs / "a" / "metrics.csv").write_text(
+            f"{METRIC_CSV_HEADER}\nfull,200,0.5,0.1,7.9,0.3,0.002,0.58\n"
+        )
+        (runs / "a" / "curves.csv").write_text(f"{CURVES_CSV_HEADER}\n1,0.5,0.1,0.2\n")
+        bad = runs / "a" / name
+        bad.write_bytes(b"\xff\xfe" + bad.read_bytes())
+        assert main(["report", "--runs", str(runs)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {bad} is not UTF-8 text") and "Traceback" not in err
+        assert not (runs / "report_metrics.csv").exists()
 
     def test_only_header_only_runs_exit_1(self, tmp_path, capsys):
         (tmp_path / "runs" / "b").mkdir(parents=True)

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -84,11 +85,11 @@ class TestTse:
 
     def test_config_validation(self):
         with pytest.raises(ValueError):
-            TseConfig(task_weights=(0.5, 0.5, 0.5))
+            dataclasses.replace(CFG, task_weights=(0.5, 0.5, 0.5))
         with pytest.raises(ValueError):
-            TseConfig(decay=0.0)
+            dataclasses.replace(CFG, decay=0.0)
         with pytest.raises(ValueError):
-            TseConfig(decay=1.5)
+            dataclasses.replace(CFG, decay=1.5)
 
 
 class TestGre:

@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import math
 
@@ -6,7 +7,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gopo.rewards import (
-    RewardConfig,
     csa_reward,
     dcg,
     esndcg,
@@ -15,7 +15,10 @@ from gopo.rewards import (
     joint_weights,
     relevance,
 )
+from conftest import DEFAULT_CFG
 from oracles import oracle_dcg, oracle_esndcg
+
+REWARD_CFG = DEFAULT_CFG.reward
 
 A, B, C, D, E = 0, 1, 2, 3, 4
 
@@ -123,7 +126,9 @@ class TestProperties:
     @settings(max_examples=100, deadline=None)
     @given(st.integers(1, 30), st.integers(1, 30))
     def test_weight_schedule_monotone_and_floored(self, t, horizon):
-        cfg = RewardConfig(w_expert_min=0.2, w_expert_max=0.8, w_csa_floor=0.05)
+        cfg = dataclasses.replace(
+            REWARD_CFG, w_expert_min=0.2, w_expert_max=0.8, w_csa_floor=0.05
+        )
         if t > horizon:
             with pytest.raises(ValueError):
                 joint_weights(t, horizon, cfg)
@@ -137,41 +142,44 @@ class TestProperties:
 
 class TestCsaReward:
     def test_all_ones(self):
-        assert csa_reward((1, 1, 1, 1), RewardConfig()) == pytest.approx(1.0)
+        assert csa_reward((1, 1, 1, 1), REWARD_CFG) == pytest.approx(1.0)
 
     def test_all_zeros(self):
-        assert csa_reward((0, 0, 0, 0), RewardConfig(dim_weights=(0.1, 0.2, 0.3, 0.4))) == 0.0
+        cfg = dataclasses.replace(REWARD_CFG, dim_weights=(0.1, 0.2, 0.3, 0.4))
+        assert csa_reward((0, 0, 0, 0), cfg) == 0.0
 
     def test_hand_case(self):
-        assert csa_reward((0.8, 0.6, 1.0, 0.4), RewardConfig()) == pytest.approx(0.7)
+        assert csa_reward((0.8, 0.6, 1.0, 0.4), REWARD_CFG) == pytest.approx(0.7)
 
     def test_out_of_range_rejected(self):
         with pytest.raises(ValueError):
-            csa_reward((1.2, 0, 0, 0), RewardConfig())
+            csa_reward((1.2, 0, 0, 0), REWARD_CFG)
         with pytest.raises(ValueError):
-            csa_reward((-0.1, 0, 0, 0), RewardConfig())
+            csa_reward((-0.1, 0, 0, 0), REWARD_CFG)
 
 
 class TestJointSchedule:
     def test_first_turn(self):
-        cfg = RewardConfig(w_expert_min=0.2, w_expert_max=0.8)
+        cfg = dataclasses.replace(REWARD_CFG, w_expert_min=0.2, w_expert_max=0.8)
         assert joint_weights(1, 10, cfg) == pytest.approx((0.2, 0.8))
 
     def test_last_turn(self):
-        cfg = RewardConfig(w_expert_min=0.2, w_expert_max=0.8)
+        cfg = dataclasses.replace(REWARD_CFG, w_expert_min=0.2, w_expert_max=0.8)
         assert joint_weights(10, 10, cfg) == pytest.approx((0.8, 0.2))
 
     def test_midpoint(self):
-        cfg = RewardConfig(w_expert_min=0.2, w_expert_max=0.8)
+        cfg = dataclasses.replace(REWARD_CFG, w_expert_min=0.2, w_expert_max=0.8)
         assert joint_weights(5, 9, cfg) == pytest.approx((0.5, 0.5))
 
     def test_single_turn_horizon(self):
-        cfg = RewardConfig(w_expert_min=0.3, w_expert_max=0.9)
+        cfg = dataclasses.replace(REWARD_CFG, w_expert_min=0.3, w_expert_max=0.9)
         w_e, w_a = joint_weights(1, 1, cfg)
         assert w_e == pytest.approx(0.3)
 
     def test_floor_engages(self):
-        cfg = RewardConfig(w_expert_min=0.2, w_expert_max=0.99, w_csa_floor=0.05)
+        cfg = dataclasses.replace(
+            REWARD_CFG, w_expert_min=0.2, w_expert_max=0.99, w_csa_floor=0.05
+        )
         _, w_a = joint_weights(100, 100, cfg)
         assert w_a == pytest.approx(0.05)
 
@@ -194,12 +202,12 @@ class TestJointReward:
 class TestRewardConfig:
     def test_dim_weights_must_sum_to_one(self):
         with pytest.raises(ValueError):
-            RewardConfig(dim_weights=(0.3, 0.3, 0.3, 0.3))
+            dataclasses.replace(REWARD_CFG, dim_weights=(0.3, 0.3, 0.3, 0.3))
 
     def test_weight_bounds(self):
         with pytest.raises(ValueError):
-            RewardConfig(w_expert_min=0.0)
+            dataclasses.replace(REWARD_CFG, w_expert_min=0.0)
         with pytest.raises(ValueError):
-            RewardConfig(w_expert_min=0.6, w_expert_max=0.5)
+            dataclasses.replace(REWARD_CFG, w_expert_min=0.6, w_expert_max=0.5)
         with pytest.raises(ValueError):
-            RewardConfig(w_csa_floor=0.0)
+            dataclasses.replace(REWARD_CFG, w_csa_floor=0.0)

@@ -16,7 +16,7 @@ from gopo.simenv import (
     reference_responses,
     to_json,
 )
-from conftest import make_tiny_env_cfg
+from conftest import DEFAULT_CFG, make_tiny_env_cfg
 from oracles import ChoiceDialogueEnv
 
 
@@ -368,16 +368,15 @@ class TestJudge:
 
 class TestReferences:
     def test_reference_realizes_required_markers(self, env_cfg):
-        from gopo.rewards import RewardConfig
         from gopo.trainer import rollout
         from gopo.agents import CsaPolicy, ExpertPolicy, FeatureSpec
         import numpy as np
 
         spec = FeatureSpec.from_env_config(env_cfg)
-        expert = ExpertPolicy(spec, hidden=8, seed=2)
-        csa = CsaPolicy(spec, hidden=8, seed=3)
+        expert = ExpertPolicy(spec, hidden=8, entropy_coeff=0.01, seed=2)
+        csa = CsaPolicy(spec, hidden=8, loss_weights=(1.0, 0.5, 0.01), seed=3)
         env = DialogueEnv(env_cfg)
-        traj = rollout(env, expert, csa, RewardConfig(), np.random.default_rng(4), env_seed=29)
+        traj = rollout(env, expert, csa, DEFAULT_CFG.reward, np.random.default_rng(4), env_seed=29)
         refs = reference_responses(traj, env_cfg)
         assert len(refs) == len(traj.turns) > 1
         for turn, ref in zip(traj.turns, refs):
@@ -387,16 +386,15 @@ class TestReferences:
             assert response_markers(ref, env_cfg.token_markers) == frozenset(want)
 
     def test_reference_responses_from_logged_trajectory(self, env_cfg):
-        from gopo.rewards import RewardConfig
         from gopo.trainer import rollout
         from gopo.agents import CsaPolicy, ExpertPolicy, FeatureSpec
         import numpy as np
 
         spec = FeatureSpec.from_env_config(env_cfg)
-        expert = ExpertPolicy(spec, hidden=8, seed=0)
-        csa = CsaPolicy(spec, hidden=8, seed=1)
+        expert = ExpertPolicy(spec, hidden=8, entropy_coeff=0.01, seed=0)
+        csa = CsaPolicy(spec, hidden=8, loss_weights=(1.0, 0.5, 0.01), seed=1)
         env = DialogueEnv(env_cfg)
-        traj = rollout(env, expert, csa, RewardConfig(), np.random.default_rng(0), env_seed=17)
+        traj = rollout(env, expert, csa, DEFAULT_CFG.reward, np.random.default_rng(0), env_seed=17)
         refs = reference_responses(traj, env_cfg)
         assert len(refs) == len(traj.turns)
         assert all(len(r) >= 1 for r in refs)

@@ -17,14 +17,12 @@ from gopo.core import (
     read_trajectories,
     trajectory_to_json,
 )
-from gopo.metrics import METRIC_CSV_HEADER, TseConfig
+from gopo.metrics import METRIC_CSV_HEADER
 from gopo.neural import load_checkpoint
-from gopo.rewards import RewardConfig
 from gopo.simenv import ConfigError, DialogueEnv
 from gopo.trainer import (
     CURVES_CSV_HEADER,
     GlobalConfig,
-    TrainConfig,
     TrainingDiverged,
     ablate,
     build_policies,
@@ -35,7 +33,10 @@ from gopo.trainer import (
     rollout,
     train,
 )
+from conftest import DEFAULT_CFG
 from oracles import oracle_discounted_returns, validate_trajectory
+
+REWARD_CFG = DEFAULT_CFG.reward
 
 
 def tiny_train_cfg(**overrides):
@@ -49,42 +50,42 @@ def tiny_train_cfg(**overrides):
         seed=3,
     )
     base.update(overrides)
-    return TrainConfig(**base)
+    return dataclasses.replace(DEFAULT_CFG.train, **base)
 
 
-def global_cfg(train_cfg, env_cfg, out_dir, reward_cfg=RewardConfig()):
-    return GlobalConfig(env_cfg, reward_cfg, TseConfig(), train_cfg, str(out_dir))
+def global_cfg(train_cfg, env_cfg, out_dir, reward_cfg=REWARD_CFG):
+    return GlobalConfig(env_cfg, reward_cfg, DEFAULT_CFG.tse, train_cfg, str(out_dir))
 
 
 @pytest.fixture
 def tiny_world(tiny_env_cfg):
     spec = FeatureSpec.from_env_config(tiny_env_cfg)
     env = DialogueEnv(tiny_env_cfg)
-    expert = ExpertPolicy(spec, hidden=16, seed=0)
-    csa = CsaPolicy(spec, hidden=16, seed=1)
+    expert = ExpertPolicy(spec, hidden=16, entropy_coeff=0.01, seed=0)
+    csa = CsaPolicy(spec, hidden=16, loss_weights=(1.0, 0.5, 0.01), seed=1)
     return env, expert, csa
 
 
 class TestTrainConfig:
     def test_variant_validated(self):
         with pytest.raises(ConfigError):
-            TrainConfig(variant="both")
+            dataclasses.replace(DEFAULT_CFG.train, variant="both")
 
     def test_discount_range(self):
         with pytest.raises(ConfigError):
-            TrainConfig(discount=0.0)
+            dataclasses.replace(DEFAULT_CFG.train, discount=0.0)
         with pytest.raises(ConfigError):
-            TrainConfig(discount=1.0001)
+            dataclasses.replace(DEFAULT_CFG.train, discount=1.0001)
 
     def test_positive_learning_rates(self):
         with pytest.raises(ConfigError):
-            TrainConfig(lr_csa=0.0)
+            dataclasses.replace(DEFAULT_CFG.train, lr_csa=0.0)
 
     def test_zero_loss_weights_valid(self):
         # negative weights are rejected (tests/test_cli.py); zero switches a
         # term off and stays valid
         names = ("lambda_pg", "lambda_skill", "lambda_diversity", "entropy_coeff")
-        cfg = TrainConfig(**dict.fromkeys(names, 0.0))
+        cfg = dataclasses.replace(DEFAULT_CFG.train, **dict.fromkeys(names, 0.0))
         assert [getattr(cfg, name) for name in names] == [0.0] * 4
 
 
@@ -93,9 +94,18 @@ class TestPolicies:
         ("full", True), ("no-expert", False), ("untrained", True),
     ])
     def test_variant_decides_the_planner(self, tiny_env_cfg, variant, has_planner):
-        expert, csa = build_policies(tiny_env_cfg, tiny_train_cfg(variant=variant))
+        # hyperparameters unlike any former constructor or config default
+        cfg = tiny_train_cfg(
+            variant=variant, hidden_size=12, entropy_coeff=0.03,
+            lambda_pg=0.7, lambda_skill=1.3, lambda_diversity=0.02,
+        )
+        expert, csa = build_policies(tiny_env_cfg, cfg)
         assert (expert is not None) == has_planner
-        assert csa.generator.layer_sizes[1] == 16
+        if has_planner:
+            assert expert.actor.layer_sizes[1] == expert.critic.layer_sizes[1] == 12
+            assert expert.entropy_coeff == 0.03
+        assert csa.generator.layer_sizes[1] == 12
+        assert (csa.lambda_pg, csa.lambda_skill, csa.lambda_div) == (0.7, 1.3, 0.02)
 
     @pytest.mark.parametrize("variant", ["full", "no-expert", "untrained"])
     def test_checkpoints_round_trip(self, tiny_env_cfg, tmp_path, variant):
@@ -124,13 +134,13 @@ class TestPolicies:
 class TestRollout:
     def test_deterministic_given_seed(self, tiny_world):
         env, expert, csa = tiny_world
-        a = rollout(env, expert, csa, RewardConfig(), np.random.default_rng(9), env_seed=5)
-        b = rollout(env, expert, csa, RewardConfig(), np.random.default_rng(9), env_seed=5)
+        a = rollout(env, expert, csa, REWARD_CFG, np.random.default_rng(9), env_seed=5)
+        b = rollout(env, expert, csa, REWARD_CFG, np.random.default_rng(9), env_seed=5)
         assert trajectory_to_json(a) == trajectory_to_json(b)
 
     def test_logged_joint_recomputes_from_parts(self, tiny_world, tiny_env_cfg):
         env, expert, csa = tiny_world
-        traj = rollout(env, expert, csa, RewardConfig(), np.random.default_rng(2), env_seed=7)
+        traj = rollout(env, expert, csa, REWARD_CFG, np.random.default_rng(2), env_seed=7)
         for t in traj.turns:
             r = t.reward
             assert r.joint == r.w_expert * r.r_expert + r.w_csa * r.r_csa
@@ -138,7 +148,7 @@ class TestRollout:
 
     def test_no_expert_rollout(self, tiny_world, tiny_env_cfg):
         env, _, csa = tiny_world
-        traj = rollout(env, None, csa, RewardConfig(), np.random.default_rng(0), env_seed=1)
+        traj = rollout(env, None, csa, REWARD_CFG, np.random.default_rng(0), env_seed=1)
         assert all(t.reward.r_expert == 0.0 for t in traj.turns)
         assert all(t.csa_state.constraint is None for t in traj.turns)
         assert validate_trajectory(
@@ -150,7 +160,7 @@ class TestRollout:
         env, expert, csa = tiny_world
         for seed in range(5):
             traj = rollout(
-                env, expert if with_planner else None, csa, RewardConfig(), None,
+                env, expert if with_planner else None, csa, REWARD_CFG, None,
                 env_seed=seed, greedy=True,
             )
             assert traj.terminal_reason in ("all_milestones", "horizon")
@@ -160,7 +170,7 @@ class TestRollout:
 
     def test_untrained_policies_still_fully_scored(self, tiny_world):
         env, expert, csa = tiny_world
-        traj = rollout(env, expert, csa, RewardConfig(), np.random.default_rng(1), env_seed=2)
+        traj = rollout(env, expert, csa, REWARD_CFG, np.random.default_rng(1), env_seed=2)
         assert len(traj.turns) >= 1
         for t in traj.turns:
             assert 0.0 <= t.reward.r_expert <= 1.0
@@ -170,7 +180,7 @@ class TestRollout:
     def test_bounded_rewards_across_seeds(self, tiny_world):
         env, expert, csa = tiny_world
         for seed in range(20):
-            traj = rollout(env, expert, csa, RewardConfig(), np.random.default_rng(seed), env_seed=seed)
+            traj = rollout(env, expert, csa, REWARD_CFG, np.random.default_rng(seed), env_seed=seed)
             for t in traj.turns:
                 assert 0.0 <= t.reward.r_expert <= 1.0
                 assert 0.0 <= t.reward.r_csa <= 1.0
@@ -228,7 +238,7 @@ class TestAdvantages:
         )
         for seed in range(5):
             traj = rollout(
-                env, expert, csa, RewardConfig(), np.random.default_rng(seed), env_seed=seed
+                env, expert, csa, REWARD_CFG, np.random.default_rng(seed), env_seed=seed
             )
             states = [t.expert_state for t in traj.turns]
             values = critic_value(expert, expert_rows(expert, states))
@@ -297,7 +307,7 @@ class TestTrain:
 
     def test_weight_schedule_on_training_logs(self, tiny_env_cfg, tmp_path):
         cfg = tiny_train_cfg()
-        reward_cfg = RewardConfig()
+        reward_cfg = REWARD_CFG
         train(global_cfg(cfg, tiny_env_cfg, tmp_path / "run", reward_cfg))
         trajs = read_trajectories(tmp_path / "run" / "trajectories.jsonl")
         assert trajs
@@ -352,7 +362,7 @@ class TestEpisodeGradients:
     def test_responder_coefficients_follow_turn_order(self, tiny_world):
         env, expert, csa = tiny_world
         batch = [
-            rollout(env, expert, csa, RewardConfig(), np.random.default_rng(i), env_seed=i)
+            rollout(env, expert, csa, REWARD_CFG, np.random.default_rng(i), env_seed=i)
             for i in range(3)
         ]
         coeffs, baseline = responder_coefficients(batch, 0.5)
