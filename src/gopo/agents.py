@@ -214,11 +214,14 @@ def _act(policy, net: Mlp, x: np.ndarray, cap: int, stop: int, rng, greedy: bool
     picks the first NaN if there is one).  Returns the emitted symbols
     only: their log-probability and entropies are the loss pass's
     (``_sequence_terms``)."""
+    # bound once per act: the loop runs up to ``cap`` steps
+    forward, advance, accumulate = net.forward, policy.advance, np.add.accumulate
     symbols: list[int] = []
     prev = None
+    last = cap - 1
     for step in range(cap):
         # forward returns a fresh array, so the step-0 mask goes in place
-        z = net.forward(x, logits=True)
+        z = forward(x, logits=True)
         if greedy:
             if step == 0:
                 z[stop] = -np.inf
@@ -229,12 +232,12 @@ def _act(policy, net: Mlp, x: np.ndarray, cap: int, stop: int, rng, greedy: bool
             w = softmax_weights(z)
             if step == 0:
                 w[stop] = 0.0
-            sym = draw(np.add.accumulate(w), rng)
+            sym = draw(accumulate(w), rng)
         if sym == stop:
             break
         symbols.append(sym)
-        if step < cap - 1:
-            policy.advance(x, step, sym, prev)
+        if step < last:
+            advance(x, step, sym, prev)
         prev = sym
     return symbols
 
@@ -408,6 +411,13 @@ class CsaPolicy:
         self.carriers = np.zeros((spec.vocab_size + 1, spec.n_markers))
         for t, markers in enumerate(spec.token_markers):
             self.carriers[t, sorted(markers)] = 1.0
+        # per token, the (emitted, missing) row positions of each marker it
+        # carries: what ``advance`` sets and clears
+        self._marker_slots = tuple(
+            tuple((self._emitted_at + m, self._missing_at + m) for m in sorted(markers))
+            for markers in spec.token_markers
+        )
+        self._max_len = spec.max_response_len
 
     def first_rows(self, features: np.ndarray) -> np.ndarray:
         """The step-0 generator rows of stacked feature rows.  A generator
@@ -429,10 +439,10 @@ class CsaPolicy:
         if prev is not None:
             x[self._prev_at + prev] = 0.0
         x[self._prev_at + token] = 1.0
-        for m in self.spec.token_markers[token]:
-            x[self._emitted_at + m] = 1.0
-            x[self._missing_at + m] = 0.0
-        x[-1] = (step + 1) / self.spec.max_response_len
+        for emitted, missing in self._marker_slots[token]:
+            x[emitted] = 1.0
+            x[missing] = 0.0
+        x[-1] = (step + 1) / self._max_len
 
 
 def csa_act(

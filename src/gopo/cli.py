@@ -61,7 +61,7 @@ def _unique_keys(pairs: list) -> dict:
 def load_config(path) -> tuple[GlobalConfig, str]:
     """Read and strictly parse a config file; returns the config and the raw
     file text.  A key repeated within one object is an error, not a silent
-    override."""
+    override, and so is nesting too deep for the JSON decoder."""
     p = Path(path)
     if not p.is_file():
         raise ConfigError(f"config file not found: {p}")
@@ -70,7 +70,7 @@ def load_config(path) -> tuple[GlobalConfig, str]:
         data = json.loads(text, object_pairs_hook=_unique_keys)
     except ConfigError as exc:
         raise ConfigError(f"config file {p}: {exc}") from exc
-    except ValueError as exc:
+    except (ValueError, RecursionError) as exc:
         raise ConfigError(f"config file {p} is not valid JSON: {exc}") from exc
     return GlobalConfig.from_dict(data), text
 

@@ -95,31 +95,38 @@ class Mlp:
 
     # -- forward / backward --------------------------------------------------
 
-    def _forward_cached(self, x: np.ndarray) -> list[np.ndarray]:
-        """Activations per layer, input included, each with the input's rank;
-        last entry is the raw head pre-activation (logits or value)."""
+    def _forward_cached(self, x: np.ndarray, acts: list | None = None) -> np.ndarray:
+        """The raw head pre-activation (logits or value) of ``x``, with the
+        input's rank.  When ``acts`` is a list, each layer's input is
+        appended to it, ``x`` first, for ``backward``; ``forward`` passes
+        none, so no activation is kept.  Each layer is one product (the
+        ``ndarray.dot`` method: ``np.dot``, the same bits as ``@``, without
+        either's dispatch cost), the bias added and, on hidden layers,
+        ``tanh`` taken in place."""
         x = np.asarray(x, dtype=float)
         if x.ndim not in (1, 2) or x.shape[-1] != self.layer_sizes[0]:
             raise ValueError(
                 f"input shape {x.shape} incompatible with input size "
                 f"{self.layer_sizes[0]}"
             )
-        acts = [x]
-        for w, b in zip(self.weights[:-1], self.biases[:-1]):
-            h = acts[-1] @ w
+        h = x
+        last = len(self.weights) - 1
+        for i, (w, b) in enumerate(zip(self.weights, self.biases)):
+            if acts is not None:
+                acts.append(h)
+            h = h.dot(w)
             h += b
-            acts.append(np.tanh(h, out=h))
-        h = acts[-1] @ self.weights[-1]
-        h += self.biases[-1]
-        acts.append(h)
-        return acts
+            if i < last:
+                np.tanh(h, out=h)
+        return h
 
     def forward(self, x: np.ndarray, logits: bool = False) -> np.ndarray:
         """Output per input row: probabilities (softmax head) or raw values
         (linear head); with ``logits``, the raw head pre-activation of
-        either head.  Shape ``(out,)`` for a vector, ``(N, out)`` for a
-        batch."""
-        out = self._forward_cached(x)[-1]
+        either head, a fresh array the caller may write to.  Shape
+        ``(out,)`` for a vector, ``(N, out)`` for a batch.  Keeps no
+        activations (see ``_forward_cached``)."""
+        out = self._forward_cached(x)
         if self.head == "softmax" and not logits:
             return stable_softmax(out)
         return out
@@ -130,17 +137,18 @@ class Mlp:
         ``forward(x)``); for a batch, the gradients of the rows are summed."""
         x = np.asarray(x, dtype=float)
         # a vector is a batch of one row
-        acts = self._forward_cached(x[None, :] if x.ndim == 1 else x)
+        acts: list[np.ndarray] = []
+        out = self._forward_cached(x[None, :] if x.ndim == 1 else x, acts)
         upstream = np.asarray(upstream, dtype=float)
-        out_shape = acts[-1].shape[1:] if x.ndim == 1 else acts[-1].shape
+        out_shape = out.shape[1:] if x.ndim == 1 else out.shape
         if upstream.shape != out_shape:
             raise ValueError(
                 f"upstream shape {upstream.shape} incompatible with output "
                 f"shape {out_shape}"
             )
-        g = upstream.reshape(acts[-1].shape)
+        g = upstream.reshape(out.shape)
         if self.head == "softmax":
-            p_raw = _softmax_raw(acts[-1])
+            p_raw = _softmax_raw(out)
             u = g / (1.0 + p_raw.shape[-1] * PROB_FLOOR)
             # row-wise dot as one BLAS dot per row, so a one-row batch
             # matches the vector product bitwise

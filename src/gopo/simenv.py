@@ -5,7 +5,9 @@ a three-phase task structure whose milestones line up with the three
 sub-tasks of the sequence-level efficiency metric, a deterministic scenario
 table mapping (intent, emotion, phase) to a reference skill sequence, and a
 rule-based judge that scores each response on politeness, constraint
-compliance, phase relevance, and lexical diversity.
+compliance, phase relevance, and lexical diversity.  The environment also
+scores the planner (``planner_reward``): each scenario entry's reference
+sequence and its ideal ranking gain are built once, on construction.
 
 Tokens are opaque integers annotated with marker ids; markers stand in for
 semantic content so compliance and relevance are computable by set algebra.
@@ -68,6 +70,7 @@ from .core import (
     SkillSequence,
     Trajectory,
 )
+from .rewards import dcg, idcg
 
 
 class ConfigError(ValueError):
@@ -385,6 +388,10 @@ class DialogueEnv:
         self._intent_cdfs = tuple(_row_cdfs(m) for m in cfg.intent_transition)
         self._init_intent_cdf = cumulative(_normalized(cfg.initial_intent_dist))
         self._init_emotion_cdf = cumulative(_normalized(cfg.initial_emotion_dist))
+        # each scenario entry's teacher sequence and its ideal gain
+        self._teachers = {
+            key: (SkillSequence(seq), idcg(seq)) for key, seq in cfg.scenario_table.items()
+        }
         self._active = False
         self._done = False
 
@@ -470,13 +477,24 @@ class DialogueEnv:
 
     # -- oracle and judge --------------------------------------------------
 
+    def _teacher(self, state: ExpertState) -> tuple[SkillSequence, float]:
+        key = (state.intent, state.emotion, state.phase)
+        if key not in self._teachers:
+            raise KeyError(f"no scenario entry for {key}")
+        return self._teachers[key]
+
     def teacher_sequence(self, state: ExpertState) -> SkillSequence:
         """Reference skill sequence for a state: a deterministic scenario
-        lookup keyed by (intent, emotion, phase)."""
-        key = (state.intent, state.emotion, state.phase)
-        if key not in self.cfg.scenario_table:
-            raise KeyError(f"no scenario entry for {key}")
-        return SkillSequence(self.cfg.scenario_table[key])
+        lookup keyed by (intent, emotion, phase), built once per entry."""
+        return self._teacher(state)[0]
+
+    def planner_reward(self, state: ExpertState, skills: SkillSequence) -> float:
+        """``rewards.esndcg`` of ``skills`` against the state's reference
+        sequence, bit for bit: ``dcg`` of the prediction divided by the
+        entry's ideal gain, computed once per entry with the same float
+        operations as ``idcg``."""
+        teacher, ideal = self._teacher(state)
+        return dcg(skills.skills, teacher.skills) / ideal
 
     def judge(
         self, constraint: SkillSequence | None, response: Response

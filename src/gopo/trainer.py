@@ -1,8 +1,9 @@
 """Hierarchical rollout and optimization loop.
 
-Per turn of a rollout the reference sequence is fetched, the planner picks a
-skill sequence (scored against the reference by the normalized ranking
-gain), the responder generates under that constraint (scored by the judge),
+Per turn of a rollout the planner picks a skill sequence (scored against
+the scenario entry's reference sequence by the normalized ranking gain,
+``DialogueEnv.planner_reward``), the responder generates under that
+constraint (scored by the judge),
 and the two rewards are mixed by the turn-indexed schedule into the joint
 reward.  The planner learns from the joint reward: a TD(0) advantage drives
 its policy gradient and the critic regresses the TD target.  The responder
@@ -79,7 +80,7 @@ from .core import (
 )
 from .metrics import METRIC_CSV_HEADER, MetricReport, TseConfig, aggregate
 from .neural import AdamState, Mlp, adam_step, clip_grad_norm, load_checkpoint, save_checkpoint
-from .rewards import RewardConfig, csa_reward, esndcg, joint_reward, joint_weights
+from .rewards import RewardConfig, csa_reward, joint_reward, joint_weights
 from .simenv import (
     ConfigError,
     DialogueEnv,
@@ -201,7 +202,7 @@ def rollout(
         state = obs.expert_state
         if expert is not None:
             (skills,) = expert_act(expert, state, rng, greedy=greedy)
-            r_e = esndcg(skills.skills, env.teacher_sequence(state).skills)
+            r_e = env.planner_reward(state, skills)
         else:
             skills = None
             r_e = 0.0
@@ -338,26 +339,35 @@ def build_policies(
 ) -> tuple[ExpertPolicy | None, CsaPolicy]:
     """The policies of ``train_cfg.variant``, initialised from its seed: a
     planner for ``full`` and ``untrained`` (None for ``no-expert``) and the
-    responder."""
+    responder.  Networks too large for numpy to allocate raise
+    ``ConfigError`` naming ``train.hidden_size``."""
     spec = FeatureSpec.from_env_config(env_cfg)
     expert = None
-    if train_cfg.variant != "no-expert":
-        expert = ExpertPolicy(
+    try:
+        if train_cfg.variant != "no-expert":
+            expert = ExpertPolicy(
+                spec,
+                hidden=train_cfg.hidden_size,
+                entropy_coeff=train_cfg.entropy_coeff,
+                seed=(train_cfg.seed, _STREAM_EXPERT_INIT),
+            )
+        csa = CsaPolicy(
             spec,
             hidden=train_cfg.hidden_size,
-            entropy_coeff=train_cfg.entropy_coeff,
-            seed=(train_cfg.seed, _STREAM_EXPERT_INIT),
+            loss_weights=(
+                train_cfg.lambda_pg,
+                train_cfg.lambda_skill,
+                train_cfg.lambda_diversity,
+            ),
+            seed=(train_cfg.seed, _STREAM_CSA_INIT),
         )
-    csa = CsaPolicy(
-        spec,
-        hidden=train_cfg.hidden_size,
-        loss_weights=(
-            train_cfg.lambda_pg,
-            train_cfg.lambda_skill,
-            train_cfg.lambda_diversity,
-        ),
-        seed=(train_cfg.seed, _STREAM_CSA_INIT),
-    )
+    # numpy raises MemoryError when the allocation fails and ValueError when
+    # the weight shape exceeds the largest array it can describe
+    except (MemoryError, ValueError) as exc:
+        raise ConfigError(
+            f"train.hidden_size {train_cfg.hidden_size} gives networks too large "
+            f"to allocate: {exc}"
+        ) from exc
     return expert, csa
 
 

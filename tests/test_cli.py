@@ -199,6 +199,11 @@ class TestConfigErrorsExitCleanly:
         )
         assert "repeated key 'seed'" in err
 
+    def test_deeply_nested_file(self, tiny_config, capsys):
+        # the JSON decoder gives up on deep nesting with a RecursionError
+        err = self._run_text(tiny_config, capsys, "[" * 100_000)
+        assert f"error: config file {tiny_config} is not valid JSON: " in err
+
     def test_fractional_episode_count(self, tiny_config, capsys):
         err = self._run(tiny_config, capsys, lambda d: d["train"].update(episodes=1.5))
         assert "train.episodes must be of type int, got 1.5" in err
@@ -321,6 +326,14 @@ class TestConfigErrorsExitCleanly:
                      "train.lr_csa must be finite, got nan", id="nan-learning-rate"),
         pytest.param(lambda d: d["train"].update(hidden_size=0),
                      "train.hidden_size must be positive", id="zero-hidden-size"),
+        # sizes that fail numpy's allocation check or its shape check, before
+        # any memory is taken
+        *[
+            pytest.param(lambda d, h=size: d["train"].update(hidden_size=h),
+                         f"error: train.hidden_size {size} gives networks too large",
+                         id=f"hidden-size-{size:.0e}")
+            for size in (10**12, 10**20)
+        ],
         *[
             pytest.param(lambda d, k=key: d["train"].update({k: -1.0}),
                          f"train.{key} must be non-negative", id=f"negative-{key}")

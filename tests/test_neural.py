@@ -67,6 +67,33 @@ class TestForward:
             want = stable_softmax(z) if head == "softmax" else z
             assert np.array_equal(net.forward(x), want)
 
+    @pytest.mark.parametrize("sizes, head", [
+        pytest.param((180, 64, 65), "softmax", id="responder"),
+        pytest.param((67, 64, 13), "softmax", id="planner"),
+        pytest.param((50, 64, 1), "linear", id="critic"),
+        pytest.param((5, 8, 7, 6), "linear", id="two-hidden"),
+    ])
+    def test_forward_is_bitwise_the_activation_list_reference(self, sizes, head):
+        # the list-free forward (``ndarray.dot`` products) against the
+        # activation list built with ``@``, in every BLAS class: a vector (gemv), and batches of
+        # 1, {2, 3}, {4 ... 255} and >= 256 rows
+        net = Mlp(sizes, head=head, seed=9)
+        rng = np.random.default_rng(63)
+
+        def reference(x, logits):
+            acts = [x]
+            for w, b in zip(net.weights[:-1], net.biases[:-1]):
+                acts.append(np.tanh(acts[-1] @ w + b))
+            z = acts[-1] @ net.weights[-1] + net.biases[-1]
+            return stable_softmax(z) if head == "softmax" and not logits else z
+
+        inputs = [rng.normal(0, 1, sizes[0])] + [
+            rng.normal(0, 1, (n, sizes[0])) for n in (1, 2, 3, 4, 255, 256, 257)
+        ]
+        for x in inputs:
+            for logits in (False, True):
+                assert np.array_equal(net.forward(x, logits=logits), reference(x, logits))
+
     def test_dimension_mismatch_rejected(self):
         net = Mlp([3, 4, 2], seed=0)
         with pytest.raises(ValueError):

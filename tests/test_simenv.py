@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 import gopo.simenv
-from gopo.core import Response, SkillSequence, response_markers
+from gopo.core import MAX_SKILL_SEQUENCE_LEN, Response, SkillSequence, response_markers
+from gopo.rewards import esndcg
 from gopo.simenv import (
     ConfigError,
     DialogueEnv,
@@ -321,6 +322,28 @@ class TestTeacher:
         state = dataclasses.replace(env.reset(seed=0).expert_state, intent="haggle")
         with pytest.raises(KeyError):
             env.teacher_sequence(state)
+        with pytest.raises(KeyError):
+            env.planner_reward(state, SkillSequence((0,)))
+
+    def test_planner_reward_is_esndcg_bitwise(self, env_cfg):
+        # the per-entry table form against the oracle-checked definition,
+        # with exact equality: the teacher itself and random predictions of
+        # every length, repeats included, on every scenario entry
+        env = DialogueEnv(env_cfg)
+        base = env.reset(seed=0).expert_state
+        rng = np.random.default_rng(19)
+        n_skills = len(env_cfg.skill_pool)
+        for (intent, emotion, phase), teacher in env_cfg.scenario_table.items():
+            state = dataclasses.replace(base, intent=intent, emotion=emotion, phase=phase)
+            preds = [teacher] + [
+                tuple(int(s) for s in rng.integers(0, n_skills, n))
+                for n in range(1, MAX_SKILL_SEQUENCE_LEN + 1)
+                for _ in range(4)
+            ]
+            preds += [(teacher[0],) * 3, teacher[:4] + teacher[:1]]
+            for pred in preds:
+                got = env.planner_reward(state, SkillSequence(pred))
+                assert got == esndcg(pred, teacher), (state, pred)
 
 
 class TestJudge:
