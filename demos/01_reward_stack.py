@@ -31,9 +31,9 @@ for pred in [(GREET, PROBE, RECOMMEND), (PROBE, GREET), (EXPLAIN,), (GREET, GREE
     )
 print(f"  ideal (the reference itself) idcg = {idcg(teacher):.4f}")
 
-print("\nRepetition with dedupe on vs. the literal formula:")
-print(f"  dedupe on : {dcg((GREET, GREET), teacher, dedupe=True):.4f}")
-print(f"  dedupe off: {dcg((GREET, GREET), teacher, dedupe=False):.4f}")
+print("\nA repeated skill scores relevance 0, so repeating gains nothing:")
+print(f"  dcg (greet,)        = {dcg((GREET,), teacher):.4f}")
+print(f"  dcg (greet, greet)  = {dcg((GREET, GREET), teacher):.4f}")
 
 cfg = load_config(Path(__file__).resolve().parents[1] / "configs" / "default.json")[0].reward
 print("\nResponder reward = weighted judge scores:")

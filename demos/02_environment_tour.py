@@ -27,11 +27,12 @@ while not done:
     print(f"\nturn {turn}  phase {state.phase}  user: {state.intent}/{state.emotion}")
     print(f"  reference plan : {[names[s] for s in teacher]}")
     print(f"  response tokens: {response.tokens} (markers {sorted(response.markers)})")
-    obs, scores, delta, done = env.step(teacher, response)
+    obs, scores, done = env.step(teacher, response)
     print(f"  judge [polite, comply, relevant, diverse] = "
           f"[{scores[0]:.2f}, {scores[1]:.2f}, {scores[2]:.2f}, {scores[3]:.2f}]")
-    if any(delta):
-        print(f"  >> milestone completed: {MILESTONE_NAMES[delta.index(True)]}")
+    for name, at in zip(MILESTONE_NAMES, env.milestone_record().turns):
+        if at == turn:
+            print(f"  >> milestone completed: {name}")
 
 record = env.milestone_record()
 print(f"\nterminal reason: {env.terminal_reason}")
@@ -45,7 +46,7 @@ done = False
 turns = 0
 while not done:
     teacher = env.teacher_sequence(obs.expert_state)
-    obs, scores, delta, done = env.step(teacher, junk)
+    obs, scores, done = env.step(teacher, junk)
     turns += 1
 print(f"junk responses: {turns} turns, terminal reason {env.terminal_reason}, "
       f"milestones {env.milestone_record().completed}")

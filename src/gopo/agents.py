@@ -58,6 +58,7 @@ from .core import (
     CsaState,
     ExpertState,
     MAX_SKILL_SEQUENCE_LEN,
+    NUM_MILESTONES,
     Response,
     SkillSequence,
     response_markers,
@@ -65,7 +66,6 @@ from .core import (
 from .neural import Mlp, softmax_weights
 from .simenv import EnvConfig, draw
 
-N_PHASES = 3
 _BUSINESS_DIM = 6  # order status one-hot (3) + stock level one-hot (3)
 
 
@@ -108,7 +108,7 @@ class FeatureSpec:
             + len(self.emotions)
             + self.n_skills
             + self.n_markers
-            + N_PHASES
+            + NUM_MILESTONES
             + 1
         )
 
@@ -133,8 +133,8 @@ class FeatureSpec:
                 f[off + m] += 1.0
         f[off : off + self.n_markers] /= max(self.history_window, 1)
         off += self.n_markers
-        f[off + min(state.phase, N_PHASES) - 1] = 1.0
-        off += N_PHASES
+        f[off + state.phase - 1] = 1.0
+        off += NUM_MILESTONES
         f[off] = min((state.turn - 1) / max(self.horizon - 1, 1), 1.0)
         return f
 

@@ -34,19 +34,17 @@ NUM_MILESTONES = 3
 
 @dataclass(frozen=True)
 class Skill:
-    """A strategy primitive from the skill pool.
+    """A strategy primitive from the skill pool; its id is its position in
+    the pool.
 
     ``required_markers`` are the marker ids a compliant response must carry
     when this skill is part of the active constraint.
     """
 
-    id: int
     name: str
     required_markers: frozenset[int]
 
     def __post_init__(self) -> None:
-        if self.id < 0:
-            raise ValueError(f"skill id must be non-negative, got {self.id}")
         if not self.required_markers:
             raise ValueError(f"skill {self.name!r} has no required markers")
         object.__setattr__(self, "required_markers", frozenset(self.required_markers))
@@ -83,9 +81,10 @@ class ExpertState:
     """Observation of the strategy planner.
 
     ``history`` holds the marker sets of the last ``history_window``
-    responses, oldest first.  ``phase`` (1-based task phase) and ``turn``
-    (1-based turn index) locate the state in the episode; the scenario
-    lookup and the feature encoding both need them.
+    responses, oldest first.  ``phase`` (1-based task phase, at most
+    ``NUM_MILESTONES``) and ``turn`` (1-based turn index) locate the state
+    in the episode; the scenario lookup and the feature encoding both need
+    them.
     """
 
     history: tuple[frozenset[int], ...]
@@ -97,8 +96,8 @@ class ExpertState:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "history", tuple(self.history))
-        if self.phase < 1:
-            raise ValueError(f"phase must be >= 1, got {self.phase}")
+        if not 1 <= self.phase <= NUM_MILESTONES:
+            raise ValueError(f"phase must be in [1, {NUM_MILESTONES}], got {self.phase}")
         if self.turn < 1:
             raise ValueError(f"turn must be >= 1, got {self.turn}")
 

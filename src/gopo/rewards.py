@@ -8,9 +8,9 @@ per-turn reward, shifting emphasis from response quality early in an episode
 to strategic planning later, while keeping the responder weight strictly
 positive.
 
-All functions here are pure and operate on plain skill-id sequences so that
-degenerate inputs (empty reference) stay expressible; callers holding a
-:class:`~gopo.core.SkillSequence` pass its ``.skills`` tuple.
+All functions here are pure and operate on plain skill-id sequences;
+callers holding a :class:`~gopo.core.SkillSequence` pass its ``.skills``
+tuple.
 """
 
 from __future__ import annotations
@@ -31,9 +31,7 @@ class RewardConfig:
     ``dim_weights`` mix the four judge scores into the responder reward.
     ``w_expert_min``/``w_expert_max`` bound the planner weight's linear ramp
     over the episode; ``w_csa_floor`` keeps the responder weight strictly
-    positive at every turn.  The planner's reward always zeroes the
-    relevance of repeated predicted skills (``esndcg``'s default); ``dcg``
-    and ``esndcg`` take ``dedupe=False`` to evaluate the gain literally.
+    positive at every turn.
     """
 
     dim_weights: tuple[float, float, float, float]
@@ -82,22 +80,19 @@ def relevance(skill_id: int, teacher: Sequence[int]) -> int:
     return 0
 
 
-def dcg(pred: Sequence[int], teacher: Sequence[int], dedupe: bool = True) -> float:
+def dcg(pred: Sequence[int], teacher: Sequence[int]) -> float:
     """Position-discounted cumulative gain of a predicted skill sequence.
 
-    Term ``i`` (1-based) contributes ``(2**rel - 1) / log2(i + 1)``.  With
-    ``dedupe`` on, repeats of an already-seen predicted skill contribute
-    relevance 0, closing the repetition loophole of the literal formula.
+    Term ``i`` (1-based) contributes ``(2**rel - 1) / log2(i + 1)``.  A
+    repeat of an already-seen predicted skill contributes relevance 0, which
+    closes the repetition loophole of the literal formula.
     """
     _check_len(pred, "pred")
     _check_len(teacher, "teacher")
     total = 0.0
     seen: set[int] = set()
     for i, p in enumerate(pred):
-        if dedupe and p in seen:
-            rel = 0
-        else:
-            rel = relevance(p, teacher)
+        rel = 0 if p in seen else relevance(p, teacher)
         seen.add(p)
         total += (2.0 ** rel - 1.0) / math.log2(i + 2)
     return total
@@ -106,23 +101,18 @@ def dcg(pred: Sequence[int], teacher: Sequence[int], dedupe: bool = True) -> flo
 def idcg(teacher: Sequence[int]) -> float:
     """The teacher sequence's own discounted gain: the attainable maximum for
     distinct-skill teachers."""
-    return dcg(teacher, teacher, dedupe=True)
+    return dcg(teacher, teacher)
 
 
-def esndcg(pred: Sequence[int], teacher: Sequence[int], dedupe: bool = True) -> float:
+def esndcg(pred: Sequence[int], teacher: Sequence[int]) -> float:
     """Normalized skill-sequence gain, the planner's per-turn reward.
 
     Equals ``dcg(pred) / idcg(teacher)``; 1.0 exactly when the prediction
-    reproduces the teacher in order.  Degenerate empty-teacher inputs return
-    1.0 for an empty prediction and 0.0 otherwise, preserving the
-    perfect-match-is-one convention without dividing by zero.  A non-empty
-    teacher's ``idcg`` is at least 1, its first term being ``2**n - 1``.
+    reproduces the teacher in order.  The teacher is a scenario entry of 1
+    to 5 distinct skills, so its ``idcg`` is at least 1, its first term
+    being ``2**n - 1``.
     """
-    _check_len(pred, "pred")
-    _check_len(teacher, "teacher")
-    if len(teacher) == 0:
-        return 1.0 if len(pred) == 0 else 0.0
-    return dcg(pred, teacher, dedupe=dedupe) / idcg(teacher)
+    return dcg(pred, teacher) / idcg(teacher)
 
 
 def csa_reward(dim_scores: Sequence[float], cfg: RewardConfig) -> float:

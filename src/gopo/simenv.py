@@ -56,7 +56,7 @@ import dataclasses
 import math
 import typing
 from dataclasses import dataclass
-from typing import Mapping
+from typing import Mapping, Sequence
 
 import numpy as np
 
@@ -240,16 +240,22 @@ class EnvConfig:
 _ROW_SUM_TOL = 1e-9
 
 
+def _check_distribution(dist, size: int, name: str) -> None:
+    """A ConfigError naming ``name`` unless ``dist`` is a probability vector
+    of ``size`` entries: none negative, summing to 1 within ``_ROW_SUM_TOL``."""
+    if len(dist) != size:
+        raise ConfigError(f"{name} must have {size} entries")
+    if any(p < 0 for p in dist):
+        raise ConfigError(f"{name} has a negative probability")
+    if abs(sum(dist) - 1.0) > _ROW_SUM_TOL:
+        raise ConfigError(f"{name} sums to {sum(dist)!r}, not 1")
+
+
 def _check_stochastic(mat, size: int, name: str) -> None:
     if len(mat) != size:
         raise ConfigError(f"{name} must have {size} rows")
     for i, row in enumerate(mat):
-        if len(row) != size:
-            raise ConfigError(f"{name} row {i} must have {size} entries")
-        if any(p < 0 for p in row):
-            raise ConfigError(f"{name} row {i} has a negative probability")
-        if abs(sum(row) - 1.0) > _ROW_SUM_TOL:
-            raise ConfigError(f"{name} row {i} sums to {sum(row)!r}, not 1")
+        _check_distribution(row, size, f"{name} row {i}")
 
 
 def validate_env_config(cfg: EnvConfig) -> None:
@@ -260,11 +266,7 @@ def validate_env_config(cfg: EnvConfig) -> None:
     names = [s.name for s in cfg.skill_pool]
     if len(set(names)) != len(names):
         raise ConfigError("env.skill_pool has duplicate skill names")
-    for i, s in enumerate(cfg.skill_pool):
-        if s.id != i:
-            raise ConfigError(
-                f"env.skill_pool entry {i} has id {s.id}; ids must be consecutive"
-            )
+    for s in cfg.skill_pool:
         if not s.required_markers <= set(range(cfg.marker_count)):
             raise ConfigError(
                 f"env.skill_pool[{s.name}].required_markers outside marker alphabet"
@@ -306,16 +308,8 @@ def validate_env_config(cfg: EnvConfig) -> None:
         raise ConfigError("env.intent_transition must have one matrix per phase")
     for p, mat in enumerate(cfg.intent_transition):
         _check_stochastic(mat, len(cfg.intents), f"env.intent_transition[{p}]")
-    for name, dist, size in (
-        ("initial_intent_dist", cfg.initial_intent_dist, len(cfg.intents)),
-        ("initial_emotion_dist", cfg.initial_emotion_dist, len(cfg.emotions)),
-    ):
-        if len(dist) != size:
-            raise ConfigError(f"env.{name} must have {size} entries")
-        if any(p < 0 for p in dist):
-            raise ConfigError(f"env.{name} has a negative probability")
-        if abs(sum(dist) - 1.0) > _ROW_SUM_TOL:
-            raise ConfigError(f"env.{name} sums to {sum(dist)!r}, not 1")
+    _check_distribution(cfg.initial_intent_dist, len(cfg.intents), "env.initial_intent_dist")
+    _check_distribution(cfg.initial_emotion_dist, len(cfg.emotions), "env.initial_emotion_dist")
     for intent in cfg.intents:
         for emotion in cfg.emotions:
             for phase in range(1, NUM_MILESTONES + 1):
@@ -420,14 +414,14 @@ class DialogueEnv:
 
     def step(
         self, skills: SkillSequence | None, response: Response
-    ) -> tuple[EnvObservation, tuple[float, float, float, float], tuple[bool, bool, bool], bool]:
+    ) -> tuple[EnvObservation, tuple[float, float, float, float], bool]:
         """Score one exchange (``judge`` of the response under ``skills``,
         the responder's constraint) and advance the user state; the next
         planner state's history ends with the response's marker set.
 
-        Returns (next observation, judge dimension scores, newly completed
-        milestones, done).  Raises if called before reset or after the
-        episode ended.
+        Returns (next observation, judge dimension scores, done); the
+        milestones completed so far are ``milestone_record()``.  Raises if
+        called before reset or after the episode ended.
         """
         if not self._active:
             raise RuntimeError("step() before reset()")
@@ -440,12 +434,10 @@ class DialogueEnv:
         scores = self.judge(skills, response)
         turn_no = self._turn + 1
 
-        delta = [False] * NUM_MILESTONES
         p = self._phase
         if not self._completed[p - 1] and self._milestone_fires(p, skills, response):
             self._completed[p - 1] = True
             self._milestone_turns[p - 1] = turn_no
-            delta[p - 1] = True
             self._phase = min(p + 1, NUM_MILESTONES)
 
         compliant = scores[1] >= self.cfg.compliance_threshold
@@ -464,7 +456,7 @@ class DialogueEnv:
             self._done = True
             self._terminal_reason = TERMINAL_HORIZON
         self._obs = self._build_observation()
-        return self._obs, scores, tuple(delta), self._done
+        return self._obs, scores, self._done
 
     @property
     def terminal_reason(self) -> str | None:
@@ -590,27 +582,31 @@ def _row_cdfs(mat) -> tuple[np.ndarray, ...]:
     return tuple(cumulative(row) for row in _normalized(mat))
 
 
-def reference_responses(traj: Trajectory, cfg: EnvConfig) -> list[tuple[int, ...]]:
-    """Per-turn reference token sequences for a logged trajectory.
+def reference_responses(
+    trajs: Sequence[Trajectory], cfg: EnvConfig
+) -> list[list[tuple[int, ...]]]:
+    """Per-turn reference token sequences of logged trajectories, one list
+    per trajectory.
 
     The reference at each turn realizes the scenario entry for the recorded
     (intent, emotion, phase): each skill's required markers, in order,
     rendered through their first carrier tokens.  Phases reconstructed from
     the milestone record make this computable from the wire format alone.
+    Each entry's reference is built once per call; a state with no entry
+    raises KeyError.
     """
     marker_token: dict[int, int] = {}
     for t, markers in enumerate(cfg.token_markers):
         for m in markers:
             marker_token.setdefault(m, t)
+    entries = {
+        key: tuple(
+            marker_token[m] for s in seq for m in sorted(cfg.skill_pool[s].required_markers)
+        )
+        for key, seq in cfg.scenario_table.items()
+    }
     out = []
-    for turn in traj.turns:
-        st = turn.expert_state
-        key = (st.intent, st.emotion, st.phase)
-        if key not in cfg.scenario_table:
-            raise KeyError(f"no scenario entry for {key}")
-        out.append(tuple(
-            marker_token[m]
-            for s in cfg.scenario_table[key]
-            for m in sorted(cfg.skill_pool[s].required_markers)
-        ))
+    for traj in trajs:
+        states = [turn.expert_state for turn in traj.turns]
+        out.append([entries[(st.intent, st.emotion, st.phase)] for st in states])
     return out

@@ -212,7 +212,7 @@ def rollout(
             business_ctx=obs.business_ctx,
         )
         (response,) = csa_act(csa, csa_state, rng, greedy=greedy)
-        obs, dim_scores, _, done = env.step(skills, response)
+        obs, dim_scores, done = env.step(skills, response)
         r_a = csa_reward(dim_scores, reward_cfg)
         weights = joint_weights(turn_no, horizon, reward_cfg)
         breakdown = RewardBreakdown(
@@ -330,7 +330,7 @@ def _evaluate(
     trajs = _play(
         env, expert, csa, cfg.reward, base_seed, _STREAM_EVAL, range(n_episodes), True
     )
-    refs = [reference_responses(t, cfg.env) for t in trajs]
+    refs = reference_responses(trajs, cfg.env)
     return aggregate(trajs, cfg.tse, refs, variant=cfg.train.variant), trajs
 
 
@@ -584,7 +584,7 @@ def ablate(cfg: GlobalConfig, out_dir=None, seeds=None) -> list[MetricReport]:
             )
             _, final_trajs = train(run_cfg)
             trajs += final_trajs
-        refs = [reference_responses(t, cfg.env) for t in trajs]
+        refs = reference_responses(trajs, cfg.env)
         rows.append(aggregate(trajs, cfg.tse, refs, variant=variant))
     with open(out / "ablation.csv", "w", encoding="utf-8") as fh:
         fh.write(METRIC_CSV_HEADER + "\n")

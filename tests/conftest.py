@@ -42,10 +42,10 @@ def make_tiny_env_cfg(horizon=4):
     """A 4-skill, 2-intent, 2-emotion world; small enough for exhaustive and
     finite-difference tests."""
     pool = (
-        Skill(0, "open", frozenset({0, 5})),
-        Skill(1, "ask", frozenset({1})),
-        Skill(2, "offer", frozenset({2})),
-        Skill(3, "done", frozenset({3, 5})),
+        Skill("open", frozenset({0, 5})),
+        Skill("ask", frozenset({1})),
+        Skill("offer", frozenset({2})),
+        Skill("done", frozenset({3, 5})),
     )
     intents = ("buy", "gripe")
     emotions = ("calm", "mad")

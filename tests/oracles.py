@@ -33,25 +33,18 @@ def oracle_relevance(s, teacher):
     return 0
 
 
-def oracle_dcg(pred, teacher, dedupe):
+def oracle_dcg(pred, teacher):
     total = 0.0
     for i in range(1, len(pred) + 1):
         p = pred[i - 1]
-        if dedupe and p in pred[: i - 1]:
-            rel = 0
-        else:
-            rel = oracle_relevance(p, teacher)
+        # a repeated prediction scores relevance 0
+        rel = 0 if p in pred[: i - 1] else oracle_relevance(p, teacher)
         total += (2**rel - 1) / math.log(i + 1, 2)
     return total
 
 
-def oracle_esndcg(pred, teacher, dedupe):
-    if len(teacher) == 0:
-        return 1.0 if len(pred) == 0 else 0.0
-    ideal = oracle_dcg(teacher, teacher, True)
-    if ideal == 0:
-        return 1.0 if len(pred) == 0 else 0.0
-    return oracle_dcg(pred, teacher, dedupe) / ideal
+def oracle_esndcg(pred, teacher):
+    return oracle_dcg(pred, teacher) / oracle_dcg(teacher, teacher)
 
 
 def validate_trajectory(traj, pool_size, horizon):
@@ -415,12 +408,10 @@ class ChoiceDialogueEnv(DialogueEnv):
             raise RuntimeError("step() after the episode ended")
         scores = self.judge(skills, response)
         turn_no = self._turn + 1
-        delta = [False] * NUM_MILESTONES
         p = self._phase
         if not self._completed[p - 1] and self._milestone_fires(p, skills, response):
             self._completed[p - 1] = True
             self._milestone_turns[p - 1] = turn_no
-            delta[p - 1] = True
             self._phase = min(p + 1, NUM_MILESTONES)
         compliant = scores[1] >= cfg.compliance_threshold
         key = "compliant" if compliant else "noncompliant"
@@ -438,4 +429,4 @@ class ChoiceDialogueEnv(DialogueEnv):
             self._done = True
             self._terminal_reason = TERMINAL_HORIZON
         self._obs = self._build_observation()
-        return self._obs, scores, tuple(delta), self._done
+        return self._obs, scores, self._done

@@ -62,10 +62,10 @@ class TestEsndcgOracleEquivalence:
         checked = 0
         for teacher in teachers:
             ideal = idcg(teacher)
-            oracle_ideal = oracle_dcg(teacher, teacher, True)
+            oracle_ideal = oracle_dcg(teacher, teacher)
             for pred in preds:
-                got = dcg(pred, teacher, dedupe=False) / ideal
-                want = oracle_dcg(pred, teacher, False) / oracle_ideal
+                got = dcg(pred, teacher) / ideal
+                want = oracle_dcg(pred, teacher) / oracle_ideal
                 if abs(got - want) > 1e-9:
                     raise AssertionError(
                         f"esndcg mismatch for pred={pred} teacher={teacher}: "
@@ -85,8 +85,8 @@ class TestEsndcgOracleEquivalence:
         for _ in range(20_000):
             teacher = teachers[rng.integers(len(teachers))]
             pred = tuple(rng.integers(0, 6, rng.integers(1, 5)))
-            got = esndcg(pred, teacher, dedupe=True)
-            want = oracle_esndcg(list(pred), list(teacher), True)
+            got = esndcg(pred, teacher)
+            want = oracle_esndcg(list(pred), list(teacher))
             assert abs(got - want) <= 1e-9
         _report("esndcg-oracle-equivalence-dedupe (20000 sampled pairs)")
 
@@ -96,8 +96,7 @@ class TestEsndcgBoundary:
         count = 0
         for n in range(1, 6):
             for teacher in itertools.permutations(POOL, n):
-                assert esndcg(teacher, teacher, dedupe=True) == 1.0
-                assert esndcg(teacher, teacher, dedupe=False) == 1.0
+                assert esndcg(teacher, teacher) == 1.0
                 count += 1
         assert count == 1236  # sum of P(6, n) for n = 1..5
         _report(f"esndcg-identity-boundary ({count} teachers)")
@@ -107,7 +106,7 @@ class TestEsndcgBoundary:
             for teacher in itertools.permutations(POOL, n):
                 for m in range(1, 4):
                     pred = DISJOINT[:m]
-                    assert esndcg(pred, teacher, dedupe=True) == 0.0
+                    assert esndcg(pred, teacher) == 0.0
         _report("esndcg-disjoint-boundary")
 
 

@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import gopo.trainer
 from gopo.agents import CsaPolicy, ExpertPolicy
 from gopo.cli import load_config, main
 from gopo.metrics import METRIC_CSV_HEADER, TseConfig
@@ -92,6 +93,16 @@ class TestConfigCopyIsAFixedPoint:
 
     def test_default_config(self, default_cfg):
         self._check(default_cfg)
+
+    def test_default_config_copy_is_the_file(self, tmp_path, monkeypatch):
+        # the copy `gopo train` writes for configs/default.json is the file,
+        # byte for byte; the run stops once the copy is written
+        def stop(*args):
+            raise ConfigError("stopped after config.copy")
+
+        monkeypatch.setattr(gopo.trainer, "build_policies", stop)
+        assert main(["train", str(DEFAULT_CONFIG_FILE), "--out", str(tmp_path)]) == 1
+        assert (tmp_path / "config.copy").read_bytes() == DEFAULT_CONFIG_FILE.read_bytes()
 
 
 class TestTrainCommand:
@@ -276,8 +287,9 @@ class TestConfigErrorsExitCleanly:
         pytest.param(lambda d: d.update(reward=3), "reward must be an object", id="reward-scalar"),
         pytest.param(lambda d: d.update(train=[1]), "train must be an object", id="train-list"),
         pytest.param(
-            lambda d: d["env"]["skill_pool"][0].update(id=-1),
-            "env.skill_pool[0]: skill id must be non-negative", id="negative-skill-id",
+            # a skill's id is its position in the pool, never a key
+            lambda d: d["env"]["skill_pool"][0].update(id=0),
+            "error: unknown key env.skill_pool[0].id", id="skill-id-key",
         ),
         pytest.param(
             lambda d: d["env"]["skill_pool"][0].update(required_markers=[]),

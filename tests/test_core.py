@@ -49,7 +49,7 @@ def _trajectory(turns=(), milestones=None, episode_id=7, seed=123):
 class TestInvariants:
     def test_skill_requires_markers(self):
         with pytest.raises(ValueError):
-            Skill(0, "empty", frozenset())
+            Skill("empty", frozenset())
 
     def test_skill_sequence_length_cap(self):
         with pytest.raises(ValueError):
@@ -181,8 +181,9 @@ class TestValueSemantics:
 
 class TestTurnSummaryAndStates:
     def test_expert_state_positional_invariants(self):
-        with pytest.raises(ValueError):
-            ExpertState((), "a", "b", None, phase=0, turn=1)
+        for phase in (0, 4):
+            with pytest.raises(ValueError):
+                ExpertState((), "a", "b", None, phase=phase, turn=1)
         with pytest.raises(ValueError):
             ExpertState((), "a", "b", None, phase=1, turn=0)
 

@@ -1,6 +1,5 @@
 import dataclasses
 import itertools
-import math
 
 import pytest
 from hypothesis import given, settings
@@ -49,12 +48,7 @@ class TestDcg:
         assert dcg([D, E], [A, B, C]) == 0.0
 
     def test_dedupe_zeroes_repeats(self):
-        assert dcg([A, A], [A], dedupe=True) == pytest.approx(1.0, abs=1e-12)
-
-    def test_literal_mode_rewards_repeats(self):
-        assert dcg([A, A], [A], dedupe=False) == pytest.approx(
-            1.0 + 1.0 / math.log2(3), abs=1e-12
-        )
+        assert dcg([A, A], [A]) == pytest.approx(1.0, abs=1e-12)
 
     def test_idcg_hand_case(self):
         assert idcg([A, B, C]) == pytest.approx(9.392789260714371, abs=1e-12)
@@ -70,16 +64,11 @@ class TestEsndcg:
     def test_hand_case(self):
         assert esndcg([B, A], [A, B, C]) == pytest.approx(0.78960, abs=1e-5)
 
-    def test_empty_teacher_degenerate(self):
-        assert esndcg([], []) == 1.0
-        assert esndcg([A], []) == 0.0
-
     def test_oracle_spot_agreement(self):
         for pred in ([A], [B, C], [C, B, A], [A, A, B], [D], [A, B, C, D]):
-            for dedupe in (True, False):
-                assert esndcg(pred, [A, B, C], dedupe) == pytest.approx(
-                    oracle_esndcg(pred, [A, B, C], dedupe), abs=1e-12
-                )
+            assert esndcg(pred, [A, B, C]) == pytest.approx(
+                oracle_esndcg(pred, [A, B, C]), abs=1e-12
+            )
 
 
 @st.composite
@@ -96,14 +85,14 @@ class TestProperties:
     @given(teacher_and_pred())
     def test_esndcg_bounds_with_dedupe(self, tp):
         teacher, pred = tp
-        v = esndcg(pred, teacher, dedupe=True)
+        v = esndcg(pred, teacher)
         assert -1e-12 <= v <= 1.0 + 1e-12
 
     @settings(max_examples=200, deadline=None)
     @given(teacher_and_pred())
     def test_unity_iff_teacher_prefix(self, tp):
         teacher, pred = tp
-        v = esndcg(pred, teacher, dedupe=True)
+        v = esndcg(pred, teacher)
         if pred[: len(teacher)] == teacher:
             assert v == pytest.approx(1.0, abs=1e-12)
         else:

@@ -74,17 +74,17 @@ class TestStep:
         obs = env.reset(seed=3)
         teacher = env.teacher_sequence(obs.expert_state)
         resp = _full_marker_response(env_cfg, teacher.skills)
-        _, scores, delta, _ = env.step(teacher, resp)
+        _, scores, _ = env.step(teacher, resp)
         assert scores[1] == 1.0
-        assert delta == (True, False, False)
+        assert env.milestone_record().completed == (True, False, False)
 
     def test_empty_marker_response_scores_zero_compliance(self, env_cfg):
         env = DialogueEnv(env_cfg)
         obs = env.reset(seed=1)
         teacher = env.teacher_sequence(obs.expert_state)
-        _, scores, delta, _ = env.step(teacher, _junk_response(env_cfg))
+        _, scores, _ = env.step(teacher, _junk_response(env_cfg))
         assert scores[1] == 0.0
-        assert delta == (False, False, False)
+        assert env.milestone_record().completed == (False, False, False)
 
     def test_horizon_termination_without_milestones(self, env_cfg):
         env = DialogueEnv(env_cfg)
@@ -92,7 +92,7 @@ class TestStep:
         done = False
         steps = 0
         while not done:
-            _, _, _, done = env.step(SkillSequence((3,)), _junk_response(env_cfg))
+            _, _, done = env.step(SkillSequence((3,)), _junk_response(env_cfg))
             steps += 1
         assert steps == env_cfg.horizon
         assert env.terminal_reason == TERMINAL_HORIZON
@@ -104,7 +104,7 @@ class TestStep:
         done = False
         while not done:
             teacher = env.teacher_sequence(obs.expert_state)
-            obs, _, _, done = env.step(teacher, _full_marker_response(env_cfg, teacher.skills))
+            obs, _, done = env.step(teacher, _full_marker_response(env_cfg, teacher.skills))
         assert env.terminal_reason == TERMINAL_ALL_MILESTONES
         record = env.milestone_record()
         assert record.completed == (True, True, True)
@@ -126,20 +126,21 @@ class TestStep:
         env = DialogueEnv(env_cfg)
         obs = env.reset(seed=9)
         teacher = env.teacher_sequence(obs.expert_state)
-        obs, _, delta, _ = env.step(teacher, _full_marker_response(env_cfg, teacher.skills))
-        assert delta[0] and obs.expert_state.phase == 2
-        # junk turn: milestone 1 stays completed
-        obs, _, delta, _ = env.step(SkillSequence((0,)), _junk_response(env_cfg))
-        assert delta == (False, False, False)
-        assert env.milestone_record().completed[0]
+        obs, _, _ = env.step(teacher, _full_marker_response(env_cfg, teacher.skills))
+        assert env.milestone_record().completed[0] and obs.expert_state.phase == 2
+        # junk turn: milestone 1 stays completed at turn 1, nothing else fires
+        env.step(SkillSequence((0,)), _junk_response(env_cfg))
+        record = env.milestone_record()
+        assert record.completed == (True, False, False)
+        assert record.turns == (1, None, None)
 
     def test_null_constraint_waives_skill_condition(self, env_cfg):
         env = DialogueEnv(env_cfg)
         env.reset(seed=6)
         milestone_skill = env_cfg.milestone_rules[0][0]
         resp = _full_marker_response(env_cfg, (milestone_skill,))
-        _, scores, delta, _ = env.step(None, resp)
-        assert delta[0]
+        _, scores, _ = env.step(None, resp)
+        assert env.milestone_record().completed[0]
         assert scores[1] == 1.0  # null constraint is vacuously compliant
 
     def test_wrong_skill_with_right_markers_does_not_fire(self, env_cfg):
@@ -149,8 +150,8 @@ class TestStep:
         other = SkillSequence((0,))
         assert milestone_skill not in other
         resp = _full_marker_response(env_cfg, (milestone_skill,))
-        _, _, delta, _ = env.step(other, resp)
-        assert not delta[0]
+        env.step(other, resp)
+        assert not env.milestone_record().completed[0]
 
 
 class TestHistory:
@@ -169,7 +170,7 @@ class TestHistory:
             for k in range(1, cfg.horizon + 1):
                 n = int(rng.integers(1, cfg.max_response_len + 1))
                 resp = _response(cfg, [int(t) for t in rng.integers(0, cfg.vocab_size, n)])
-                obs, _, _, done = env.step(skills, resp)
+                obs, _, done = env.step(skills, resp)
                 said.append(resp.markers)
                 assert obs.expert_state.history == tuple(said[-min(k, cfg.history_window):])
             assert done
@@ -186,8 +187,8 @@ class TestDeterminism:
             while not done:
                 skills = SkillSequence(((k % 3) + 1,))
                 resp = _response(env_cfg, [k % env_cfg.vocab_size, 12])
-                obs, scores, delta, done = env.step(skills, resp)
-                trace.append((obs, scores, delta, done))
+                obs, scores, done = env.step(skills, resp)
+                trace.append((obs, scores, env.milestone_record(), done))
                 k += 1
             return trace
 
@@ -204,7 +205,7 @@ class TestDeterminism:
                     resp = _full_marker_response(env_cfg, teacher.skills)
                 else:
                     resp = _junk_response(env_cfg)
-                obs, _, _, _ = env.step(teacher, resp)
+                obs, _, _ = env.step(teacher, resp)
                 out.append(obs.expert_state.emotion)
             return out
 
@@ -239,9 +240,9 @@ class TestDrawsMatchChoice:
                 )
                 n = int(actions.integers(1, cfg.max_response_len + 1))
                 resp = _response(cfg, [int(t) for t in actions.integers(0, cfg.vocab_size, n)])
-            obs, scores, delta, done = env.step(skills, resp)
-            trace.append((obs, scores, delta, done))
-        return trace, env.terminal_reason, env.milestone_record()
+            obs, scores, done = env.step(skills, resp)
+            trace.append((obs, scores, env.milestone_record(), done))
+        return trace, env.terminal_reason
 
     @pytest.mark.parametrize("world", ["tiny", "default"])
     def test_same_episodes_as_choice(self, world, env_cfg, tiny_env_cfg):
@@ -400,7 +401,7 @@ class TestReferences:
         csa = CsaPolicy(spec, hidden=8, loss_weights=(1.0, 0.5, 0.01), seed=3)
         env = DialogueEnv(env_cfg)
         traj = rollout(env, expert, csa, DEFAULT_CFG.reward, np.random.default_rng(4), env_seed=29)
-        refs = reference_responses(traj, env_cfg)
+        (refs,) = reference_responses([traj], env_cfg)
         assert len(refs) == len(traj.turns) > 1
         for turn, ref in zip(traj.turns, refs):
             st = turn.expert_state
@@ -418,7 +419,7 @@ class TestReferences:
         csa = CsaPolicy(spec, hidden=8, loss_weights=(1.0, 0.5, 0.01), seed=1)
         env = DialogueEnv(env_cfg)
         traj = rollout(env, expert, csa, DEFAULT_CFG.reward, np.random.default_rng(0), env_seed=17)
-        refs = reference_responses(traj, env_cfg)
+        (refs,) = reference_responses([traj], env_cfg)
         assert len(refs) == len(traj.turns)
         assert all(len(r) >= 1 for r in refs)
 
@@ -446,6 +447,19 @@ class TestConfig:
         with pytest.raises(ConfigError, match="emotion_transition"):
             dataclasses.replace(env_cfg, emotion_transition=mats)
 
+    @pytest.mark.parametrize("key", ["initial_intent_dist", "initial_emotion_dist"])
+    def test_initial_distribution_rejected(self, env_cfg, key):
+        # the rule of a transition row, with an error naming the key
+        dist = getattr(env_cfg, key)
+        for bad, message in (
+            (dist[:-1], f"env.{key} must have {len(dist)} entries"),
+            ((-dist[0],) + dist[1:], f"env.{key} has a negative probability"),
+            (tuple(2 * p for p in dist), f"env.{key} sums to 2.0, not 1"),
+        ):
+            with pytest.raises(ConfigError) as err:
+                dataclasses.replace(env_cfg, **{key: bad})
+            assert str(err.value) == message
+
     def test_unknown_key_rejected(self, env_cfg):
         data = to_json(env_cfg)
         data["mystery"] = 1
@@ -462,7 +476,7 @@ class TestConfig:
         from gopo.core import Skill
 
         pool = list(env_cfg.skill_pool)
-        pool[1] = Skill(1, pool[0].name, frozenset({1}))
+        pool[1] = Skill(pool[0].name, frozenset({1}))
         with pytest.raises(ConfigError, match="duplicate"):
             dataclasses.replace(env_cfg, skill_pool=tuple(pool))
 
@@ -470,6 +484,6 @@ class TestConfig:
         from gopo.core import Skill
 
         pool = list(env_cfg.skill_pool)
-        pool[0] = Skill(0, "greet", frozenset({99}))
+        pool[0] = Skill("greet", frozenset({99}))
         with pytest.raises(ConfigError, match="marker"):
             dataclasses.replace(env_cfg, skill_pool=tuple(pool))
