@@ -1,6 +1,6 @@
 """Walk one scripted episode: follow the reference skill sequence with fully
-compliant responses and watch the milestones chain; then contrast a junk
-turn."""
+compliant responses and watch the milestones chain and each turn's reward;
+then contrast a junk turn."""
 
 from pathlib import Path
 
@@ -8,8 +8,9 @@ from gopo.cli import load_config
 from gopo.core import MILESTONE_NAMES, Response, response_markers
 from gopo.simenv import DialogueEnv
 
-cfg = load_config(Path(__file__).resolve().parents[1] / "configs" / "default.json")[0].env
-env = DialogueEnv(cfg)
+default = load_config(Path(__file__).resolve().parents[1] / "configs" / "default.json")[0]
+cfg = default.env
+env = DialogueEnv(cfg, default.reward)
 obs = env.reset(seed=11)
 
 print(f"World: {len(cfg.skill_pool)} skills, {len(cfg.intents)} intents, "
@@ -27,9 +28,12 @@ while not done:
     print(f"\nturn {turn}  phase {state.phase}  user: {state.intent}/{state.emotion}")
     print(f"  reference plan : {[names[s] for s in teacher]}")
     print(f"  response tokens: {response.tokens} (markers {sorted(response.markers)})")
-    obs, scores, done = env.step(teacher, response)
+    obs, reward, done = env.step(teacher, response)
+    scores = reward.dim_scores
     print(f"  judge [polite, comply, relevant, diverse] = "
           f"[{scores[0]:.2f}, {scores[1]:.2f}, {scores[2]:.2f}, {scores[3]:.2f}]")
+    print(f"  reward: planner {reward.r_expert:.2f}  responder {reward.r_csa:.2f}  "
+          f"joint {reward.joint:.3f} (weights {reward.w_expert:.2f}/{reward.w_csa:.2f})")
     for name, at in zip(MILESTONE_NAMES, env.milestone_record().turns):
         if at == turn:
             print(f"  >> milestone completed: {name}")
@@ -46,7 +50,7 @@ done = False
 turns = 0
 while not done:
     teacher = env.teacher_sequence(obs.expert_state)
-    obs, scores, done = env.step(teacher, junk)
+    obs, _, done = env.step(teacher, junk)
     turns += 1
 print(f"junk responses: {turns} turns, terminal reason {env.terminal_reason}, "
       f"milestones {env.milestone_record().completed}")

@@ -27,7 +27,7 @@ rng = np.random.default_rng(0)
 expert = ExpertPolicy(spec, hidden=32, entropy_coeff=train.entropy_coeff, seed=1)
 loss_weights = (train.lambda_pg, train.lambda_skill, train.lambda_diversity)
 csa = CsaPolicy(spec, hidden=32, loss_weights=loss_weights, seed=2)
-env = DialogueEnv(cfg)
+env = DialogueEnv(cfg, default.reward)
 obs = env.reset(seed=3)
 
 # acting returns only the choice; its log-probability and entropy come

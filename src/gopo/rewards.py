@@ -10,7 +10,8 @@ positive.
 
 All functions here are pure and operate on plain skill-id sequences;
 callers holding a :class:`~gopo.core.SkillSequence` pass its ``.skills``
-tuple.
+tuple.  The environment applies the stack: ``DialogueEnv.step`` scores each
+turn with it and returns the turn's ``RewardBreakdown``.
 """
 
 from __future__ import annotations

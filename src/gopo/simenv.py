@@ -5,9 +5,10 @@ a three-phase task structure whose milestones line up with the three
 sub-tasks of the sequence-level efficiency metric, a deterministic scenario
 table mapping (intent, emotion, phase) to a reference skill sequence, and a
 rule-based judge that scores each response on politeness, constraint
-compliance, phase relevance, and lexical diversity.  The environment also
-scores the planner (``planner_reward``): each scenario entry's reference
-sequence and its ideal ranking gain are built once, on construction.
+compliance, phase relevance, and lexical diversity.  ``step`` scores each
+turn into a ``RewardBreakdown``: the planner reward (``planner_reward``, from
+each scenario entry's reference sequence and ideal ranking gain, built once
+on construction), the judge's responder reward, and their joint reward.
 
 Tokens are opaque integers annotated with marker ids; markers stand in for
 semantic content so compliance and relevance are computable by set algebra.
@@ -63,14 +64,16 @@ import numpy as np
 from .core import (
     BusinessContext,
     ExpertState,
+    MAX_SKILL_SEQUENCE_LEN,
     MilestoneRecord,
     NUM_MILESTONES,
     Response,
+    RewardBreakdown,
     Skill,
     SkillSequence,
     Trajectory,
 )
-from .rewards import dcg, idcg
+from .rewards import RewardConfig, csa_reward, dcg, idcg, joint_reward, joint_weights
 
 
 class ConfigError(ValueError):
@@ -317,8 +320,11 @@ def validate_env_config(cfg: EnvConfig) -> None:
                 if key not in cfg.scenario_table:
                     raise ConfigError(f"env.scenario_table missing entry {key}")
                 seq = cfg.scenario_table[key]
-                if not 1 <= len(seq) <= 5:
-                    raise ConfigError(f"env.scenario_table[{key}] has invalid length")
+                if not 1 <= len(seq) <= MAX_SKILL_SEQUENCE_LEN:
+                    raise ConfigError(
+                        f"env.scenario_table[{key}] has {len(seq)} skills, outside 1 "
+                        f"to {MAX_SKILL_SEQUENCE_LEN}, the plan-length cap"
+                    )
                 if len(set(seq)) != len(seq):
                     raise ConfigError(f"env.scenario_table[{key}] repeats a skill")
                 if any(s < 0 or s >= n_skills for s in seq):
@@ -365,12 +371,14 @@ TERMINAL_HORIZON = "horizon"
 
 
 class DialogueEnv:
-    """One episode-at-a-time scripted dialogue.  ``reset`` rebuilds all
-    episode state, so one instance plays any number of episodes in turn;
-    independent instances never share state."""
+    """One episode-at-a-time scripted dialogue, scored turn by turn under
+    ``reward_cfg``.  ``reset`` rebuilds all episode state, so one instance
+    plays any number of episodes in turn; independent instances never share
+    state."""
 
-    def __init__(self, cfg: EnvConfig):
+    def __init__(self, cfg: EnvConfig, reward_cfg: RewardConfig):
         self.cfg = cfg
+        self.reward_cfg = reward_cfg
         self._required = tuple(s.required_markers for s in cfg.skill_pool)
         emo = cfg.emotion_transition
         # cumulative distributions of the transition rows, indexed by the
@@ -414,14 +422,17 @@ class DialogueEnv:
 
     def step(
         self, skills: SkillSequence | None, response: Response
-    ) -> tuple[EnvObservation, tuple[float, float, float, float], bool]:
-        """Score one exchange (``judge`` of the response under ``skills``,
-        the responder's constraint) and advance the user state; the next
-        planner state's history ends with the response's marker set.
+    ) -> tuple[EnvObservation, RewardBreakdown, bool]:
+        """Score one turn and advance the user state; the next planner
+        state's history ends with the response's marker set.
 
-        Returns (next observation, judge dimension scores, done); the
-        milestones completed so far are ``milestone_record()``.  Raises if
-        called before reset or after the episode ended.
+        The turn's reward is the planner reward of ``skills`` on the current
+        state (0.0 for a null constraint), the ``judge`` scores of the
+        response under ``skills``, the responder's ``csa_reward`` of them,
+        and the two mixed by ``joint_weights`` of this turn into
+        ``joint_reward``.  Returns (next observation, that reward, done);
+        the milestones completed so far are ``milestone_record()``.  Raises
+        if called before reset or after the episode ended.
         """
         if not self._active:
             raise RuntimeError("step() before reset()")
@@ -431,8 +442,19 @@ class DialogueEnv:
             for s in skills:
                 if s >= len(self.cfg.skill_pool):
                     raise ValueError(f"skill id {s} outside the pool")
+        r_e = 0.0 if skills is None else self.planner_reward(self._obs.expert_state, skills)
         scores = self.judge(skills, response)
         turn_no = self._turn + 1
+        r_a = csa_reward(scores, self.reward_cfg)
+        weights = joint_weights(turn_no, self.cfg.horizon, self.reward_cfg)
+        reward = RewardBreakdown(
+            r_expert=r_e,
+            r_csa=r_a,
+            dim_scores=scores,
+            w_expert=weights[0],
+            w_csa=weights[1],
+            joint=joint_reward(r_e, r_a, weights),
+        )
 
         p = self._phase
         if not self._completed[p - 1] and self._milestone_fires(p, skills, response):
@@ -456,7 +478,7 @@ class DialogueEnv:
             self._done = True
             self._terminal_reason = TERMINAL_HORIZON
         self._obs = self._build_observation()
-        return self._obs, scores, self._done
+        return self._obs, reward, self._done
 
     @property
     def terminal_reason(self) -> str | None:

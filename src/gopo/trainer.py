@@ -1,12 +1,12 @@
 """Hierarchical rollout and optimization loop.
 
-Per turn of a rollout the planner picks a skill sequence (scored against
-the scenario entry's reference sequence by the normalized ranking gain,
-``DialogueEnv.planner_reward``), the responder generates under that
-constraint (scored by the judge),
-and the two rewards are mixed by the turn-indexed schedule into the joint
-reward.  The planner learns from the joint reward: a TD(0) advantage drives
-its policy gradient and the critic regresses the TD target.  The responder
+Per turn of a rollout the planner picks a skill sequence, the responder
+generates under that constraint, and the environment scores the turn
+(``DialogueEnv.step``: the plan by its normalized ranking gain against the
+scenario entry's reference sequence, the response by the judge, and the two
+mixed by the turn-indexed schedule into the joint reward); the rollout only
+acts and records.  The planner learns from the joint reward: a TD(0)
+advantage drives its policy gradient and the critic regresses the TD target.  The responder
 learns from its own judge reward: its policy-gradient coefficient is
 ``r_csa`` minus a running baseline, an exponential moving average (decay
 0.99, starting at 0.5) updated turn by turn in rollout order.  The baseline
@@ -56,6 +56,7 @@ import re
 import zipfile
 from dataclasses import dataclass
 from pathlib import Path
+from typing import Sequence
 
 import numpy as np
 
@@ -71,16 +72,10 @@ from .agents import (
     expert_loss,
     expert_rows,
 )
-from .core import (
-    CsaState,
-    RewardBreakdown,
-    Trajectory,
-    TurnRecord,
-    trajectory_to_json,
-)
+from .core import CsaState, Trajectory, TurnRecord, trajectory_to_json
 from .metrics import METRIC_CSV_HEADER, MetricReport, TseConfig, aggregate
 from .neural import AdamState, Mlp, adam_step, clip_grad_norm, load_checkpoint, save_checkpoint
-from .rewards import RewardConfig, csa_reward, joint_reward, joint_weights
+from .rewards import RewardConfig
 from .simenv import (
     ConfigError,
     DialogueEnv,
@@ -182,7 +177,6 @@ def rollout(
     env: DialogueEnv,
     expert: ExpertPolicy | None,
     csa: CsaPolicy,
-    reward_cfg: RewardConfig,
     rng: np.random.Generator,
     *,
     env_seed: int,
@@ -190,42 +184,22 @@ def rollout(
     greedy: bool = False,
 ) -> Trajectory:
     """Play one full episode from ``env.reset(env_seed)`` and return the
-    scored trajectory.
+    trajectory: each turn the planner and the responder act, ``env.step``
+    scores the turn, and the turn is recorded.
 
     With ``expert=None`` (the no-planner ablation) the responder receives a
-    null constraint and the planner reward is fixed at 0.
+    null constraint, which the environment scores with planner reward 0.
     """
     obs = env.reset(env_seed)
-    horizon = env.cfg.horizon
     turns: list[TurnRecord] = []
-    for turn_no in range(1, horizon + 1):
+    done = False
+    while not done:
         state = obs.expert_state
-        if expert is not None:
-            (skills,) = expert_act(expert, state, rng, greedy=greedy)
-            r_e = env.planner_reward(state, skills)
-        else:
-            skills = None
-            r_e = 0.0
-        csa_state = CsaState(
-            utterance=obs.csa_utterance,
-            constraint=skills,
-            business_ctx=obs.business_ctx,
-        )
+        skills = None if expert is None else expert_act(expert, state, rng, greedy=greedy)[0]
+        csa_state = CsaState(obs.csa_utterance, skills, obs.business_ctx)
         (response,) = csa_act(csa, csa_state, rng, greedy=greedy)
-        obs, dim_scores, done = env.step(skills, response)
-        r_a = csa_reward(dim_scores, reward_cfg)
-        weights = joint_weights(turn_no, horizon, reward_cfg)
-        breakdown = RewardBreakdown(
-            r_expert=r_e,
-            r_csa=r_a,
-            dim_scores=dim_scores,
-            w_expert=weights[0],
-            w_csa=weights[1],
-            joint=joint_reward(r_e, r_a, weights),
-        )
-        turns.append(TurnRecord(state, csa_state, response, breakdown))
-        if done:
-            break
+        obs, reward, done = env.step(skills, response)
+        turns.append(TurnRecord(state, csa_state, response, reward))
     return Trajectory(
         episode_id=episode_id,
         turns=tuple(turns),
@@ -296,10 +270,9 @@ def _play(
     env: DialogueEnv,
     expert: ExpertPolicy | None,
     csa: CsaPolicy,
-    reward_cfg: RewardConfig,
     base_seed: int,
     stream: int,
-    episode_ids: range,
+    episode_ids: Sequence[int],
     greedy: bool,
 ) -> list[Trajectory]:
     """Play the given episodes of one seed stream on ``env``, in order."""
@@ -308,10 +281,7 @@ def _play(
         env_seed, agent_seed = episode_seeds(base_seed, stream, i)
         rng = np.random.default_rng(agent_seed)
         trajs.append(
-            rollout(
-                env, expert, csa, reward_cfg, rng,
-                episode_id=i, env_seed=env_seed, greedy=greedy,
-            )
+            rollout(env, expert, csa, rng, episode_id=i, env_seed=env_seed, greedy=greedy)
         )
     return trajs
 
@@ -326,10 +296,8 @@ def _evaluate(
     """Greedy evaluation over fresh episodes from the shared eval stream;
     returns the report row (labelled with ``cfg.train.variant``) and the
     evaluated trajectories."""
-    env = DialogueEnv(cfg.env)
-    trajs = _play(
-        env, expert, csa, cfg.reward, base_seed, _STREAM_EVAL, range(n_episodes), True
-    )
+    env = DialogueEnv(cfg.env, cfg.reward)
+    trajs = _play(env, expert, csa, base_seed, _STREAM_EVAL, range(n_episodes), True)
     refs = reference_responses(trajs, cfg.env)
     return aggregate(trajs, cfg.tse, refs, variant=cfg.train.variant), trajs
 
@@ -439,7 +407,7 @@ def train(cfg: GlobalConfig, out_dir=None) -> tuple[MetricReport, list[Trajector
     and network whose loss is non-finite, and each network's mean loss.
     """
     train_cfg = cfg.train
-    env = DialogueEnv(cfg.env)
+    env = DialogueEnv(cfg.env, cfg.reward)
     run_dir = Path(cfg.output_dir if out_dir is None else out_dir)
     run_dir.mkdir(parents=True, exist_ok=True)
     ckpt_dir = run_dir / "checkpoints"
@@ -461,12 +429,6 @@ def train(cfg: GlobalConfig, out_dir=None) -> tuple[MetricReport, list[Trajector
         for start in range(0, episodes, train_cfg.batch_size)
     ]
 
-    traj_fh = open(run_dir / "trajectories.jsonl", "w", encoding="utf-8")
-    metrics_fh = open(run_dir / "metrics.csv", "w", encoding="utf-8")
-    metrics_fh.write(METRIC_CSV_HEADER + "\n")
-    curves_fh = open(run_dir / "curves.csv", "w", encoding="utf-8")
-    curves_fh.write(CURVES_CSV_HEADER + "\n")
-
     def save_ckpts(step: int) -> None:
         for name, net in nets.items():
             save_checkpoint(ckpt_dir / f"{name}-{step}.ckpt", net)
@@ -476,12 +438,16 @@ def train(cfg: GlobalConfig, out_dir=None) -> tuple[MetricReport, list[Trajector
     # centering the coefficient, and keeps the responder's signal free of
     # planner and bootstrap noise.
     csa_baseline = 0.5
-    try:
+    # one statement, so a failed open closes the files opened before it
+    with (
+        open(run_dir / "trajectories.jsonl", "w", encoding="utf-8") as traj_fh,
+        open(run_dir / "metrics.csv", "w", encoding="utf-8") as metrics_fh,
+        open(run_dir / "curves.csv", "w", encoding="utf-8") as curves_fh,
+    ):
+        metrics_fh.write(METRIC_CSV_HEADER + "\n")
+        curves_fh.write(CURVES_CSV_HEADER + "\n")
         for update, episode_ids in enumerate(batches):
-            batch = _play(
-                env, expert, csa, cfg.reward,
-                train_cfg.seed, _STREAM_TRAIN, episode_ids, False,
-            )
+            batch = _play(env, expert, csa, train_cfg.seed, _STREAM_TRAIN, episode_ids, False)
             for traj in batch:
                 traj_fh.write(trajectory_to_json(traj) + "\n")
 
@@ -548,10 +514,6 @@ def train(cfg: GlobalConfig, out_dir=None) -> tuple[MetricReport, list[Trajector
         )
         metrics_fh.write(final_report.csv_row() + "\n")
         save_ckpts(len(batches))
-    finally:
-        traj_fh.close()
-        metrics_fh.close()
-        curves_fh.close()
 
     (run_dir / "final_report.csv").write_text(
         METRIC_CSV_HEADER + "\n" + final_report.csv_row() + "\n", encoding="utf-8"

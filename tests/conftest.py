@@ -137,8 +137,8 @@ def random_response(spec, rng, min_len=1):
 
 
 def make_reward(r_expert, r_csa, dim_scores, weights):
-    """A reward record whose joint reward is ``joint_reward``'s, as a
-    rollout builds it."""
+    """A reward record whose joint reward is ``joint_reward``'s, as
+    ``DialogueEnv.step`` builds it."""
     return RewardBreakdown(
         r_expert=r_expert,
         r_csa=r_csa,

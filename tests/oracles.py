@@ -22,7 +22,9 @@ from gopo.core import (
     MAX_SKILL_SEQUENCE_LEN,
     NUM_MILESTONES,
     BusinessContext,
+    RewardBreakdown,
 )
+from gopo.rewards import csa_reward, joint_reward, joint_weights
 from gopo.simenv import TERMINAL_ALL_MILESTONES, TERMINAL_HORIZON, DialogueEnv
 
 
@@ -380,8 +382,9 @@ def oracle_bleu(candidates, references, max_n=4):
 class ChoiceDialogueEnv(DialogueEnv):
     """The environment with every user-state draw made by ``rng.choice``
     over row-normalized probabilities, on each call, in place of a search
-    in cumulative distributions built once.  The judge, milestones and
-    observations are the environment's own."""
+    in cumulative distributions built once.  The judge, the planner reward,
+    milestones and observations are the environment's own; ``step`` repeats
+    the environment's turn scoring and state update with its own draws."""
 
     def _choice(self, probs, i=None):
         a = np.asarray(probs, dtype=float)
@@ -406,8 +409,19 @@ class ChoiceDialogueEnv(DialogueEnv):
         cfg = self.cfg
         if self._done:
             raise RuntimeError("step() after the episode ended")
+        r_e = 0.0 if skills is None else self.planner_reward(self._obs.expert_state, skills)
         scores = self.judge(skills, response)
         turn_no = self._turn + 1
+        r_a = csa_reward(scores, self.reward_cfg)
+        weights = joint_weights(turn_no, cfg.horizon, self.reward_cfg)
+        reward = RewardBreakdown(
+            r_expert=r_e,
+            r_csa=r_a,
+            dim_scores=scores,
+            w_expert=weights[0],
+            w_csa=weights[1],
+            joint=joint_reward(r_e, r_a, weights),
+        )
         p = self._phase
         if not self._completed[p - 1] and self._milestone_fires(p, skills, response):
             self._completed[p - 1] = True
@@ -429,4 +443,4 @@ class ChoiceDialogueEnv(DialogueEnv):
             self._done = True
             self._terminal_reason = TERMINAL_HORIZON
         self._obs = self._build_observation()
-        return self._obs, scores, self._done
+        return self._obs, reward, self._done

@@ -332,6 +332,12 @@ class TestConfigErrorsExitCleanly:
         pytest.param(lambda d: d["env"]["phase_markers"].__setitem__(0, [0, 1, 5, 1]),
                      "error: env.phase_markers[0][3] repeats entry 1",
                      id="repeated-phase-marker"),
+        # a scenario entry is a plan, so it is at most the plan-length cap long
+        pytest.param(
+            lambda d: d["env"]["scenario_table"].update({"buy|calm|1": [0, 1, 2, 3, 0, 1]}),
+            "error: env.scenario_table[('buy', 'calm', 1)] has 6 skills, outside 1 to 5, "
+            "the plan-length cap", id="scenario-entry-over-cap",
+        ),
         pytest.param(lambda d: d["train"].update(seed=-1), "train.seed must be non-negative",
                      id="negative-seed"),
         pytest.param(lambda d: d["train"].update(lr_csa=float("nan")),

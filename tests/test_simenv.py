@@ -5,7 +5,7 @@ import pytest
 
 import gopo.simenv
 from gopo.core import MAX_SKILL_SEQUENCE_LEN, Response, SkillSequence, response_markers
-from gopo.rewards import esndcg
+from gopo.rewards import csa_reward, esndcg, joint_weights
 from gopo.simenv import (
     ConfigError,
     DialogueEnv,
@@ -17,8 +17,10 @@ from gopo.simenv import (
     reference_responses,
     to_json,
 )
-from conftest import DEFAULT_CFG, make_tiny_env_cfg
+from conftest import DEFAULT_CFG, make_reward, make_tiny_env_cfg
 from oracles import ChoiceDialogueEnv
+
+REWARD_CFG = DEFAULT_CFG.reward
 
 
 def _response(cfg, tokens):
@@ -39,18 +41,18 @@ def _junk_response(cfg):
 
 class TestReset:
     def test_same_seed_same_observation(self, env_cfg):
-        a = DialogueEnv(env_cfg).reset(seed=5)
-        b = DialogueEnv(env_cfg).reset(seed=5)
+        a = DialogueEnv(env_cfg, REWARD_CFG).reset(seed=5)
+        b = DialogueEnv(env_cfg, REWARD_CFG).reset(seed=5)
         assert a == b
 
     def test_point_mass_initial_intent(self, env_cfg):
         dist = tuple(1.0 if i == env_cfg.intents.index("inquire") else 0.0 for i in range(6))
         cfg = dataclasses.replace(env_cfg, initial_intent_dist=dist)
         for seed in range(10):
-            assert DialogueEnv(cfg).reset(seed=seed).expert_state.intent == "inquire"
+            assert DialogueEnv(cfg, REWARD_CFG).reset(seed=seed).expert_state.intent == "inquire"
 
     def test_seed_sweep_varies_observations(self, env_cfg):
-        env = DialogueEnv(env_cfg)
+        env = DialogueEnv(env_cfg, REWARD_CFG)
         seen = {
             (
                 env.reset(seed=s).expert_state.intent,
@@ -62,7 +64,7 @@ class TestReset:
         assert len(seen) > 1
 
     def test_fresh_episode_state(self, env_cfg):
-        obs = DialogueEnv(env_cfg).reset(seed=0)
+        obs = DialogueEnv(env_cfg, REWARD_CFG).reset(seed=0)
         s = obs.expert_state
         assert s.phase == 1 and s.turn == 1
         assert s.history == () and s.prev_skills is None
@@ -70,24 +72,24 @@ class TestReset:
 
 class TestStep:
     def test_teacher_match_fires_first_milestone(self, env_cfg):
-        env = DialogueEnv(env_cfg)
+        env = DialogueEnv(env_cfg, REWARD_CFG)
         obs = env.reset(seed=3)
         teacher = env.teacher_sequence(obs.expert_state)
         resp = _full_marker_response(env_cfg, teacher.skills)
-        _, scores, _ = env.step(teacher, resp)
-        assert scores[1] == 1.0
+        _, reward, _ = env.step(teacher, resp)
+        assert reward.dim_scores[1] == 1.0
         assert env.milestone_record().completed == (True, False, False)
 
     def test_empty_marker_response_scores_zero_compliance(self, env_cfg):
-        env = DialogueEnv(env_cfg)
+        env = DialogueEnv(env_cfg, REWARD_CFG)
         obs = env.reset(seed=1)
         teacher = env.teacher_sequence(obs.expert_state)
-        _, scores, _ = env.step(teacher, _junk_response(env_cfg))
-        assert scores[1] == 0.0
+        _, reward, _ = env.step(teacher, _junk_response(env_cfg))
+        assert reward.dim_scores[1] == 0.0
         assert env.milestone_record().completed == (False, False, False)
 
     def test_horizon_termination_without_milestones(self, env_cfg):
-        env = DialogueEnv(env_cfg)
+        env = DialogueEnv(env_cfg, REWARD_CFG)
         env.reset(seed=2)
         done = False
         steps = 0
@@ -99,7 +101,7 @@ class TestStep:
         assert env.milestone_record().completed == (False, False, False)
 
     def test_all_milestones_terminates_early(self, env_cfg):
-        env = DialogueEnv(env_cfg)
+        env = DialogueEnv(env_cfg, REWARD_CFG)
         obs = env.reset(seed=4)
         done = False
         while not done:
@@ -112,7 +114,7 @@ class TestStep:
 
     def test_step_after_done_raises(self, env_cfg):
         cfg = dataclasses.replace(env_cfg, horizon=1)
-        env = DialogueEnv(cfg)
+        env = DialogueEnv(cfg, REWARD_CFG)
         env.reset(seed=0)
         env.step(SkillSequence((0,)), _junk_response(cfg))
         with pytest.raises(RuntimeError):
@@ -120,10 +122,10 @@ class TestStep:
 
     def test_step_before_reset_raises(self, env_cfg):
         with pytest.raises(RuntimeError):
-            DialogueEnv(env_cfg).step(SkillSequence((0,)), _junk_response(env_cfg))
+            DialogueEnv(env_cfg, REWARD_CFG).step(SkillSequence((0,)), _junk_response(env_cfg))
 
     def test_milestones_never_unset_and_phase_advances(self, env_cfg):
-        env = DialogueEnv(env_cfg)
+        env = DialogueEnv(env_cfg, REWARD_CFG)
         obs = env.reset(seed=9)
         teacher = env.teacher_sequence(obs.expert_state)
         obs, _, _ = env.step(teacher, _full_marker_response(env_cfg, teacher.skills))
@@ -135,16 +137,47 @@ class TestStep:
         assert record.turns == (1, None, None)
 
     def test_null_constraint_waives_skill_condition(self, env_cfg):
-        env = DialogueEnv(env_cfg)
+        env = DialogueEnv(env_cfg, REWARD_CFG)
         env.reset(seed=6)
         milestone_skill = env_cfg.milestone_rules[0][0]
         resp = _full_marker_response(env_cfg, (milestone_skill,))
-        _, scores, _ = env.step(None, resp)
+        _, reward, _ = env.step(None, resp)
         assert env.milestone_record().completed[0]
-        assert scores[1] == 1.0  # null constraint is vacuously compliant
+        assert reward.dim_scores[1] == 1.0  # null constraint is vacuously compliant
+
+    def test_step_scores_the_turn(self, env_cfg):
+        """The turn's reward: the planner reward of the plan on the state
+        the planner saw (0.0 for a null constraint), the judge's scores, the
+        responder reward of them and the joint reward under this turn's
+        weights."""
+        env = DialogueEnv(env_cfg, REWARD_CFG)
+        actions = np.random.default_rng(8)
+        n_skills = len(env_cfg.skill_pool)
+        for seed in range(20):
+            obs = env.reset(seed)
+            done = False
+            while not done:
+                state = obs.expert_state
+                # no plan, the reference plan, or a random one, repeats
+                # included
+                k = int(actions.integers(0, MAX_SKILL_SEQUENCE_LEN + 1))
+                skills = None
+                if k and actions.random() < 0.3:
+                    skills = env.teacher_sequence(state)
+                elif k:
+                    skills = SkillSequence(tuple(int(s) for s in actions.integers(0, n_skills, k)))
+                n = int(actions.integers(1, env_cfg.max_response_len + 1))
+                tokens = actions.integers(0, env_cfg.vocab_size, n)
+                resp = _response(env_cfg, [int(t) for t in tokens])
+                r_e = 0.0 if skills is None else env.planner_reward(state, skills)
+                scores = env.judge(skills, resp)
+                weights = joint_weights(state.turn, env_cfg.horizon, REWARD_CFG)
+                want = make_reward(r_e, csa_reward(scores, REWARD_CFG), scores, weights)
+                obs, reward, done = env.step(skills, resp)
+                assert reward == want, (seed, state.turn)
 
     def test_wrong_skill_with_right_markers_does_not_fire(self, env_cfg):
-        env = DialogueEnv(env_cfg)
+        env = DialogueEnv(env_cfg, REWARD_CFG)
         env.reset(seed=6)
         milestone_skill = env_cfg.milestone_rules[0][0]
         other = SkillSequence((0,))
@@ -163,7 +196,7 @@ class TestHistory:
         # horizon
         skills = SkillSequence((0,))
         rng = np.random.default_rng(3)
-        env = DialogueEnv(cfg)
+        env = DialogueEnv(cfg, REWARD_CFG)
         for seed in range(5):
             env.reset(seed)
             said = []
@@ -179,7 +212,7 @@ class TestHistory:
 class TestDeterminism:
     def test_identical_streams(self, env_cfg):
         def run(seed):
-            env = DialogueEnv(env_cfg)
+            env = DialogueEnv(env_cfg, REWARD_CFG)
             obs = env.reset(seed=seed)
             trace = [obs]
             done = False
@@ -187,8 +220,8 @@ class TestDeterminism:
             while not done:
                 skills = SkillSequence(((k % 3) + 1,))
                 resp = _response(env_cfg, [k % env_cfg.vocab_size, 12])
-                obs, scores, done = env.step(skills, resp)
-                trace.append((obs, scores, env.milestone_record(), done))
+                obs, reward, done = env.step(skills, resp)
+                trace.append((obs, reward, env.milestone_record(), done))
                 k += 1
             return trace
 
@@ -198,7 +231,7 @@ class TestDeterminism:
         def next_emotions(compliant):
             out = []
             for seed in range(250):
-                env = DialogueEnv(env_cfg)
+                env = DialogueEnv(env_cfg, REWARD_CFG)
                 obs = env.reset(seed=seed)
                 teacher = env.teacher_sequence(obs.expert_state)
                 if compliant:
@@ -240,14 +273,14 @@ class TestDrawsMatchChoice:
                 )
                 n = int(actions.integers(1, cfg.max_response_len + 1))
                 resp = _response(cfg, [int(t) for t in actions.integers(0, cfg.vocab_size, n)])
-            obs, scores, done = env.step(skills, resp)
-            trace.append((obs, scores, env.milestone_record(), done))
+            obs, reward, done = env.step(skills, resp)
+            trace.append((obs, reward, env.milestone_record(), done))
         return trace, env.terminal_reason
 
     @pytest.mark.parametrize("world", ["tiny", "default"])
     def test_same_episodes_as_choice(self, world, env_cfg, tiny_env_cfg):
         cfg = tiny_env_cfg if world == "tiny" else env_cfg
-        env, oracle = DialogueEnv(cfg), ChoiceDialogueEnv(cfg)
+        env, oracle = DialogueEnv(cfg, REWARD_CFG), ChoiceDialogueEnv(cfg, REWARD_CFG)
         reasons = set()
         for seed in range(300):
             played = self._play(env, cfg, seed)
@@ -280,7 +313,7 @@ class TestDrawOnEnvironmentCdfs:
         monkeypatch.setattr(
             gopo.simenv, "cumulative", lambda p: built.append(cumulative(p)) or built[-1]
         )
-        DialogueEnv(cfg)
+        DialogueEnv(cfg, REWARD_CFG)
         # two initial distributions, two emotion matrices, one intent
         # matrix per phase
         n_rows = 2 * len(cfg.emotions) + 3 * len(cfg.intents)
@@ -299,19 +332,19 @@ class TestDrawOnEnvironmentCdfs:
 class TestTeacher:
     def test_known_entry(self, env_cfg):
         # phase-1 calm inquiry: recommend leads, then probe the need, greet
-        env = DialogueEnv(env_cfg)
+        env = DialogueEnv(env_cfg, REWARD_CFG)
         obs = env.reset(seed=0)
         state = dataclasses.replace(obs.expert_state, intent="inquire", emotion="calm")
         assert env.teacher_sequence(state).skills == (2, 1, 0)
 
     def test_deterministic(self, env_cfg):
-        env = DialogueEnv(env_cfg)
+        env = DialogueEnv(env_cfg, REWARD_CFG)
         state = env.reset(seed=0).expert_state
         assert env.teacher_sequence(state) == env.teacher_sequence(state)
 
     def test_all_entries_are_valid_sequences(self, env_cfg):
         for seq in env_cfg.scenario_table.values():
-            assert 1 <= len(seq) <= 5
+            assert 1 <= len(seq) <= MAX_SKILL_SEQUENCE_LEN
             assert len(set(seq)) == len(seq)
 
     def test_milestone_skill_in_every_phase_entry(self, env_cfg):
@@ -319,7 +352,7 @@ class TestTeacher:
             assert seq[0] == env_cfg.milestone_rules[phase - 1][0]
 
     def test_unknown_state_raises(self, env_cfg):
-        env = DialogueEnv(env_cfg)
+        env = DialogueEnv(env_cfg, REWARD_CFG)
         state = dataclasses.replace(env.reset(seed=0).expert_state, intent="haggle")
         with pytest.raises(KeyError):
             env.teacher_sequence(state)
@@ -330,7 +363,7 @@ class TestTeacher:
         # the per-entry table form against the oracle-checked definition,
         # with exact equality: the teacher itself and random predictions of
         # every length, repeats included, on every scenario entry
-        env = DialogueEnv(env_cfg)
+        env = DialogueEnv(env_cfg, REWARD_CFG)
         base = env.reset(seed=0).expert_state
         rng = np.random.default_rng(19)
         n_skills = len(env_cfg.skill_pool)
@@ -349,27 +382,27 @@ class TestTeacher:
 
 class TestJudge:
     def test_full_required_markers(self, env_cfg):
-        env = DialogueEnv(env_cfg)
+        env = DialogueEnv(env_cfg, REWARD_CFG)
         env.reset(seed=0)
         seq = SkillSequence((2, 5))
         resp = _full_marker_response(env_cfg, seq.skills)
         assert env.judge(seq, resp)[1] == 1.0
 
     def test_half_required_markers(self, env_cfg):
-        env = DialogueEnv(env_cfg)
+        env = DialogueEnv(env_cfg, REWARD_CFG)
         env.reset(seed=0)
         seq = SkillSequence((2, 5))  # required markers {2, 13, 5, 14}
         resp = _response(env_cfg, [2, 13])
         assert env.judge(seq, resp)[1] == pytest.approx(0.5)
 
     def test_repeated_token_diversity(self, env_cfg):
-        env = DialogueEnv(env_cfg)
+        env = DialogueEnv(env_cfg, REWARD_CFG)
         env.reset(seed=0)
         resp = _response(env_cfg, [7, 7, 7, 7])
         assert env.judge(None, resp)[3] == pytest.approx(0.25)
 
     def test_politeness_marker(self, env_cfg):
-        env = DialogueEnv(env_cfg)
+        env = DialogueEnv(env_cfg, REWARD_CFG)
         env.reset(seed=0)
         assert env.judge(None, _response(env_cfg, [12]))[0] == 1.0
         assert env.judge(None, _response(env_cfg, [0]))[0] == 0.0
@@ -378,7 +411,7 @@ class TestJudge:
         import numpy as np
 
         rng = np.random.default_rng(0)
-        env = DialogueEnv(tiny_env_cfg)
+        env = DialogueEnv(tiny_env_cfg, REWARD_CFG)
         env.reset(seed=0)
         for _ in range(200):
             n = int(rng.integers(1, tiny_env_cfg.max_response_len + 1))
@@ -399,8 +432,8 @@ class TestReferences:
         spec = FeatureSpec.from_env_config(env_cfg)
         expert = ExpertPolicy(spec, hidden=8, entropy_coeff=0.01, seed=2)
         csa = CsaPolicy(spec, hidden=8, loss_weights=(1.0, 0.5, 0.01), seed=3)
-        env = DialogueEnv(env_cfg)
-        traj = rollout(env, expert, csa, DEFAULT_CFG.reward, np.random.default_rng(4), env_seed=29)
+        env = DialogueEnv(env_cfg, REWARD_CFG)
+        traj = rollout(env, expert, csa, np.random.default_rng(4), env_seed=29)
         (refs,) = reference_responses([traj], env_cfg)
         assert len(refs) == len(traj.turns) > 1
         for turn, ref in zip(traj.turns, refs):
@@ -417,8 +450,8 @@ class TestReferences:
         spec = FeatureSpec.from_env_config(env_cfg)
         expert = ExpertPolicy(spec, hidden=8, entropy_coeff=0.01, seed=0)
         csa = CsaPolicy(spec, hidden=8, loss_weights=(1.0, 0.5, 0.01), seed=1)
-        env = DialogueEnv(env_cfg)
-        traj = rollout(env, expert, csa, DEFAULT_CFG.reward, np.random.default_rng(0), env_seed=17)
+        env = DialogueEnv(env_cfg, REWARD_CFG)
+        traj = rollout(env, expert, csa, np.random.default_rng(0), env_seed=17)
         (refs,) = reference_responses([traj], env_cfg)
         assert len(refs) == len(traj.turns)
         assert all(len(r) >= 1 for r in refs)

@@ -1,5 +1,7 @@
 import dataclasses
+import gc
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -60,7 +62,7 @@ def global_cfg(train_cfg, env_cfg, out_dir, reward_cfg=REWARD_CFG):
 @pytest.fixture
 def tiny_world(tiny_env_cfg):
     spec = FeatureSpec.from_env_config(tiny_env_cfg)
-    env = DialogueEnv(tiny_env_cfg)
+    env = DialogueEnv(tiny_env_cfg, REWARD_CFG)
     expert = ExpertPolicy(spec, hidden=16, entropy_coeff=0.01, seed=0)
     csa = CsaPolicy(spec, hidden=16, loss_weights=(1.0, 0.5, 0.01), seed=1)
     return env, expert, csa
@@ -134,13 +136,13 @@ class TestPolicies:
 class TestRollout:
     def test_deterministic_given_seed(self, tiny_world):
         env, expert, csa = tiny_world
-        a = rollout(env, expert, csa, REWARD_CFG, np.random.default_rng(9), env_seed=5)
-        b = rollout(env, expert, csa, REWARD_CFG, np.random.default_rng(9), env_seed=5)
+        a = rollout(env, expert, csa, np.random.default_rng(9), env_seed=5)
+        b = rollout(env, expert, csa, np.random.default_rng(9), env_seed=5)
         assert trajectory_to_json(a) == trajectory_to_json(b)
 
     def test_logged_joint_recomputes_from_parts(self, tiny_world, tiny_env_cfg):
         env, expert, csa = tiny_world
-        traj = rollout(env, expert, csa, REWARD_CFG, np.random.default_rng(2), env_seed=7)
+        traj = rollout(env, expert, csa, np.random.default_rng(2), env_seed=7)
         for t in traj.turns:
             r = t.reward
             assert r.joint == r.w_expert * r.r_expert + r.w_csa * r.r_csa
@@ -148,7 +150,7 @@ class TestRollout:
 
     def test_no_expert_rollout(self, tiny_world, tiny_env_cfg):
         env, _, csa = tiny_world
-        traj = rollout(env, None, csa, REWARD_CFG, np.random.default_rng(0), env_seed=1)
+        traj = rollout(env, None, csa, np.random.default_rng(0), env_seed=1)
         assert all(t.reward.r_expert == 0.0 for t in traj.turns)
         assert all(t.csa_state.constraint is None for t in traj.turns)
         assert validate_trajectory(
@@ -160,7 +162,7 @@ class TestRollout:
         env, expert, csa = tiny_world
         for seed in range(5):
             traj = rollout(
-                env, expert if with_planner else None, csa, REWARD_CFG, None,
+                env, expert if with_planner else None, csa, None,
                 env_seed=seed, greedy=True,
             )
             assert traj.terminal_reason in ("all_milestones", "horizon")
@@ -170,7 +172,7 @@ class TestRollout:
 
     def test_untrained_policies_still_fully_scored(self, tiny_world):
         env, expert, csa = tiny_world
-        traj = rollout(env, expert, csa, REWARD_CFG, np.random.default_rng(1), env_seed=2)
+        traj = rollout(env, expert, csa, np.random.default_rng(1), env_seed=2)
         assert len(traj.turns) >= 1
         for t in traj.turns:
             assert 0.0 <= t.reward.r_expert <= 1.0
@@ -180,7 +182,7 @@ class TestRollout:
     def test_bounded_rewards_across_seeds(self, tiny_world):
         env, expert, csa = tiny_world
         for seed in range(20):
-            traj = rollout(env, expert, csa, REWARD_CFG, np.random.default_rng(seed), env_seed=seed)
+            traj = rollout(env, expert, csa, np.random.default_rng(seed), env_seed=seed)
             for t in traj.turns:
                 assert 0.0 <= t.reward.r_expert <= 1.0
                 assert 0.0 <= t.reward.r_csa <= 1.0
@@ -238,7 +240,7 @@ class TestAdvantages:
         )
         for seed in range(5):
             traj = rollout(
-                env, expert, csa, REWARD_CFG, np.random.default_rng(seed), env_seed=seed
+                env, expert, csa, np.random.default_rng(seed), env_seed=seed
             )
             states = [t.expert_state for t in traj.turns]
             values = critic_value(expert, expert_rows(expert, states))
@@ -296,6 +298,16 @@ class TestTrain:
         train(global_cfg(cfg, tiny_env_cfg, tmp_path / "b"))
         for name in ("trajectories.jsonl", "metrics.csv", "curves.csv", "final_report.csv"):
             assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
+
+    def test_failed_open_closes_the_files_already_open(self, tiny_env_cfg, tmp_path):
+        # metrics.csv, the second run file train opens, cannot be opened
+        (tmp_path / "run" / "metrics.csv").mkdir(parents=True)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            with pytest.raises(OSError):
+                train(global_cfg(tiny_train_cfg(), tiny_env_cfg, tmp_path / "run"))
+            gc.collect()
+        assert [w for w in caught if issubclass(w.category, ResourceWarning)] == []
 
     def test_seed_changes_trajectories(self, tiny_env_cfg, tmp_path):
         train(global_cfg(tiny_train_cfg(seed=3), tiny_env_cfg, tmp_path / "a"))
@@ -362,7 +374,7 @@ class TestEpisodeGradients:
     def test_responder_coefficients_follow_turn_order(self, tiny_world):
         env, expert, csa = tiny_world
         batch = [
-            rollout(env, expert, csa, REWARD_CFG, np.random.default_rng(i), env_seed=i)
+            rollout(env, expert, csa, np.random.default_rng(i), env_seed=i)
             for i in range(3)
         ]
         coeffs, baseline = responder_coefficients(batch, 0.5)
