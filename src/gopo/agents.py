@@ -23,8 +23,15 @@ one draw from their cumulative sum by the package's one draw rule
 (``simenv.draw``: one ``random()`` scaled by the total and searched from
 the right).  The index is the one ``rng.choice(q.size, p=q)`` picks on the
 normalised law ``q``, from the same one ``random()``, except when that
-``random()`` falls within rounding of a boundary.  A greedy step takes the
-argmax of the logits, the lowest index on a tie.  Log-probabilities and
+``random()`` falls within rounding of a boundary.  Greedy acting has one
+path, the block loop (``_greedy_block``): every step is one
+``forward(X, logits=True)`` over a block of ``BLOCK`` rows, and each live
+row takes the argmax of its logits, the lowest index on a tie.  Rows of
+finished sequences and unused rows stay in the block, so every logit comes
+from a product of ``BLOCK`` rows, and (as measured on OpenBLAS's Haswell
+kernel, see ``BLOCK``) a row's symbols depend neither on its position nor
+on the other rows.  A greedy ``expert_act`` or ``csa_act`` is
+the block loop with one live row.  Log-probabilities and
 entropies exist only in the teacher-forced loss pass
 (``_sequence_terms``): a sequence's log-probability follows the sampling
 law (masked, renormalized first step), while its entropy is that of the
@@ -35,9 +42,10 @@ are checkable against central finite differences.
 Each policy defines its network-input row once: ``first_rows`` builds the
 step-0 rows of stacked feature rows, and ``advance`` turns one row, in
 place, into the next step's row after an emitted symbol.  Acting (``_act``,
-the one loop both policies share) advances its one row after each draw;
-teacher forcing (``_forced_rows``) replays ``advance`` over each realized
-sequence.  So the losses train on exactly the rows acting fed the network.
+the sampled loop both policies share, and ``_greedy_block``) advances each
+live row after each step; teacher forcing (``_forced_rows``) replays
+``advance`` over each realized sequence.  So the losses train on exactly
+the rows acting fed the network.
 
 The losses are teacher-forced over a whole episode: the input rows of every
 realized step of every turn are stacked in turn and step order, so each
@@ -49,7 +57,6 @@ per turn and shared by the critic and the actor.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -67,6 +74,14 @@ from .neural import Mlp, softmax_weights
 from .simenv import EnvConfig, draw
 
 _BUSINESS_DIM = 6  # order status one-hot (3) + stock level one-hot (3)
+
+# Rows of every greedy block.  A multiple of 4 below 256: measured on
+# OpenBLAS 0.3.31 (Haswell kernel), a row's bits in such a product depend
+# neither on its position nor on the other rows, and equal the one-row
+# path's.  Other kernels are unchecked; the block-row and pinned-row tests
+# in tests/test_invariance.py are the check there.
+BLOCK = 8
+_BLOCK_ROWS = np.arange(BLOCK)
 
 
 @dataclass(frozen=True)
@@ -200,19 +215,16 @@ def _padded_symbols(
     return symbols, n_emitted, realized
 
 
-def _act(policy, net: Mlp, x: np.ndarray, cap: int, stop: int, rng, greedy: bool) -> list[int]:
-    """The autoregressive loop both policies act with: from the step-0 row
-    ``x``, pick the step's symbol with ``stop`` masked on the first step,
-    and advance ``x`` in place, until ``stop`` or ``cap`` steps; one
-    ``forward(x, logits=True)`` per step and no softmax.  A sampled step
-    makes one draw (``simenv.draw``) from the cumulative
-    ``softmax_weights`` of the logits, proportional to ``stable_softmax``'s
-    law: the index ``rng.choice`` picks on that law, except within
-    rounding of a boundary.  It raises, before drawing, on non-finite
-    logits.  A greedy step takes the argmax of the logits, the lowest index
-    on a tie, and raises when the chosen logit is not finite (``argmax``
-    picks the first NaN if there is one).  Returns the emitted symbols
-    only: their log-probability and entropies are the loss pass's
+def _act(policy, net: Mlp, x: np.ndarray, cap: int, stop: int, rng) -> list[int]:
+    """The sampled autoregressive loop both policies act with: from the
+    step-0 row ``x``, draw the step's symbol with ``stop`` masked on the
+    first step, and advance ``x`` in place, until ``stop`` or ``cap`` steps;
+    one ``forward(x, logits=True)`` per step and no softmax.  A step makes
+    one draw (``simenv.draw``) from the cumulative ``softmax_weights`` of
+    the logits, proportional to ``stable_softmax``'s law: the index
+    ``rng.choice`` picks on that law, except within rounding of a boundary.
+    It raises, before drawing, on non-finite logits.  Returns the emitted
+    symbols only: their log-probability and entropies are the loss pass's
     (``_sequence_terms``)."""
     # bound once per act: the loop runs up to ``cap`` steps
     forward, advance, accumulate = net.forward, policy.advance, np.add.accumulate
@@ -221,18 +233,10 @@ def _act(policy, net: Mlp, x: np.ndarray, cap: int, stop: int, rng, greedy: bool
     last = cap - 1
     for step in range(cap):
         # forward returns a fresh array, so the step-0 mask goes in place
-        z = forward(x, logits=True)
-        if greedy:
-            if step == 0:
-                z[stop] = -np.inf
-            sym = int(z.argmax())
-            if not math.isfinite(z.item(sym)):
-                raise ValueError("logits are not finite")
-        else:
-            w = softmax_weights(z)
-            if step == 0:
-                w[stop] = 0.0
-            sym = draw(accumulate(w), rng)
+        w = softmax_weights(forward(x, logits=True))
+        if step == 0:
+            w[stop] = 0.0
+        sym = draw(accumulate(w), rng)
         if sym == stop:
             break
         symbols.append(sym)
@@ -240,6 +244,49 @@ def _act(policy, net: Mlp, x: np.ndarray, cap: int, stop: int, rng, greedy: bool
             advance(x, step, sym, prev)
         prev = sym
     return symbols
+
+
+def _greedy_block(
+    policy, net: Mlp, x: np.ndarray, rows, cap: int, stop: int
+) -> list[list[int]]:
+    """The greedy loop both policies act with, over a block: ``x`` holds
+    ``BLOCK`` step-0 rows, of which ``rows`` are live.  Each step is one
+    ``forward(x, logits=True)`` over the whole block with ``stop`` masked on
+    the first step; each live row takes the argmax of its logits, the lowest
+    index on a tie, and is advanced in place, until it picks ``stop`` or
+    reaches ``cap`` steps.  Finished and unused rows stay in ``x`` (padding,
+    never compaction), so every logit comes from a ``BLOCK``-row product
+    and a row's symbols do not depend on its position or on the other rows.
+    Raises when a live row's chosen logit is not finite (``argmax`` picks
+    the first NaN if there is one).  Returns each live row's emitted
+    symbols, in the order of ``rows``."""
+    forward, advance = net.forward, policy.advance
+    symbols: list[list[int]] = [[] for _ in range(BLOCK)]
+    live = list(rows)
+    last = cap - 1
+    for step in range(cap):
+        # forward returns a fresh array, so the step-0 mask goes in place
+        z = forward(x, logits=True)
+        if step == 0:
+            z[:, stop] = -np.inf
+        picks = z.argmax(axis=1)
+        finite = np.isfinite(z[_BLOCK_ROWS, picks]).tolist()
+        picks = picks.tolist()
+        still = []
+        for r in live:
+            if not finite[r]:
+                raise ValueError("logits are not finite")
+            sym = picks[r]
+            if sym != stop:
+                seq = symbols[r]
+                if step < last:
+                    advance(x[r], step, sym, seq[-1] if seq else None)
+                seq.append(sym)
+                still.append(r)
+        if not still:
+            break
+        live = still
+    return [symbols[r] for r in rows]
 
 
 def _forced_rows(
@@ -315,16 +362,34 @@ def expert_act(
     greedy: bool = False,
 ) -> tuple[SkillSequence]:
     """Sample (or argmax) a skill sequence.  STOP is masked on the first
-    slot, so sequences are never empty.
+    slot, so sequences are never empty.  A sampled act runs ``_act``; a
+    greedy one is ``expert_block_act`` with the state alone at block row 0.
 
     Returns the one-element tuple ``(SkillSequence,)``: the tuple is kept
     only because the benchmark's traced step counter reads the sequence as
     ``result[0]``.  The sequence's log-probability and entropy come from
     ``expert_loss``.
     """
+    if greedy:
+        return (expert_block_act(policy, [0], [state])[0],)
     x = policy.first_rows(policy.spec.expert_features(state)[None])[0]
-    skills = _act(policy, policy.actor, x, MAX_SKILL_SEQUENCE_LEN, policy.stop_index, rng, greedy)
+    skills = _act(policy, policy.actor, x, MAX_SKILL_SEQUENCE_LEN, policy.stop_index, rng)
     return (SkillSequence(tuple(skills)),)
+
+
+def expert_block_act(policy: ExpertPolicy, rows, states) -> list[SkillSequence]:
+    """Greedy skill sequences of up to ``BLOCK`` planner states, state ``k``
+    at block row ``rows[k]``, in one ``_greedy_block`` loop; the other rows
+    are padding."""
+    spec = policy.spec
+    feats = np.zeros((BLOCK, spec.expert_dim))
+    for r, state in zip(rows, states):
+        feats[r] = spec.expert_features(state)
+    x = policy.first_rows(feats)
+    plans = _greedy_block(
+        policy, policy.actor, x, rows, MAX_SKILL_SEQUENCE_LEN, policy.stop_index
+    )
+    return [SkillSequence(tuple(skills)) for skills in plans]
 
 
 def expert_rows(policy: ExpertPolicy, states) -> np.ndarray:
@@ -452,22 +517,38 @@ def csa_act(
     greedy: bool = False,
 ) -> tuple[Response]:
     """Generate a response autoregressively until END or the length cap;
-    END is masked on the first step.
+    END is masked on the first step.  A sampled act runs ``_act``; a greedy
+    one is ``csa_block_act`` with the state alone at block row 0.
 
     Returns the one-element tuple ``(Response,)``: the tuple is kept only
     because the benchmark's traced step counter reads the response as
     ``result[0]``.  The response's log-probability and entropies come from
     ``csa_loss`` (``L_p`` and ``L_d``)."""
+    if greedy:
+        return (csa_block_act(policy, [0], [state])[0],)
     spec = policy.spec
     x = policy.first_rows(spec.csa_features(state)[None])[0]
-    tokens = _act(
-        policy, policy.generator, x, spec.max_response_len, policy.end_index, rng, greedy
+    tokens = _act(policy, policy.generator, x, spec.max_response_len, policy.end_index, rng)
+    return (_response(tokens, spec),)
+
+
+def csa_block_act(policy: CsaPolicy, rows, states) -> list[Response]:
+    """Greedy responses of up to ``BLOCK`` responder states, state ``k`` at
+    block row ``rows[k]``, in one ``_greedy_block`` loop; the other rows are
+    padding."""
+    spec = policy.spec
+    feats = np.zeros((BLOCK, spec.csa_dim))
+    for r, state in zip(rows, states):
+        feats[r] = spec.csa_features(state)
+    x = policy.first_rows(feats)
+    responses = _greedy_block(
+        policy, policy.generator, x, rows, spec.max_response_len, policy.end_index
     )
-    response = Response(
-        tokens=tuple(tokens),
-        markers=response_markers(tokens, spec.token_markers),
-    )
-    return (response,)
+    return [_response(tokens, spec) for tokens in responses]
+
+
+def _response(tokens: list[int], spec: FeatureSpec) -> Response:
+    return Response(tokens=tuple(tokens), markers=response_markers(tokens, spec.token_markers))
 
 
 def csa_loss(

@@ -4,9 +4,17 @@ Per turn of a rollout the planner picks a skill sequence, the responder
 generates under that constraint, and the environment scores the turn
 (``DialogueEnv.step``: the plan by its normalized ranking gain against the
 scenario entry's reference sequence, the response by the judge, and the two
-mixed by the turn-indexed schedule into the joint reward); the rollout only
-acts and records.  The planner learns from the joint reward: a TD(0)
-advantage drives its policy gradient and the critic regresses the TD target.  The responder
+mixed by the turn-indexed schedule into the joint reward); the player only
+acts and records.  ``_play`` draws every trajectory with one ``rollout``
+pull, in episode order.  Sampled training episodes are played one at a
+time by that pull; greedy evaluation episodes are played in lockstep blocks
+of ``agents.BLOCK`` (``_play_block``: one block act per policy per turn over
+all live episodes, each on its own environment), the first pull of a block
+playing all of it.  Blocks are padded, never compacted, so an episode's
+bytes do not depend on the episodes it is played with.
+
+The planner learns from the joint reward: a TD(0) advantage drives its
+policy gradient and the critic regresses the TD target.  The responder
 learns from its own judge reward: its policy-gradient coefficient is
 ``r_csa`` minus a running baseline, an exponential moving average (decay
 0.99, starting at 0.5) updated turn by turn in rollout order.  The baseline
@@ -56,19 +64,22 @@ import re
 import zipfile
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
 from .agents import (
+    BLOCK,
     CsaPolicy,
     ExpertPolicy,
     FeatureSpec,
     critic_loss,
     critic_value,
     csa_act,
+    csa_block_act,
     csa_loss,
     expert_act,
+    expert_block_act,
     expert_loss,
     expert_rows,
 )
@@ -173,7 +184,15 @@ def episode_seeds(base_seed: int, stream: int, episode_id: int) -> tuple[int, in
     return int(env_ss.generate_state(1)[0]), int(agent_ss.generate_state(1)[0])
 
 
-def rollout(
+def rollout(episodes: Iterator[Trajectory]) -> Trajectory:
+    """The next trajectory of ``episodes``: the one call per played episode,
+    in episode order, through which ``_play`` draws every trajectory.
+    Whether that episode is played by this pull or was already played with
+    its block is the iterator's business."""
+    return next(episodes)
+
+
+def _play_episode(
     env: DialogueEnv,
     expert: ExpertPolicy | None,
     csa: CsaPolicy,
@@ -181,11 +200,11 @@ def rollout(
     *,
     env_seed: int,
     episode_id: int = 0,
-    greedy: bool = False,
 ) -> Trajectory:
-    """Play one full episode from ``env.reset(env_seed)`` and return the
-    trajectory: each turn the planner and the responder act, ``env.step``
-    scores the turn, and the turn is recorded.
+    """Play one full sampled episode from ``env.reset(env_seed)``, drawing
+    from ``rng``, and return the trajectory: each turn the planner and the
+    responder act, ``env.step`` scores the turn, and the turn is recorded.
+    Greedy episodes play in blocks (``_play_block``).
 
     With ``expert=None`` (the no-planner ablation) the responder receives a
     null constraint, which the environment scores with planner reward 0.
@@ -195,11 +214,55 @@ def rollout(
     done = False
     while not done:
         state = obs.expert_state
-        skills = None if expert is None else expert_act(expert, state, rng, greedy=greedy)[0]
+        skills = None if expert is None else expert_act(expert, state, rng)[0]
         csa_state = CsaState(obs.csa_utterance, skills, obs.business_ctx)
-        (response,) = csa_act(csa, csa_state, rng, greedy=greedy)
+        (response,) = csa_act(csa, csa_state, rng)
         obs, reward, done = env.step(skills, response)
         turns.append(TurnRecord(state, csa_state, response, reward))
+    return _trajectory(env, episode_id, env_seed, turns)
+
+
+def _play_block(
+    envs: Sequence[DialogueEnv],
+    expert: ExpertPolicy | None,
+    csa: CsaPolicy,
+    env_seeds: Sequence[int],
+    episode_ids: Sequence[int],
+) -> list[Trajectory]:
+    """Play up to ``BLOCK`` greedy episodes in lockstep, episode ``k`` on
+    ``envs[k]`` from ``env_seeds[k]`` and at block row ``k``, and return
+    their trajectories in order.  Every turn of the block is one
+    ``expert_block_act`` and one ``csa_block_act`` over the live episodes;
+    then each live episode steps its own environment and records its turn.
+    A finished episode's row stays in the block as padding."""
+    obs = {k: envs[k].reset(seed) for k, seed in enumerate(env_seeds)}
+    turns: list[list[TurnRecord]] = [[] for _ in env_seeds]
+    while obs:
+        live = list(obs)
+        states = [obs[k].expert_state for k in live]
+        plans = (
+            [None] * len(live) if expert is None else expert_block_act(expert, live, states)
+        )
+        csa_states = [
+            CsaState(obs[k].csa_utterance, skills, obs[k].business_ctx)
+            for k, skills in zip(live, plans)
+        ]
+        responses = csa_block_act(csa, live, csa_states)
+        for k, state, csa_state, response in zip(live, states, csa_states, responses):
+            obs[k], reward, done = envs[k].step(csa_state.constraint, response)
+            turns[k].append(TurnRecord(state, csa_state, response, reward))
+            if done:
+                del obs[k]
+    return [
+        _trajectory(env, i, seed, t)
+        for env, i, seed, t in zip(envs, episode_ids, env_seeds, turns)
+    ]
+
+
+def _trajectory(
+    env: DialogueEnv, episode_id: int, env_seed: int, turns: list[TurnRecord]
+) -> Trajectory:
+    """The trajectory of the episode ``env`` has just finished."""
     return Trajectory(
         episode_id=episode_id,
         turns=tuple(turns),
@@ -275,15 +338,36 @@ def _play(
     episode_ids: Sequence[int],
     greedy: bool,
 ) -> list[Trajectory]:
-    """Play the given episodes of one seed stream on ``env``, in order."""
-    trajs = []
+    """Play the given episodes of one seed stream, in order, drawing each
+    trajectory with one ``rollout`` pull.  Sampled episodes play one at a
+    time on ``env``.  Greedy episodes play in lockstep blocks of ``BLOCK``
+    consecutive ids (``_play_block``), the first pull of a block playing
+    all of it, on ``env`` and up to ``BLOCK - 1`` more environments built
+    once per call."""
+    if greedy:
+        episodes = _greedy_episodes(env, expert, csa, base_seed, stream, episode_ids)
+    else:
+        episodes = _sampled_episodes(env, expert, csa, base_seed, stream, episode_ids)
+    # ``rollout`` is looked up on every pull, so a wrapper bound to the
+    # module sees one call per episode
+    return [rollout(episodes) for _ in episode_ids]
+
+
+def _sampled_episodes(env, expert, csa, base_seed, stream, episode_ids) -> Iterator[Trajectory]:
     for i in episode_ids:
         env_seed, agent_seed = episode_seeds(base_seed, stream, i)
         rng = np.random.default_rng(agent_seed)
-        trajs.append(
-            rollout(env, expert, csa, rng, episode_id=i, env_seed=env_seed, greedy=greedy)
-        )
-    return trajs
+        yield _play_episode(env, expert, csa, rng, episode_id=i, env_seed=env_seed)
+
+
+def _greedy_episodes(env, expert, csa, base_seed, stream, episode_ids) -> Iterator[Trajectory]:
+    envs = [env] + [
+        DialogueEnv(env.cfg, env.reward_cfg) for _ in range(min(BLOCK, len(episode_ids)) - 1)
+    ]
+    for start in range(0, len(episode_ids), BLOCK):
+        ids = episode_ids[start : start + BLOCK]
+        seeds = [episode_seeds(base_seed, stream, i)[0] for i in ids]
+        yield from _play_block(envs, expert, csa, seeds, ids)
 
 
 def _evaluate(
@@ -358,8 +442,14 @@ def load_checkpoints(ckpt_dir, expert: ExpertPolicy | None, csa: CsaPolicy) -> i
         raise ConfigError(f"checkpoint directory not found: {ckpt_dir}")
     nets = _networks(expert, csa)
     files = [p.name for p in ckpt_dir.iterdir()]
+    # only the names ``train`` writes: a step has no leading zero, so every
+    # step found opens as ``{name}-{step}.ckpt``
     steps = set.intersection(*(
-        {int(m[1]) for f in files if (m := re.fullmatch(rf"{name}-([0-9]+)\.ckpt", f))}
+        {
+            int(m[1])
+            for f in files
+            if (m := re.fullmatch(rf"{name}-(0|[1-9][0-9]*)\.ckpt", f))
+        }
         for name in nets
     ))
     if not steps:

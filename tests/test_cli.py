@@ -612,6 +612,26 @@ class TestEvalCommand:
         assert rc == 1
         assert "error: no step in" in capsys.readouterr().err
 
+    def test_zero_padded_step_names_are_not_checkpoints(self, tmp_path, capsys):
+        """``train`` writes ``expert-300.ckpt``, never ``expert-0300.ckpt``;
+        a directory of padded names has no step to evaluate, rather than a
+        step whose files it then cannot open."""
+        padded = tmp_path / "padded"
+        padded.mkdir()
+        for path in (REPO / "perfbench" / "checkpoints").glob("*-300.ckpt"):
+            (padded / path.name.replace("-300.", "-0300.")).write_bytes(path.read_bytes())
+        assert len(list(padded.iterdir())) == 3
+        capsys.readouterr()
+        rc = main([
+            "eval", "--checkpoint-dir", str(padded), "--config", str(DEFAULT_CONFIG_FILE),
+            "--episodes", "1",
+        ])
+        captured = capsys.readouterr()
+        assert rc == 1 and captured.out == ""
+        assert captured.err == (
+            f"error: no step in {padded} has a checkpoint of each of expert, critic, csa\n"
+        )
+
     @pytest.mark.parametrize("variant", ["full", "no-expert", "untrained"])
     def test_eval_reproduces_final_report(self, tmp_path, variant):
         """Checkpoints round-trip exactly: evaluating a run's last

@@ -1,27 +1,49 @@
 """What must not change output bytes: how episodes are grouped into one
-``_play`` call, and the BLAS thread count of a training process."""
+``_play`` call and into greedy blocks, where a state sits in a greedy block,
+and the BLAS thread count of a training or evaluation process."""
 
 import dataclasses
+import json
 import os
 import subprocess
 import sys
 import zipfile
 from pathlib import Path
 
+import numpy as np
 import pytest
 
+from gopo.agents import BLOCK, csa_act, csa_block_act, expert_act, expert_block_act
 from gopo.core import trajectory_to_json
 from gopo.simenv import DialogueEnv
-from gopo.trainer import _STREAM_EVAL, _STREAM_TRAIN, _play, build_policies
-from conftest import DEFAULT_CFG, write_tiny_config
+from gopo.trainer import (
+    _STREAM_EVAL,
+    _STREAM_TRAIN,
+    _play,
+    build_policies,
+    load_checkpoints,
+)
+from conftest import (
+    DEFAULT_CFG,
+    DEFAULT_CONFIG_FILE,
+    random_csa_state,
+    random_expert_state,
+    write_tiny_config,
+)
 
-SRC = Path(__file__).resolve().parents[1] / "src"
+ROOT = Path(__file__).resolve().parents[1]
+SRC = ROOT / "src"
+CHECKPOINTS = ROOT / "perfbench" / "checkpoints"
+
+# two full greedy blocks and a short last one, out of order, with a repeat
+EPISODE_IDS = [4, 0, 7, 0, 2, 9, 13, 5, 11, 3, 16, 8, 1, 12, 6, 10, 14]
 
 
 def assert_play_is_invariant(cfg, episode_ids, greedy):
     """Play ``episode_ids`` in order with ``_play`` on one shared
     environment; each trajectory's JSON line must equal the line of the same
-    episode played alone on a fresh environment."""
+    episode played alone on a fresh environment (greedy, at row 0 of a
+    block of one live row)."""
     expert, csa = build_policies(cfg.env, cfg.train)
     stream = _STREAM_EVAL if greedy else _STREAM_TRAIN
     seed = cfg.train.seed
@@ -29,19 +51,44 @@ def assert_play_is_invariant(cfg, episode_ids, greedy):
     together = _play(shared, expert, csa, seed, stream, episode_ids, greedy)
     assert [t.episode_id for t in together] == list(episode_ids)
     for traj in together:
+        line = trajectory_to_json(traj)
         fresh = DialogueEnv(cfg.env, cfg.reward)
         (alone,) = _play(fresh, expert, csa, seed, stream, [traj.episode_id], greedy)
-        assert trajectory_to_json(traj) == trajectory_to_json(alone), traj.episode_id
+        assert line == trajectory_to_json(alone), traj.episode_id
 
 
 @pytest.mark.parametrize("greedy", [True, False], ids=["greedy", "sampled"])
 @pytest.mark.parametrize("variant", ["full", "no-expert"])
 def test_play_of_an_episode_does_not_depend_on_its_neighbours(variant, greedy):
-    # out of order, with a repeat: every episode starts from ``reset`` alone
+    # every episode starts from ``reset`` alone; greedy, episode ids[k] plays
+    # at block row k % BLOCK, and alone at row 0 of a block of one
+    assert len(EPISODE_IDS) == 2 * BLOCK + 1
     cfg = dataclasses.replace(
         DEFAULT_CFG, train=dataclasses.replace(DEFAULT_CFG.train, variant=variant)
     )
-    assert_play_is_invariant(cfg, [4, 0, 7, 0, 2, 9], greedy)
+    assert_play_is_invariant(cfg, EPISODE_IDS, greedy)
+
+
+@pytest.mark.parametrize("policy_kind", ["expert", "csa"])
+def test_greedy_act_does_not_depend_on_its_block_row(policy_kind):
+    """A state acted on alone (block row 0, the other rows padding) gets the
+    symbols it gets at every row of a block whose other rows are other
+    random states, on the trained weights, whose distributions are sharp."""
+    expert, csa = build_policies(DEFAULT_CFG.env, DEFAULT_CFG.train)
+    load_checkpoints(CHECKPOINTS, expert, csa)
+    spec = csa.spec
+    policy, act, block_act, random_state = {
+        "expert": (expert, expert_act, expert_block_act, random_expert_state),
+        "csa": (csa, csa_act, csa_block_act, random_csa_state),
+    }[policy_kind]
+    rng = np.random.default_rng(23)
+    for _ in range(6):
+        state = random_state(spec, rng)
+        (alone,) = act(policy, state, None, greedy=True)
+        for row in range(BLOCK):
+            states = [random_state(spec, rng) for _ in range(BLOCK)]
+            states[row] = state
+            assert block_act(policy, list(range(BLOCK)), states)[row] == alone, row
 
 
 def _contents(run_dir):
@@ -59,6 +106,20 @@ def _contents(run_dir):
     return out
 
 
+def _cli(threads, *args):
+    """Standard output of ``gopo`` run with ``args`` in a process of its own
+    at ``threads`` BLAS threads, warnings as errors."""
+    env = dict(
+        os.environ,
+        OPENBLAS_NUM_THREADS=threads,
+        PYTHONPATH=os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")])),
+    )
+    return subprocess.run(
+        [sys.executable, "-W", "error", "-m", "gopo.cli", *args],
+        env=env, check=True, capture_output=True, text=True,
+    ).stdout
+
+
 def test_training_bytes_do_not_depend_on_blas_threads(tmp_path):
     # OpenBLAS reads its thread count when it loads, so each count needs its
     # own process; hidden 64 gives the update's products the default widths
@@ -66,18 +127,21 @@ def test_training_bytes_do_not_depend_on_blas_threads(tmp_path):
     runs = {}
     for threads in ("1", "2"):
         out = tmp_path / f"threads-{threads}"
-        env = dict(
-            os.environ,
-            OPENBLAS_NUM_THREADS=threads,
-            PYTHONPATH=os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")])),
-        )
-        subprocess.run(
-            [sys.executable, "-W", "error", "-m", "gopo.cli", "train", str(config),
-             "--out", str(out)],
-            env=env, check=True, capture_output=True,
-        )
+        _cli(threads, "train", str(config), "--out", str(out))
         runs[threads] = _contents(out)
     assert {"trajectories.jsonl", "metrics.csv", "config.copy"} <= runs["1"].keys()
     assert runs["1"].keys() == runs["2"].keys()
     for name in runs["1"]:
         assert runs["1"][name] == runs["2"][name], name
+
+
+def test_pinned_eval_row_at_one_blas_thread():
+    """The pinned checkpoints' greedy evaluation row at one BLAS thread,
+    from its own process (OpenBLAS reads the count when it loads);
+    ``tests/test_cli.py`` pins the same row in process, at the default
+    count."""
+    want = json.loads((CHECKPOINTS / "PROVENANCE.json").read_text())["metrics_csv_final_row"]
+    out = _cli(
+        "1", "eval", "--checkpoint-dir", str(CHECKPOINTS), "--config", str(DEFAULT_CONFIG_FILE)
+    )
+    assert out.splitlines()[-1] == want

@@ -24,6 +24,9 @@ from gopo.neural import load_checkpoint
 from gopo.simenv import ConfigError, DialogueEnv
 from gopo.trainer import (
     CURVES_CSV_HEADER,
+    _STREAM_EVAL,
+    _play,
+    _play_episode,
     GlobalConfig,
     TrainingDiverged,
     ablate,
@@ -32,7 +35,6 @@ from gopo.trainer import (
     episode_gradients,
     load_checkpoints,
     responder_coefficients,
-    rollout,
     train,
 )
 from conftest import DEFAULT_CFG
@@ -136,13 +138,13 @@ class TestPolicies:
 class TestRollout:
     def test_deterministic_given_seed(self, tiny_world):
         env, expert, csa = tiny_world
-        a = rollout(env, expert, csa, np.random.default_rng(9), env_seed=5)
-        b = rollout(env, expert, csa, np.random.default_rng(9), env_seed=5)
+        a = _play_episode(env, expert, csa, np.random.default_rng(9), env_seed=5)
+        b = _play_episode(env, expert, csa, np.random.default_rng(9), env_seed=5)
         assert trajectory_to_json(a) == trajectory_to_json(b)
 
     def test_logged_joint_recomputes_from_parts(self, tiny_world, tiny_env_cfg):
         env, expert, csa = tiny_world
-        traj = rollout(env, expert, csa, np.random.default_rng(2), env_seed=7)
+        traj = _play_episode(env, expert, csa, np.random.default_rng(2), env_seed=7)
         for t in traj.turns:
             r = t.reward
             assert r.joint == r.w_expert * r.r_expert + r.w_csa * r.r_csa
@@ -150,7 +152,7 @@ class TestRollout:
 
     def test_no_expert_rollout(self, tiny_world, tiny_env_cfg):
         env, _, csa = tiny_world
-        traj = rollout(env, None, csa, np.random.default_rng(0), env_seed=1)
+        traj = _play_episode(env, None, csa, np.random.default_rng(0), env_seed=1)
         assert all(t.reward.r_expert == 0.0 for t in traj.turns)
         assert all(t.csa_state.constraint is None for t in traj.turns)
         assert validate_trajectory(
@@ -160,11 +162,10 @@ class TestRollout:
     @pytest.mark.parametrize("with_planner", [True, False])
     def test_greedy_rollouts_are_valid(self, tiny_world, tiny_env_cfg, with_planner):
         env, expert, csa = tiny_world
-        for seed in range(5):
-            traj = rollout(
-                env, expert if with_planner else None, csa, None,
-                env_seed=seed, greedy=True,
-            )
+        trajs = _play(
+            env, expert if with_planner else None, csa, 0, _STREAM_EVAL, range(5), True
+        )
+        for traj in trajs:
             assert traj.terminal_reason in ("all_milestones", "horizon")
             assert validate_trajectory(
                 traj, len(tiny_env_cfg.skill_pool), tiny_env_cfg.horizon
@@ -172,7 +173,7 @@ class TestRollout:
 
     def test_untrained_policies_still_fully_scored(self, tiny_world):
         env, expert, csa = tiny_world
-        traj = rollout(env, expert, csa, np.random.default_rng(1), env_seed=2)
+        traj = _play_episode(env, expert, csa, np.random.default_rng(1), env_seed=2)
         assert len(traj.turns) >= 1
         for t in traj.turns:
             assert 0.0 <= t.reward.r_expert <= 1.0
@@ -182,7 +183,7 @@ class TestRollout:
     def test_bounded_rewards_across_seeds(self, tiny_world):
         env, expert, csa = tiny_world
         for seed in range(20):
-            traj = rollout(env, expert, csa, np.random.default_rng(seed), env_seed=seed)
+            traj = _play_episode(env, expert, csa, np.random.default_rng(seed), env_seed=seed)
             for t in traj.turns:
                 assert 0.0 <= t.reward.r_expert <= 1.0
                 assert 0.0 <= t.reward.r_csa <= 1.0
@@ -239,7 +240,7 @@ class TestAdvantages:
             np.random.default_rng(5).normal(0, 0.5, expert.critic.n_params)
         )
         for seed in range(5):
-            traj = rollout(
+            traj = _play_episode(
                 env, expert, csa, np.random.default_rng(seed), env_seed=seed
             )
             states = [t.expert_state for t in traj.turns]
@@ -374,7 +375,7 @@ class TestEpisodeGradients:
     def test_responder_coefficients_follow_turn_order(self, tiny_world):
         env, expert, csa = tiny_world
         batch = [
-            rollout(env, expert, csa, np.random.default_rng(i), env_seed=i)
+            _play_episode(env, expert, csa, np.random.default_rng(i), env_seed=i)
             for i in range(3)
         ]
         coeffs, baseline = responder_coefficients(batch, 0.5)
