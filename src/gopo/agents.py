@@ -18,21 +18,26 @@ runs no softmax.  The first slot/step masks STOP/END so emitted sequences
 are never empty.  A sampled step draws from the law of ``stable_softmax``,
 the floored softmax the loss pass uses, masked and renormalised on the
 first step: it takes that law's unnormalised weights
-(``neural.softmax_weights``), zeroes STOP/END on the first step, and makes
-one draw from their cumulative sum by the package's one draw rule
-(``simenv.draw``: one ``random()`` scaled by the total and searched from
-the right).  The index is the one ``rng.choice(q.size, p=q)`` picks on the
-normalised law ``q``, from the same one ``random()``, except when that
-``random()`` falls within rounding of a boundary.  Greedy acting has one
-path, the block loop (``_greedy_block``): every step is one
-``forward(X, logits=True)`` over a block of ``BLOCK`` rows, and each live
-row takes the argmax of its logits, the lowest index on a tie.  Rows of
-finished sequences and unused rows stay in the block, so every logit comes
-from a product of ``BLOCK`` rows, and (as measured on OpenBLAS's Haswell
-kernel, see ``BLOCK``) a row's symbols depend neither on its position nor
-on the other rows.  A greedy ``expert_act`` or ``csa_act`` is
-the block loop with one live row.  Log-probabilities and
-entropies exist only in the teacher-forced loss pass
+(``neural.softmax_weights``, row by row), zeroes STOP/END on the first
+step, and makes one draw from their cumulative sum by the package's one
+draw rule (``simenv.draw``: one ``random()`` scaled by the total and
+searched from the right).  The index is the one ``rng.choice(q.size,
+p=q)`` picks on the normalised law ``q``, from the same one ``random()``,
+except when that ``random()`` falls within rounding of a boundary.
+Non-finite logits raise ``ValueError`` before any draw, sampled or
+greedy.  The responder acts in one block loop (``_block_act``), greedy or
+sampled: every step is one ``forward(X, logits=True)`` over a block of
+``BLOCK`` rows; a greedy live row takes the argmax of its logits, the
+lowest index on a tie, and a sampled live row makes one draw from its own
+episode's generator.  Rows of finished sequences and unused rows stay in
+the block, so every logit comes from a product of ``BLOCK`` rows, and (as
+measured on OpenBLAS's Haswell kernel, see ``BLOCK``) a row's symbols and
+its generator's draws depend neither on its position nor on the other
+rows.  A ``csa_act`` is the block loop with one live row.  The planner
+acts greedily in the same block loop (``expert_block_act``; a greedy
+``expert_act`` is one live row) and samples one state at a time
+(``_act``), so a traced training run still sees its act spans.
+Log-probabilities and entropies exist only in the teacher-forced loss pass
 (``_sequence_terms``): a sequence's log-probability follows the sampling
 law (masked, renormalized first step), while its entropy is that of the
 raw per-step distributions including the stop symbol.  Every loss here is
@@ -41,11 +46,10 @@ are checkable against central finite differences.
 
 Each policy defines its network-input row once: ``first_rows`` builds the
 step-0 rows of stacked feature rows, and ``advance`` turns one row, in
-place, into the next step's row after an emitted symbol.  Acting (``_act``,
-the sampled loop both policies share, and ``_greedy_block``) advances each
-live row after each step; teacher forcing (``_forced_rows``) replays
-``advance`` over each realized sequence.  So the losses train on exactly
-the rows acting fed the network.
+place, into the next step's row after an emitted symbol.  Acting (``_act``
+and ``_block_act``) advances each live row after each step; teacher
+forcing (``_forced_rows``) replays ``advance`` over each realized
+sequence.  So the losses train on exactly the rows acting fed the network.
 
 The losses are teacher-forced over a whole episode: the input rows of every
 realized step of every turn are stacked in turn and step order, so each
@@ -75,13 +79,16 @@ from .simenv import EnvConfig, draw
 
 _BUSINESS_DIM = 6  # order status one-hot (3) + stock level one-hot (3)
 
-# Rows of every greedy block.  A multiple of 4 below 256: measured on
-# OpenBLAS 0.3.31 (Haswell kernel), a row's bits in such a product depend
-# neither on its position nor on the other rows, and equal the one-row
-# path's.  Other kernels are unchecked; the block-row and pinned-row tests
-# in tests/test_invariance.py are the check there.
+# Rows of every act block, greedy or sampled.  A multiple of 4 below 256:
+# measured on OpenBLAS 0.3.31 (Haswell kernel), a row's bits in such a
+# product depend neither on its position nor on the other rows, and equal
+# the one-row path's, so neither do its symbols or its generator's draws.
+# Other kernels are unchecked; the block-row and pinned-row tests in
+# tests/test_invariance.py are the check there.
 BLOCK = 8
 _BLOCK_ROWS = np.arange(BLOCK)
+# a sampled step's live rows passed ``softmax_weights``'s finiteness check
+_ALL_FINITE = (True,) * BLOCK
 
 
 @dataclass(frozen=True)
@@ -216,16 +223,16 @@ def _padded_symbols(
 
 
 def _act(policy, net: Mlp, x: np.ndarray, cap: int, stop: int, rng) -> list[int]:
-    """The sampled autoregressive loop both policies act with: from the
+    """The planner's sampled autoregressive loop, on one state: from the
     step-0 row ``x``, draw the step's symbol with ``stop`` masked on the
     first step, and advance ``x`` in place, until ``stop`` or ``cap`` steps;
     one ``forward(x, logits=True)`` per step and no softmax.  A step makes
     one draw (``simenv.draw``) from the cumulative ``softmax_weights`` of
     the logits, proportional to ``stable_softmax``'s law: the index
     ``rng.choice`` picks on that law, except within rounding of a boundary.
-    It raises, before drawing, on non-finite logits.  Returns the emitted
-    symbols only: their log-probability and entropies are the loss pass's
-    (``_sequence_terms``)."""
+    It raises, before drawing, on non-finite logits (``softmax_weights``).
+    Returns the emitted symbols only: their log-probability and entropies
+    are the loss pass's (``_sequence_terms``)."""
     # bound once per act: the loop runs up to ``cap`` steps
     forward, advance, accumulate = net.forward, policy.advance, np.add.accumulate
     symbols: list[int] = []
@@ -246,32 +253,46 @@ def _act(policy, net: Mlp, x: np.ndarray, cap: int, stop: int, rng) -> list[int]
     return symbols
 
 
-def _greedy_block(
-    policy, net: Mlp, x: np.ndarray, rows, cap: int, stop: int
+def _block_act(
+    policy, net: Mlp, x: np.ndarray, rows, cap: int, stop: int, rngs=None
 ) -> list[list[int]]:
-    """The greedy loop both policies act with, over a block: ``x`` holds
-    ``BLOCK`` step-0 rows, of which ``rows`` are live.  Each step is one
-    ``forward(x, logits=True)`` over the whole block with ``stop`` masked on
-    the first step; each live row takes the argmax of its logits, the lowest
-    index on a tie, and is advanced in place, until it picks ``stop`` or
-    reaches ``cap`` steps.  Finished and unused rows stay in ``x`` (padding,
-    never compaction), so every logit comes from a ``BLOCK``-row product
-    and a row's symbols do not depend on its position or on the other rows.
-    Raises when a live row's chosen logit is not finite (``argmax`` picks
-    the first NaN if there is one).  Returns each live row's emitted
-    symbols, in the order of ``rows``."""
+    """The block loop both policies act with: ``x`` holds ``BLOCK`` step-0
+    rows, of which ``rows`` are live.  Each step is one ``forward(x,
+    logits=True)`` over the whole block, with ``stop`` masked on the first
+    step; each live row picks a symbol and is advanced in place, until it
+    picks ``stop`` or reaches ``cap`` steps.  Greedy (``rngs`` None), a row
+    takes the argmax of its logits, the lowest index on a tie, and a live
+    row whose chosen logit is not finite raises (``argmax`` picks the first
+    NaN if there is one).  Sampled, the live rows' ``softmax_weights`` are
+    cumulated row-wise and live row ``r`` makes one ``simenv.draw`` from
+    ``rngs[r]``, its own generator; only live rows are weighed, so a
+    padding row neither raises nor warns, and a live row's non-finite
+    logits raise before any draw.  Finished and unused rows stay in ``x``
+    (padding, never compaction), so every logit comes from a ``BLOCK``-row
+    product and a row's symbols do not depend on its position or on the
+    other rows.  Returns each live row's emitted symbols, in the order of
+    ``rows``."""
     forward, advance = net.forward, policy.advance
     symbols: list[list[int]] = [[] for _ in range(BLOCK)]
     live = list(rows)
     last = cap - 1
     for step in range(cap):
-        # forward returns a fresh array, so the step-0 mask goes in place
+        # forward and softmax_weights return fresh arrays, so the step-0
+        # mask goes in place
         z = forward(x, logits=True)
-        if step == 0:
-            z[:, stop] = -np.inf
-        picks = z.argmax(axis=1)
-        finite = np.isfinite(z[_BLOCK_ROWS, picks]).tolist()
-        picks = picks.tolist()
+        if rngs is None:
+            if step == 0:
+                z[:, stop] = -np.inf
+            picks = z.argmax(axis=1)
+            finite = np.isfinite(z[_BLOCK_ROWS, picks]).tolist()
+            picks = picks.tolist()
+        else:
+            w = softmax_weights(z[live])
+            if step == 0:
+                w[:, stop] = 0.0
+            cdfs = np.add.accumulate(w, axis=1)
+            picks = {r: draw(cdf, rngs[r]) for r, cdf in zip(live, cdfs)}
+            finite = _ALL_FINITE
         still = []
         for r in live:
             if not finite[r]:
@@ -379,14 +400,14 @@ def expert_act(
 
 def expert_block_act(policy: ExpertPolicy, rows, states) -> list[SkillSequence]:
     """Greedy skill sequences of up to ``BLOCK`` planner states, state ``k``
-    at block row ``rows[k]``, in one ``_greedy_block`` loop; the other rows
+    at block row ``rows[k]``, in one ``_block_act`` loop; the other rows
     are padding."""
     spec = policy.spec
     feats = np.zeros((BLOCK, spec.expert_dim))
     for r, state in zip(rows, states):
         feats[r] = spec.expert_features(state)
     x = policy.first_rows(feats)
-    plans = _greedy_block(
+    plans = _block_act(
         policy, policy.actor, x, rows, MAX_SKILL_SEQUENCE_LEN, policy.stop_index
     )
     return [SkillSequence(tuple(skills)) for skills in plans]
@@ -517,32 +538,28 @@ def csa_act(
     greedy: bool = False,
 ) -> tuple[Response]:
     """Generate a response autoregressively until END or the length cap;
-    END is masked on the first step.  A sampled act runs ``_act``; a greedy
-    one is ``csa_block_act`` with the state alone at block row 0.
+    END is masked on the first step.  The act is ``csa_block_act`` with the
+    state alone at block row 0, drawing from ``rng`` unless ``greedy``.
 
     Returns the one-element tuple ``(Response,)``: the tuple is kept only
     because the benchmark's traced step counter reads the response as
     ``result[0]``.  The response's log-probability and entropies come from
     ``csa_loss`` (``L_p`` and ``L_d``)."""
-    if greedy:
-        return (csa_block_act(policy, [0], [state])[0],)
-    spec = policy.spec
-    x = policy.first_rows(spec.csa_features(state)[None])[0]
-    tokens = _act(policy, policy.generator, x, spec.max_response_len, policy.end_index, rng)
-    return (_response(tokens, spec),)
+    return (csa_block_act(policy, [0], [state], None if greedy else [rng])[0],)
 
 
-def csa_block_act(policy: CsaPolicy, rows, states) -> list[Response]:
-    """Greedy responses of up to ``BLOCK`` responder states, state ``k`` at
-    block row ``rows[k]``, in one ``_greedy_block`` loop; the other rows are
-    padding."""
+def csa_block_act(policy: CsaPolicy, rows, states, rngs=None) -> list[Response]:
+    """Responses of up to ``BLOCK`` responder states, state ``k`` at block
+    row ``rows[k]``, in one ``_block_act`` loop; the other rows are padding.
+    Greedy without ``rngs``; otherwise sampled, block row ``r`` drawing
+    from ``rngs[r]``."""
     spec = policy.spec
     feats = np.zeros((BLOCK, spec.csa_dim))
     for r, state in zip(rows, states):
         feats[r] = spec.csa_features(state)
     x = policy.first_rows(feats)
-    responses = _greedy_block(
-        policy, policy.generator, x, rows, spec.max_response_len, policy.end_index
+    responses = _block_act(
+        policy, policy.generator, x, rows, spec.max_response_len, policy.end_index, rngs
     )
     return [_response(tokens, spec) for tokens in responses]
 

@@ -53,18 +53,21 @@ def stable_softmax(logits: np.ndarray) -> np.ndarray:
 
 
 def softmax_weights(logits: np.ndarray) -> np.ndarray:
-    """Unnormalised weights of ``stable_softmax(logits)`` for one row of
-    logits: ``e + PROB_FLOOR * e.sum()`` with ``e = exp(logits -
-    logits.max())``.  Since ``stable_softmax`` is ``(e / e.sum() +
-    PROB_FLOOR) / (1 + n * PROB_FLOOR)``, the weights are those
-    probabilities times one positive factor, so a caller that draws from
-    them by their own sum needs no division.  Non-finite logits give
-    non-finite weights.  (The reductions of a vector are numpy scalars,
-    which broadcast faster than the one-entry arrays of a row-wise
-    ``keepdims`` form.)"""
-    e = logits - np.maximum.reduce(logits)
+    """Unnormalised weights of ``stable_softmax(logits)``, row by row over
+    the last axis (a vector is one row): ``e + PROB_FLOOR * e.sum()`` with
+    ``e = exp(logits - logits.max())``.  Since ``stable_softmax`` is ``(e /
+    e.sum() + PROB_FLOOR) / (1 + n * PROB_FLOOR)``, the weights are those
+    probabilities times one positive factor per row, so a caller that draws
+    from a row by its own sum needs no division.  Raises, before any
+    arithmetic that could warn, when a row's maximum is not finite (a NaN
+    or ``+inf`` logit, or all ``-inf``); other rows never change a row's
+    bits."""
+    m = np.maximum.reduce(logits, axis=-1, keepdims=True)
+    if not np.isfinite(m).all():
+        raise ValueError("logits are not finite")
+    e = logits - m
     np.exp(e, out=e)
-    e += PROB_FLOOR * np.add.reduce(e)
+    e += PROB_FLOOR * np.add.reduce(e, axis=-1, keepdims=True)
     return e
 
 

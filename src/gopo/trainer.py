@@ -6,12 +6,15 @@ generates under that constraint, and the environment scores the turn
 scenario entry's reference sequence, the response by the judge, and the two
 mixed by the turn-indexed schedule into the joint reward); the player only
 acts and records.  ``_play`` draws every trajectory with one ``rollout``
-pull, in episode order.  Sampled training episodes are played one at a
-time by that pull; greedy evaluation episodes are played in lockstep blocks
-of ``agents.BLOCK`` (``_play_block``: one block act per policy per turn over
-all live episodes, each on its own environment), the first pull of a block
-playing all of it.  Blocks are padded, never compacted, so an episode's
-bytes do not depend on the episodes it is played with.
+pull, in episode order.  Episodes, sampled for training or greedy for
+evaluation, are played in lockstep blocks of ``agents.BLOCK`` consecutive
+ids (``_play_block``), each on its own environment, the first pull of a
+block playing all of it.  Every turn of a block is one responder block act
+over all live episodes; the planner acts in one block act when greedy and
+once per live episode when sampled.  A sampled episode draws from its own
+generator, in the same order as when it is played alone.  Blocks are
+padded, never compacted, so an episode's bytes do not depend on the
+episodes it is played with.
 
 The planner learns from the joint reward: a TD(0) advantage drives its
 policy gradient and the critic regresses the TD target.  The responder
@@ -75,7 +78,6 @@ from .agents import (
     FeatureSpec,
     critic_loss,
     critic_value,
-    csa_act,
     csa_block_act,
     csa_loss,
     expert_act,
@@ -192,62 +194,43 @@ def rollout(episodes: Iterator[Trajectory]) -> Trajectory:
     return next(episodes)
 
 
-def _play_episode(
-    env: DialogueEnv,
-    expert: ExpertPolicy | None,
-    csa: CsaPolicy,
-    rng: np.random.Generator,
-    *,
-    env_seed: int,
-    episode_id: int = 0,
-) -> Trajectory:
-    """Play one full sampled episode from ``env.reset(env_seed)``, drawing
-    from ``rng``, and return the trajectory: each turn the planner and the
-    responder act, ``env.step`` scores the turn, and the turn is recorded.
-    Greedy episodes play in blocks (``_play_block``).
-
-    With ``expert=None`` (the no-planner ablation) the responder receives a
-    null constraint, which the environment scores with planner reward 0.
-    """
-    obs = env.reset(env_seed)
-    turns: list[TurnRecord] = []
-    done = False
-    while not done:
-        state = obs.expert_state
-        skills = None if expert is None else expert_act(expert, state, rng)[0]
-        csa_state = CsaState(obs.csa_utterance, skills, obs.business_ctx)
-        (response,) = csa_act(csa, csa_state, rng)
-        obs, reward, done = env.step(skills, response)
-        turns.append(TurnRecord(state, csa_state, response, reward))
-    return _trajectory(env, episode_id, env_seed, turns)
-
-
 def _play_block(
     envs: Sequence[DialogueEnv],
     expert: ExpertPolicy | None,
     csa: CsaPolicy,
     env_seeds: Sequence[int],
     episode_ids: Sequence[int],
+    rngs: Sequence[np.random.Generator] | None = None,
 ) -> list[Trajectory]:
-    """Play up to ``BLOCK`` greedy episodes in lockstep, episode ``k`` on
+    """Play up to ``BLOCK`` episodes in lockstep, episode ``k`` on
     ``envs[k]`` from ``env_seeds[k]`` and at block row ``k``, and return
-    their trajectories in order.  Every turn of the block is one
-    ``expert_block_act`` and one ``csa_block_act`` over the live episodes;
-    then each live episode steps its own environment and records its turn.
-    A finished episode's row stays in the block as padding."""
+    their trajectories in order: greedy without ``rngs``, otherwise sampled,
+    episode ``k`` drawing from ``rngs[k]``.  Every turn of the block is one
+    ``csa_block_act`` over the live episodes, after one
+    ``expert_block_act`` (greedy) or one ``expert_act`` per live episode
+    (sampled); then each live episode steps its own environment, which
+    scores the turn, and records its turn.  A finished episode's row stays
+    in the block as padding.
+
+    With ``expert=None`` (the no-planner ablation) the responder receives a
+    null constraint, which the environment scores with planner reward 0.
+    """
     obs = {k: envs[k].reset(seed) for k, seed in enumerate(env_seeds)}
     turns: list[list[TurnRecord]] = [[] for _ in env_seeds]
     while obs:
         live = list(obs)
         states = [obs[k].expert_state for k in live]
-        plans = (
-            [None] * len(live) if expert is None else expert_block_act(expert, live, states)
-        )
+        if expert is None:
+            plans = [None] * len(live)
+        elif rngs is None:
+            plans = expert_block_act(expert, live, states)
+        else:
+            plans = [expert_act(expert, s, rngs[k])[0] for k, s in zip(live, states)]
         csa_states = [
             CsaState(obs[k].csa_utterance, skills, obs[k].business_ctx)
             for k, skills in zip(live, plans)
         ]
-        responses = csa_block_act(csa, live, csa_states)
+        responses = csa_block_act(csa, live, csa_states, rngs)
         for k, state, csa_state, response in zip(live, states, csa_states, responses):
             obs[k], reward, done = envs[k].step(csa_state.constraint, response)
             turns[k].append(TurnRecord(state, csa_state, response, reward))
@@ -330,7 +313,7 @@ def episode_gradients(
 
 
 def _play(
-    env: DialogueEnv,
+    envs: Sequence[DialogueEnv],
     expert: ExpertPolicy | None,
     csa: CsaPolicy,
     base_seed: int,
@@ -339,35 +322,27 @@ def _play(
     greedy: bool,
 ) -> list[Trajectory]:
     """Play the given episodes of one seed stream, in order, drawing each
-    trajectory with one ``rollout`` pull.  Sampled episodes play one at a
-    time on ``env``.  Greedy episodes play in lockstep blocks of ``BLOCK``
-    consecutive ids (``_play_block``), the first pull of a block playing
-    all of it, on ``env`` and up to ``BLOCK - 1`` more environments built
-    once per call."""
-    if greedy:
-        episodes = _greedy_episodes(env, expert, csa, base_seed, stream, episode_ids)
-    else:
-        episodes = _sampled_episodes(env, expert, csa, base_seed, stream, episode_ids)
+    trajectory with one ``rollout`` pull.  Episodes play in lockstep blocks
+    of ``BLOCK`` consecutive ids (``_play_block``) on ``envs``, which holds
+    at least as many environments as the largest block; the first pull of
+    a block plays all of it."""
+    episodes = _episodes(envs, expert, csa, base_seed, stream, episode_ids, greedy)
     # ``rollout`` is looked up on every pull, so a wrapper bound to the
     # module sees one call per episode
     return [rollout(episodes) for _ in episode_ids]
 
 
-def _sampled_episodes(env, expert, csa, base_seed, stream, episode_ids) -> Iterator[Trajectory]:
-    for i in episode_ids:
-        env_seed, agent_seed = episode_seeds(base_seed, stream, i)
-        rng = np.random.default_rng(agent_seed)
-        yield _play_episode(env, expert, csa, rng, episode_id=i, env_seed=env_seed)
-
-
-def _greedy_episodes(env, expert, csa, base_seed, stream, episode_ids) -> Iterator[Trajectory]:
-    envs = [env] + [
-        DialogueEnv(env.cfg, env.reward_cfg) for _ in range(min(BLOCK, len(episode_ids)) - 1)
-    ]
+def _episodes(envs, expert, csa, base_seed, stream, episode_ids, greedy) -> Iterator[Trajectory]:
     for start in range(0, len(episode_ids), BLOCK):
         ids = episode_ids[start : start + BLOCK]
-        seeds = [episode_seeds(base_seed, stream, i)[0] for i in ids]
-        yield from _play_block(envs, expert, csa, seeds, ids)
+        seeds = [episode_seeds(base_seed, stream, i) for i in ids]
+        rngs = None if greedy else [np.random.default_rng(agent) for _, agent in seeds]
+        yield from _play_block(envs, expert, csa, [env for env, _ in seeds], ids, rngs)
+
+
+def _block_envs(cfg: GlobalConfig, n_episodes: int) -> list[DialogueEnv]:
+    """The environments of blocks of up to ``n_episodes`` episodes."""
+    return [DialogueEnv(cfg.env, cfg.reward) for _ in range(min(BLOCK, n_episodes))]
 
 
 def _evaluate(
@@ -380,8 +355,8 @@ def _evaluate(
     """Greedy evaluation over fresh episodes from the shared eval stream;
     returns the report row (labelled with ``cfg.train.variant``) and the
     evaluated trajectories."""
-    env = DialogueEnv(cfg.env, cfg.reward)
-    trajs = _play(env, expert, csa, base_seed, _STREAM_EVAL, range(n_episodes), True)
+    envs = _block_envs(cfg, n_episodes)
+    trajs = _play(envs, expert, csa, base_seed, _STREAM_EVAL, range(n_episodes), True)
     refs = reference_responses(trajs, cfg.env)
     return aggregate(trajs, cfg.tse, refs, variant=cfg.train.variant), trajs
 
@@ -497,7 +472,7 @@ def train(cfg: GlobalConfig, out_dir=None) -> tuple[MetricReport, list[Trajector
     and network whose loss is non-finite, and each network's mean loss.
     """
     train_cfg = cfg.train
-    env = DialogueEnv(cfg.env, cfg.reward)
+    envs = _block_envs(cfg, train_cfg.batch_size)
     run_dir = Path(cfg.output_dir if out_dir is None else out_dir)
     run_dir.mkdir(parents=True, exist_ok=True)
     ckpt_dir = run_dir / "checkpoints"
@@ -537,7 +512,7 @@ def train(cfg: GlobalConfig, out_dir=None) -> tuple[MetricReport, list[Trajector
         metrics_fh.write(METRIC_CSV_HEADER + "\n")
         curves_fh.write(CURVES_CSV_HEADER + "\n")
         for update, episode_ids in enumerate(batches):
-            batch = _play(env, expert, csa, train_cfg.seed, _STREAM_TRAIN, episode_ids, False)
+            batch = _play(envs, expert, csa, train_cfg.seed, _STREAM_TRAIN, episode_ids, False)
             for traj in batch:
                 traj_fh.write(trajectory_to_json(traj) + "\n")
 

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -100,7 +101,8 @@ def _acted_log_prob(net, act):
 
     def recorder(x, **kwargs):
         out = forward(x, **kwargs)
-        dists.append(stable_softmax(out))
+        # a responder act feeds a padded block, its one state at block row 0
+        dists.append(stable_softmax(out[0] if out.ndim == 2 else out))
         return out
 
     net.forward = recorder
@@ -607,7 +609,7 @@ class TestActMatchesOracle:
             mine, theirs = self._twins(600 + trial)
             rows = _recording(policy.generator)
             (resp,) = csa_act(policy, state, mine, greedy=greedy)
-            # a greedy act feeds a padded block, its one state at block row 0
+            # a responder act feeds a padded block, its one state at block row 0
             rows = [row[0] if row.ndim == 2 else row for row in rows]
             del policy.generator.forward
             want, want_lp, want_ents = oracle_csa_act(policy, state, theirs, greedy=greedy)
@@ -670,8 +672,8 @@ class TestDraw:
             [0.25, np.nan, 0.75], [1.0, np.inf, 0.0], [np.inf, np.inf, 0.0], [-np.inf] * 3
         ):
             for banned in (None, 2):
-                # inf - inf warns before it gives NaN weights
-                with np.errstate(invalid="ignore"), pytest.raises(ValueError):
+                # the weights raise before ``inf - inf`` could warn
+                with pytest.raises(ValueError, match="logits are not finite"):
                     _sampled_step(np.array(logits), banned, mine)
         assert mine.random() == fresh.random()
 
@@ -702,6 +704,27 @@ class TestDraw:
         csa.generator.biases[-1][0] = np.inf
         with pytest.raises(ValueError, match="logits are not finite"):
             csa_act(csa, random_csa_state(spec, rng), None, greedy=True)
+
+    @pytest.mark.parametrize("policy_kind", ["expert", "csa"])
+    def test_sampled_act_on_infinite_maximum_raises(self, spec, policy_kind):
+        """An infinite logit raises before any ``random()`` is drawn and
+        without a warning (``inf - inf`` would warn), in the responder's
+        block, whose padding rows carry the same infinite logit, and in the
+        planner's one-row loop."""
+        rng = np.random.default_rng(58)
+        mine, fresh = np.random.default_rng(59), np.random.default_rng(59)
+        if policy_kind == "csa":
+            policy, act, state = _csa(spec, seed=58), csa_act, random_csa_state(spec, rng)
+            net = policy.generator
+        else:
+            policy, act = _expert(spec, seed=58), expert_act
+            state, net = random_expert_state(spec, rng), policy.actor
+        net.biases[-1][0] = np.inf
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="logits are not finite"):
+                act(policy, state, mine)
+        assert mine.random() == fresh.random()
 
 
 class TestDiversityDirection:

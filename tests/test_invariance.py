@@ -1,6 +1,6 @@
 """What must not change output bytes: how episodes are grouped into one
-``_play`` call and into greedy blocks, where a state sits in a greedy block,
-and the BLAS thread count of a training or evaluation process."""
+``_play`` call and into blocks, where a state sits in a block, greedy or
+sampled, and the BLAS thread count of a training or evaluation process."""
 
 import dataclasses
 import json
@@ -35,24 +35,24 @@ ROOT = Path(__file__).resolve().parents[1]
 SRC = ROOT / "src"
 CHECKPOINTS = ROOT / "perfbench" / "checkpoints"
 
-# two full greedy blocks and a short last one, out of order, with a repeat
+# two full blocks and a short last one, out of order, with a repeat
 EPISODE_IDS = [4, 0, 7, 0, 2, 9, 13, 5, 11, 3, 16, 8, 1, 12, 6, 10, 14]
 
 
 def assert_play_is_invariant(cfg, episode_ids, greedy):
-    """Play ``episode_ids`` in order with ``_play`` on one shared
-    environment; each trajectory's JSON line must equal the line of the same
-    episode played alone on a fresh environment (greedy, at row 0 of a
+    """Play ``episode_ids`` in order with ``_play`` on one shared set of
+    block environments; each trajectory's JSON line must equal the line of
+    the same episode played alone on a fresh environment (at row 0 of a
     block of one live row)."""
     expert, csa = build_policies(cfg.env, cfg.train)
     stream = _STREAM_EVAL if greedy else _STREAM_TRAIN
     seed = cfg.train.seed
-    shared = DialogueEnv(cfg.env, cfg.reward)
+    shared = [DialogueEnv(cfg.env, cfg.reward) for _ in range(BLOCK)]
     together = _play(shared, expert, csa, seed, stream, episode_ids, greedy)
     assert [t.episode_id for t in together] == list(episode_ids)
     for traj in together:
         line = trajectory_to_json(traj)
-        fresh = DialogueEnv(cfg.env, cfg.reward)
+        fresh = [DialogueEnv(cfg.env, cfg.reward)]
         (alone,) = _play(fresh, expert, csa, seed, stream, [traj.episode_id], greedy)
         assert line == trajectory_to_json(alone), traj.episode_id
 
@@ -60,8 +60,9 @@ def assert_play_is_invariant(cfg, episode_ids, greedy):
 @pytest.mark.parametrize("greedy", [True, False], ids=["greedy", "sampled"])
 @pytest.mark.parametrize("variant", ["full", "no-expert"])
 def test_play_of_an_episode_does_not_depend_on_its_neighbours(variant, greedy):
-    # every episode starts from ``reset`` alone; greedy, episode ids[k] plays
-    # at block row k % BLOCK, and alone at row 0 of a block of one
+    # every episode starts from ``reset`` alone and, sampled, draws from its
+    # own generator; episode ids[k] plays at block row k % BLOCK, and alone
+    # at row 0 of a block of one
     assert len(EPISODE_IDS) == 2 * BLOCK + 1
     cfg = dataclasses.replace(
         DEFAULT_CFG, train=dataclasses.replace(DEFAULT_CFG.train, variant=variant)
@@ -69,11 +70,18 @@ def test_play_of_an_episode_does_not_depend_on_its_neighbours(variant, greedy):
     assert_play_is_invariant(cfg, EPISODE_IDS, greedy)
 
 
-@pytest.mark.parametrize("policy_kind", ["expert", "csa"])
-def test_greedy_act_does_not_depend_on_its_block_row(policy_kind):
+@pytest.mark.parametrize(
+    "policy_kind, greedy",
+    [("expert", True), ("csa", True), ("csa", False)],
+    ids=["expert", "csa", "csa-sampled"],
+)
+def test_greedy_act_does_not_depend_on_its_block_row(policy_kind, greedy):
     """A state acted on alone (block row 0, the other rows padding) gets the
     symbols it gets at every row of a block whose other rows are other
-    random states, on the trained weights, whose distributions are sharp."""
+    random states, on the trained weights, whose distributions are sharp.
+    Sampled, the state draws from a generator of a fixed seed, the other
+    rows from generators of their own, and the state's generator also ends
+    where it ends alone."""
     expert, csa = build_policies(DEFAULT_CFG.env, DEFAULT_CFG.train)
     load_checkpoints(CHECKPOINTS, expert, csa)
     spec = csa.spec
@@ -82,13 +90,22 @@ def test_greedy_act_does_not_depend_on_its_block_row(policy_kind):
         "csa": (csa, csa_act, csa_block_act, random_csa_state),
     }[policy_kind]
     rng = np.random.default_rng(23)
-    for _ in range(6):
+    for trial in range(6):
         state = random_state(spec, rng)
-        (alone,) = act(policy, state, None, greedy=True)
+        mine = None if greedy else np.random.default_rng(700 + trial)
+        (alone,) = act(policy, state, mine, greedy=greedy)
+        after = None if greedy else mine.random()
         for row in range(BLOCK):
             states = [random_state(spec, rng) for _ in range(BLOCK)]
             states[row] = state
-            assert block_act(policy, list(range(BLOCK)), states)[row] == alone, row
+            if greedy:
+                got = block_act(policy, list(range(BLOCK)), states)
+            else:
+                rngs = [np.random.default_rng(rng.integers(2**32)) for _ in range(BLOCK)]
+                rngs[row] = mine = np.random.default_rng(700 + trial)
+                got = block_act(policy, list(range(BLOCK)), states, rngs)
+                assert mine.random() == after, row
+            assert got[row] == alone, row
 
 
 def _contents(run_dir):

@@ -425,7 +425,7 @@ class TestJudge:
 
 class TestReferences:
     def test_reference_realizes_required_markers(self, env_cfg):
-        from gopo.trainer import _play_episode
+        from gopo.trainer import _play_block
         from gopo.agents import CsaPolicy, ExpertPolicy, FeatureSpec
         import numpy as np
 
@@ -433,7 +433,7 @@ class TestReferences:
         expert = ExpertPolicy(spec, hidden=8, entropy_coeff=0.01, seed=2)
         csa = CsaPolicy(spec, hidden=8, loss_weights=(1.0, 0.5, 0.01), seed=3)
         env = DialogueEnv(env_cfg, REWARD_CFG)
-        traj = _play_episode(env, expert, csa, np.random.default_rng(4), env_seed=29)
+        (traj,) = _play_block([env], expert, csa, [29], [0], [np.random.default_rng(4)])
         (refs,) = reference_responses([traj], env_cfg)
         assert len(refs) == len(traj.turns) > 1
         for turn, ref in zip(traj.turns, refs):
@@ -443,7 +443,7 @@ class TestReferences:
             assert response_markers(ref, env_cfg.token_markers) == frozenset(want)
 
     def test_reference_responses_from_logged_trajectory(self, env_cfg):
-        from gopo.trainer import _play_episode
+        from gopo.trainer import _play_block
         from gopo.agents import CsaPolicy, ExpertPolicy, FeatureSpec
         import numpy as np
 
@@ -451,7 +451,7 @@ class TestReferences:
         expert = ExpertPolicy(spec, hidden=8, entropy_coeff=0.01, seed=0)
         csa = CsaPolicy(spec, hidden=8, loss_weights=(1.0, 0.5, 0.01), seed=1)
         env = DialogueEnv(env_cfg, REWARD_CFG)
-        traj = _play_episode(env, expert, csa, np.random.default_rng(0), env_seed=17)
+        (traj,) = _play_block([env], expert, csa, [17], [0], [np.random.default_rng(0)])
         (refs,) = reference_responses([traj], env_cfg)
         assert len(refs) == len(traj.turns)
         assert all(len(r) >= 1 for r in refs)

@@ -26,7 +26,7 @@ from gopo.trainer import (
     CURVES_CSV_HEADER,
     _STREAM_EVAL,
     _play,
-    _play_episode,
+    _play_block,
     GlobalConfig,
     TrainingDiverged,
     ablate,
@@ -41,6 +41,13 @@ from conftest import DEFAULT_CFG
 from oracles import oracle_discounted_returns, validate_trajectory
 
 REWARD_CFG = DEFAULT_CFG.reward
+
+
+def _play_one(env, expert, csa, rng, env_seed):
+    """One sampled episode from ``env.reset(env_seed)``, drawing from
+    ``rng``: a block of one live episode."""
+    (traj,) = _play_block([env], expert, csa, [env_seed], [0], [rng])
+    return traj
 
 
 def tiny_train_cfg(**overrides):
@@ -138,13 +145,13 @@ class TestPolicies:
 class TestRollout:
     def test_deterministic_given_seed(self, tiny_world):
         env, expert, csa = tiny_world
-        a = _play_episode(env, expert, csa, np.random.default_rng(9), env_seed=5)
-        b = _play_episode(env, expert, csa, np.random.default_rng(9), env_seed=5)
+        a = _play_one(env, expert, csa, np.random.default_rng(9), env_seed=5)
+        b = _play_one(env, expert, csa, np.random.default_rng(9), env_seed=5)
         assert trajectory_to_json(a) == trajectory_to_json(b)
 
     def test_logged_joint_recomputes_from_parts(self, tiny_world, tiny_env_cfg):
         env, expert, csa = tiny_world
-        traj = _play_episode(env, expert, csa, np.random.default_rng(2), env_seed=7)
+        traj = _play_one(env, expert, csa, np.random.default_rng(2), env_seed=7)
         for t in traj.turns:
             r = t.reward
             assert r.joint == r.w_expert * r.r_expert + r.w_csa * r.r_csa
@@ -152,7 +159,7 @@ class TestRollout:
 
     def test_no_expert_rollout(self, tiny_world, tiny_env_cfg):
         env, _, csa = tiny_world
-        traj = _play_episode(env, None, csa, np.random.default_rng(0), env_seed=1)
+        traj = _play_one(env, None, csa, np.random.default_rng(0), env_seed=1)
         assert all(t.reward.r_expert == 0.0 for t in traj.turns)
         assert all(t.csa_state.constraint is None for t in traj.turns)
         assert validate_trajectory(
@@ -161,9 +168,10 @@ class TestRollout:
 
     @pytest.mark.parametrize("with_planner", [True, False])
     def test_greedy_rollouts_are_valid(self, tiny_world, tiny_env_cfg, with_planner):
-        env, expert, csa = tiny_world
+        _, expert, csa = tiny_world
+        envs = [DialogueEnv(tiny_env_cfg, REWARD_CFG) for _ in range(5)]
         trajs = _play(
-            env, expert if with_planner else None, csa, 0, _STREAM_EVAL, range(5), True
+            envs, expert if with_planner else None, csa, 0, _STREAM_EVAL, range(5), True
         )
         for traj in trajs:
             assert traj.terminal_reason in ("all_milestones", "horizon")
@@ -173,7 +181,7 @@ class TestRollout:
 
     def test_untrained_policies_still_fully_scored(self, tiny_world):
         env, expert, csa = tiny_world
-        traj = _play_episode(env, expert, csa, np.random.default_rng(1), env_seed=2)
+        traj = _play_one(env, expert, csa, np.random.default_rng(1), env_seed=2)
         assert len(traj.turns) >= 1
         for t in traj.turns:
             assert 0.0 <= t.reward.r_expert <= 1.0
@@ -183,7 +191,7 @@ class TestRollout:
     def test_bounded_rewards_across_seeds(self, tiny_world):
         env, expert, csa = tiny_world
         for seed in range(20):
-            traj = _play_episode(env, expert, csa, np.random.default_rng(seed), env_seed=seed)
+            traj = _play_one(env, expert, csa, np.random.default_rng(seed), env_seed=seed)
             for t in traj.turns:
                 assert 0.0 <= t.reward.r_expert <= 1.0
                 assert 0.0 <= t.reward.r_csa <= 1.0
@@ -240,7 +248,7 @@ class TestAdvantages:
             np.random.default_rng(5).normal(0, 0.5, expert.critic.n_params)
         )
         for seed in range(5):
-            traj = _play_episode(
+            traj = _play_one(
                 env, expert, csa, np.random.default_rng(seed), env_seed=seed
             )
             states = [t.expert_state for t in traj.turns]
@@ -375,7 +383,7 @@ class TestEpisodeGradients:
     def test_responder_coefficients_follow_turn_order(self, tiny_world):
         env, expert, csa = tiny_world
         batch = [
-            _play_episode(env, expert, csa, np.random.default_rng(i), env_seed=i)
+            _play_one(env, expert, csa, np.random.default_rng(i), env_seed=i)
             for i in range(3)
         ]
         coeffs, baseline = responder_coefficients(batch, 0.5)
