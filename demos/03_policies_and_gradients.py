@@ -40,7 +40,8 @@ seq_entropy = -expert_loss(expert, rows, [seq], [0.0])[0] / alpha
 seq_log_prob = -expert_loss(expert, rows, [seq], [1.0])[0] - alpha * seq_entropy
 print(f"sampled skill sequence {seq.skills}  "
       f"log-prob {seq_log_prob:.3f}  entropy {seq_entropy:.3f}")
-(greedy_seq,) = expert_act(expert, obs.expert_state, None, greedy=True)
+# without a generator the act is greedy
+(greedy_seq,) = expert_act(expert, obs.expert_state, None)
 print(f"greedy skill sequence  {greedy_seq.skills}")
 
 state = CsaState(obs.csa_utterance, seq, obs.business_ctx)

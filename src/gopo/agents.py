@@ -24,19 +24,20 @@ draw rule (``simenv.draw``: one ``random()`` scaled by the total and
 searched from the right).  The index is the one ``rng.choice(q.size,
 p=q)`` picks on the normalised law ``q``, from the same one ``random()``,
 except when that ``random()`` falls within rounding of a boundary.
-Non-finite logits raise ``ValueError`` before any draw, sampled or
-greedy.  The responder acts in one block loop (``_block_act``), greedy or
-sampled: every step is one ``forward(X, logits=True)`` over a block of
-``BLOCK`` rows; a greedy live row takes the argmax of its logits, the
-lowest index on a tie, and a sampled live row makes one draw from its own
-episode's generator.  Rows of finished sequences and unused rows stay in
-the block, so every logit comes from a product of ``BLOCK`` rows, and (as
-measured on OpenBLAS's Haswell kernel, see ``BLOCK``) a row's symbols and
-its generator's draws depend neither on its position nor on the other
-rows.  A ``csa_act`` is the block loop with one live row.  The planner
-acts greedily in the same block loop (``expert_block_act``; a greedy
-``expert_act`` is one live row) and samples one state at a time
-(``_act``), so a traced training run still sees its act spans.
+Non-finite logits raise ``NonFiniteLogits`` (a ``ValueError``) before any
+draw, sampled or greedy.  Both policies act in one loop, ``_block_act``:
+every step is one ``forward(X, logits=True)`` over a block of rows; a
+greedy live row takes the argmax of its logits, the lowest index on a tie,
+and a sampled live row makes one draw from its own generator.  A block act
+(``expert_block_act``, ``csa_block_act``) runs ``BLOCK`` rows, padded with
+finished and unused rows, so every logit comes from a ``BLOCK``-row
+product and (as measured on OpenBLAS's Haswell kernel, see ``BLOCK``) a
+row's symbols and draws depend neither on its position nor on the other
+rows.  A single act (``expert_act``, ``csa_act``) runs its state's one
+row, greedy when given no generator; a one-row product has a vector's
+bits, the oracles' bits, which a block row's logits do not have.
+Training samples the planner with single acts, so a traced training run
+still sees its act spans.
 Log-probabilities and entropies exist only in the teacher-forced loss pass
 (``_sequence_terms``): a sequence's log-probability follows the sampling
 law (masked, renormalized first step), while its entropy is that of the
@@ -46,8 +47,8 @@ are checkable against central finite differences.
 
 Each policy defines its network-input row once: ``first_rows`` builds the
 step-0 rows of stacked feature rows, and ``advance`` turns one row, in
-place, into the next step's row after an emitted symbol.  Acting (``_act``
-and ``_block_act``) advances each live row after each step; teacher
+place, into the next step's row after an emitted symbol.  Acting
+(``_block_act``) advances each live row after each step; teacher
 forcing (``_forced_rows``) replays ``advance`` over each realized
 sequence.  So the losses train on exactly the rows acting fed the network.
 
@@ -74,17 +75,19 @@ from .core import (
     SkillSequence,
     response_markers,
 )
-from .neural import Mlp, softmax_weights
+from .neural import Mlp, NonFiniteLogits, softmax_weights
 from .simenv import EnvConfig, draw
 
 _BUSINESS_DIM = 6  # order status one-hot (3) + stock level one-hot (3)
 
-# Rows of every act block, greedy or sampled.  A multiple of 4 below 256:
+# Rows of every block act, greedy or sampled.  A multiple of 4 below 256:
 # measured on OpenBLAS 0.3.31 (Haswell kernel), a row's bits in such a
-# product depend neither on its position nor on the other rows, and equal
-# the one-row path's, so neither do its symbols or its generator's draws.
-# Other kernels are unchecked; the block-row and pinned-row tests in
-# tests/test_invariance.py are the check there.
+# product depend neither on its position nor on the other rows, so neither
+# do its symbols or its generator's draws.  They are not a one-row product's
+# bits (on the trained checkpoints every row's logits differed, by up to
+# 3.6e-15), so a single act of a state can differ from its block row at a
+# tie or a draw's boundary.  Other kernels are unchecked; the block-row and
+# pinned-row tests in tests/test_invariance.py are the check there.
 BLOCK = 8
 _BLOCK_ROWS = np.arange(BLOCK)
 # a sampled step's live rows passed ``softmax_weights``'s finiteness check
@@ -211,69 +214,39 @@ def _padded_symbols(
     sequences: list[tuple[int, ...]], cap: int, stop: int
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Each realized sequence with its closing ``stop`` (absent at the cap),
-    padded with ``stop`` to ``cap`` steps: the ``(turns, cap)`` symbol
-    matrix, the number of emitted symbols per turn, and the mask of realized
-    steps."""
+    padded with ``stop`` to the longest one's steps, at most ``cap``: the
+    ``(turns, steps)`` symbol matrix, the number of emitted symbols per
+    turn, and the mask of realized steps."""
     n_emitted = np.array([len(seq) for seq in sequences])
-    symbols = np.full((len(sequences), cap), stop)
+    n_steps = n_emitted + (n_emitted < cap)
+    symbols = np.full((len(sequences), n_steps.max()), stop)
     for i, seq in enumerate(sequences):
         symbols[i, : len(seq)] = seq
-    realized = np.arange(cap) < (n_emitted + (n_emitted < cap))[:, None]
+    realized = np.arange(symbols.shape[1]) < n_steps[:, None]
     return symbols, n_emitted, realized
-
-
-def _act(policy, net: Mlp, x: np.ndarray, cap: int, stop: int, rng) -> list[int]:
-    """The planner's sampled autoregressive loop, on one state: from the
-    step-0 row ``x``, draw the step's symbol with ``stop`` masked on the
-    first step, and advance ``x`` in place, until ``stop`` or ``cap`` steps;
-    one ``forward(x, logits=True)`` per step and no softmax.  A step makes
-    one draw (``simenv.draw``) from the cumulative ``softmax_weights`` of
-    the logits, proportional to ``stable_softmax``'s law: the index
-    ``rng.choice`` picks on that law, except within rounding of a boundary.
-    It raises, before drawing, on non-finite logits (``softmax_weights``).
-    Returns the emitted symbols only: their log-probability and entropies
-    are the loss pass's (``_sequence_terms``)."""
-    # bound once per act: the loop runs up to ``cap`` steps
-    forward, advance, accumulate = net.forward, policy.advance, np.add.accumulate
-    symbols: list[int] = []
-    prev = None
-    last = cap - 1
-    for step in range(cap):
-        # forward returns a fresh array, so the step-0 mask goes in place
-        w = softmax_weights(forward(x, logits=True))
-        if step == 0:
-            w[stop] = 0.0
-        sym = draw(accumulate(w), rng)
-        if sym == stop:
-            break
-        symbols.append(sym)
-        if step < last:
-            advance(x, step, sym, prev)
-        prev = sym
-    return symbols
 
 
 def _block_act(
     policy, net: Mlp, x: np.ndarray, rows, cap: int, stop: int, rngs=None
 ) -> list[list[int]]:
-    """The block loop both policies act with: ``x`` holds ``BLOCK`` step-0
-    rows, of which ``rows`` are live.  Each step is one ``forward(x,
-    logits=True)`` over the whole block, with ``stop`` masked on the first
-    step; each live row picks a symbol and is advanced in place, until it
-    picks ``stop`` or reaches ``cap`` steps.  Greedy (``rngs`` None), a row
-    takes the argmax of its logits, the lowest index on a tie, and a live
-    row whose chosen logit is not finite raises (``argmax`` picks the first
-    NaN if there is one).  Sampled, the live rows' ``softmax_weights`` are
-    cumulated row-wise and live row ``r`` makes one ``simenv.draw`` from
-    ``rngs[r]``, its own generator; only live rows are weighed, so a
-    padding row neither raises nor warns, and a live row's non-finite
-    logits raise before any draw.  Finished and unused rows stay in ``x``
-    (padding, never compaction), so every logit comes from a ``BLOCK``-row
-    product and a row's symbols do not depend on its position or on the
-    other rows.  Returns each live row's emitted symbols, in the order of
-    ``rows``."""
+    """The one act loop of both policies: ``x`` holds a block of step-0
+    rows (``BLOCK`` for a block act, one for a single act), of which
+    ``rows`` are live.  Each step is one ``forward(x, logits=True)`` over
+    the whole block, with ``stop`` masked on the first step; each live row
+    picks a symbol and is advanced in place, until it picks ``stop`` or
+    reaches ``cap`` steps.  Greedy (``rngs`` None), a row takes the argmax
+    of its logits, the lowest index on a tie, and a live row whose chosen
+    logit is not finite raises ``NonFiniteLogits`` (``argmax`` picks the
+    first NaN if there is one).  Sampled, the live rows' ``softmax_weights``
+    are cumulated row-wise and live row ``r`` makes one ``simenv.draw`` from
+    ``rngs[r]``; only live rows are weighed, so a padding row neither raises
+    nor warns, and a live row's non-finite logits raise before any draw.
+    Finished and unused rows stay in ``x`` (padding, never compaction), so
+    a row's symbols do not depend on its position or on the other rows.
+    Returns each live row's emitted symbols, in the order of ``rows``."""
     forward, advance = net.forward, policy.advance
-    symbols: list[list[int]] = [[] for _ in range(BLOCK)]
+    block_rows = _BLOCK_ROWS[: len(x)]
+    symbols: list[list[int]] = [[] for _ in range(len(x))]
     live = list(rows)
     last = cap - 1
     for step in range(cap):
@@ -284,10 +257,10 @@ def _block_act(
             if step == 0:
                 z[:, stop] = -np.inf
             picks = z.argmax(axis=1)
-            finite = np.isfinite(z[_BLOCK_ROWS, picks]).tolist()
+            finite = np.isfinite(z[block_rows, picks]).tolist()
             picks = picks.tolist()
         else:
-            w = softmax_weights(z[live])
+            w = softmax_weights(z if len(live) == len(z) else z[live])
             if step == 0:
                 w[:, stop] = 0.0
             cdfs = np.add.accumulate(w, axis=1)
@@ -296,7 +269,7 @@ def _block_act(
         still = []
         for r in live:
             if not finite[r]:
-                raise ValueError("logits are not finite")
+                raise NonFiniteLogits("logits are not finite")
             sym = picks[r]
             if sym != stop:
                 seq = symbols[r]
@@ -377,24 +350,22 @@ class ExpertPolicy:
 
 
 def expert_act(
-    policy: ExpertPolicy,
-    state: ExpertState,
-    rng: np.random.Generator | None,
-    greedy: bool = False,
+    policy: ExpertPolicy, state: ExpertState, rng: np.random.Generator | None
 ) -> tuple[SkillSequence]:
-    """Sample (or argmax) a skill sequence.  STOP is masked on the first
-    slot, so sequences are never empty.  A sampled act runs ``_act``; a
-    greedy one is ``expert_block_act`` with the state alone at block row 0.
+    """A skill sequence sampled from ``rng``, or the greedy one when ``rng``
+    is None: ``_block_act`` over the state's one slot-0 row.  STOP is
+    masked on the first slot, so sequences are never empty.
 
     Returns the one-element tuple ``(SkillSequence,)``: the tuple is kept
     only because the benchmark's traced step counter reads the sequence as
     ``result[0]``.  The sequence's log-probability and entropy come from
     ``expert_loss``.
     """
-    if greedy:
-        return (expert_block_act(policy, [0], [state])[0],)
-    x = policy.first_rows(policy.spec.expert_features(state)[None])[0]
-    skills = _act(policy, policy.actor, x, MAX_SKILL_SEQUENCE_LEN, policy.stop_index, rng)
+    x = policy.first_rows(policy.spec.expert_features(state)[None])
+    rngs = None if rng is None else [rng]
+    (skills,) = _block_act(
+        policy, policy.actor, x, [0], MAX_SKILL_SEQUENCE_LEN, policy.stop_index, rngs
+    )
     return (SkillSequence(tuple(skills)),)
 
 
@@ -532,20 +503,23 @@ class CsaPolicy:
 
 
 def csa_act(
-    policy: CsaPolicy,
-    state: CsaState,
-    rng: np.random.Generator | None,
-    greedy: bool = False,
+    policy: CsaPolicy, state: CsaState, rng: np.random.Generator | None
 ) -> tuple[Response]:
-    """Generate a response autoregressively until END or the length cap;
-    END is masked on the first step.  The act is ``csa_block_act`` with the
-    state alone at block row 0, drawing from ``rng`` unless ``greedy``.
+    """A response sampled from ``rng``, or the greedy one when ``rng`` is
+    None: ``_block_act`` over the state's one step-0 row, emitting tokens
+    until END or the length cap, END masked on the first step.
 
     Returns the one-element tuple ``(Response,)``: the tuple is kept only
     because the benchmark's traced step counter reads the response as
     ``result[0]``.  The response's log-probability and entropies come from
     ``csa_loss`` (``L_p`` and ``L_d``)."""
-    return (csa_block_act(policy, [0], [state], None if greedy else [rng])[0],)
+    spec = policy.spec
+    x = policy.first_rows(spec.csa_features(state)[None])
+    rngs = None if rng is None else [rng]
+    (tokens,) = _block_act(
+        policy, policy.generator, x, [0], spec.max_response_len, policy.end_index, rngs
+    )
+    return (_response(tokens, spec),)
 
 
 def csa_block_act(policy: CsaPolicy, rows, states, rngs=None) -> list[Response]:
@@ -611,11 +585,12 @@ def csa_loss(
     # Coverage per turn over its token steps: miss[i, t, m] is the
     # probability that step t of turn i emits no carrier of marker m, set to
     # 1 on the END step and past it; a turn without tokens or required
-    # markers has zero weight.
+    # markers has zero weight.  Steps past the longest realized response
+    # would only multiply by exact ones, so the cap does not size ``miss``.
     n_req = required.sum(axis=1, keepdims=True)
     weight = np.where((n_req > 0) & (n_tok[:, None] > 0), required / np.maximum(n_req, 1), 0.0)
-    on_token = np.arange(cap) < n_tok[:, None]
-    miss = np.ones((len(states), cap, nm))
+    on_token = np.arange(realized.shape[1]) < n_tok[:, None]
+    miss = np.ones((len(states), realized.shape[1], nm))
     miss[on_token] = 1.0 - p[on_token[realized]] @ policy.carriers
     ones = np.ones((len(states), 1, nm))
     prefix = np.concatenate([ones, np.cumprod(miss, axis=1)], axis=1)

@@ -18,8 +18,8 @@ header's columns or with a non-numeric field after the variant, and a
 curves row without the header's columns or with a non-numeric field.  Exit
 codes: 0 success; 1 invalid configuration, checkpoint, metrics or curves
 file or command-line usage, reported as one ``error: ...`` line on stderr;
-2 runtime failure (a diverged loss or an I/O error).  Log verbosity comes
-from the GOPO_LOG_LEVEL environment variable (error, info, or debug).
+2 runtime failure (a diverged training run or an I/O error).  Log verbosity
+comes from the GOPO_LOG_LEVEL environment variable (error, info, or debug).
 """
 
 from __future__ import annotations

@@ -38,6 +38,10 @@ PROB_FLOOR = 1e-12
 CHECKPOINT_VERSION = 1
 
 
+class NonFiniteLogits(ValueError):
+    """The logits an act reads are not finite where they decide the act."""
+
+
 def _softmax_raw(logits: np.ndarray) -> np.ndarray:
     # the reductions ``.max`` and ``.sum`` run, without their Python wrappers
     z = logits - np.maximum.reduce(logits, axis=-1, keepdims=True)
@@ -58,13 +62,13 @@ def softmax_weights(logits: np.ndarray) -> np.ndarray:
     ``e = exp(logits - logits.max())``.  Since ``stable_softmax`` is ``(e /
     e.sum() + PROB_FLOOR) / (1 + n * PROB_FLOOR)``, the weights are those
     probabilities times one positive factor per row, so a caller that draws
-    from a row by its own sum needs no division.  Raises, before any
-    arithmetic that could warn, when a row's maximum is not finite (a NaN
-    or ``+inf`` logit, or all ``-inf``); other rows never change a row's
-    bits."""
+    from a row by its own sum needs no division.  Raises ``NonFiniteLogits``,
+    before any arithmetic that could warn, when a row's maximum is not
+    finite (a NaN or ``+inf`` logit, or all ``-inf``); other rows never
+    change a row's bits."""
     m = np.maximum.reduce(logits, axis=-1, keepdims=True)
     if not np.isfinite(m).all():
-        raise ValueError("logits are not finite")
+        raise NonFiniteLogits("logits are not finite")
     e = logits - m
     np.exp(e, out=e)
     e += PROB_FLOOR * np.add.reduce(e, axis=-1, keepdims=True)

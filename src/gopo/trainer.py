@@ -60,6 +60,7 @@ with ``load_checkpoints``.
 
 from __future__ import annotations
 
+import contextlib
 import dataclasses
 import json
 import math
@@ -87,7 +88,8 @@ from .agents import (
 )
 from .core import CsaState, Trajectory, TurnRecord, trajectory_to_json
 from .metrics import METRIC_CSV_HEADER, MetricReport, TseConfig, aggregate
-from .neural import AdamState, Mlp, adam_step, clip_grad_norm, load_checkpoint, save_checkpoint
+from .neural import AdamState, Mlp, NonFiniteLogits, adam_step, clip_grad_norm
+from .neural import load_checkpoint, save_checkpoint
 from .rewards import RewardConfig
 from .simenv import (
     ConfigError,
@@ -112,7 +114,7 @@ _STREAM_CSA_INIT = 0xC5
 
 
 class TrainingDiverged(RuntimeError):
-    """Raised when a loss goes non-finite; diagnostics are dumped first."""
+    """Raised when a loss or an act's logits go non-finite; diagnostics first."""
 
 
 @dataclass(frozen=True)
@@ -450,6 +452,21 @@ def load_checkpoints(ckpt_dir, expert: ExpertPolicy | None, csa: CsaPolicy) -> i
     return step
 
 
+@contextlib.contextmanager
+def _acting(run_dir: Path, what: str, **where):
+    """Acting inside that meets non-finite logits ends the run as a
+    divergence: ``diagnostics.json`` holds ``where`` and says that acting
+    failed.  The overflow and invalid arithmetic that led there do not warn."""
+    try:
+        with np.errstate(over="ignore", invalid="ignore"):
+            yield
+    except NonFiniteLogits as exc:
+        diag = {**where, "acting": str(exc)}
+        (run_dir / "diagnostics.json").write_text(json.dumps(diag, indent=2, allow_nan=False))
+        message = f"non-finite logits while acting in {what}; diagnostics dumped"
+        raise TrainingDiverged(message) from exc
+
+
 def train(cfg: GlobalConfig, out_dir=None) -> tuple[MetricReport, list[Trajectory]]:
     """Run one training job and populate its run directory, ``out_dir`` or
     else ``cfg.output_dir``; ``config.copy`` is ``cfg`` as given, so where a
@@ -470,6 +487,8 @@ def train(cfg: GlobalConfig, out_dir=None) -> tuple[MetricReport, list[Trajector
     update's losses are taken; ``diagnostics.json`` (strict JSON, null for
     a non-finite number) names the update, its episodes, the first episode
     and network whose loss is non-finite, and each network's mean loss.
+    An act on non-finite logits stops it the same way (``_acting``), and
+    the overflow behind them does not warn.
     """
     train_cfg = cfg.train
     envs = _block_envs(cfg, train_cfg.batch_size)
@@ -512,7 +531,9 @@ def train(cfg: GlobalConfig, out_dir=None) -> tuple[MetricReport, list[Trajector
         metrics_fh.write(METRIC_CSV_HEADER + "\n")
         curves_fh.write(CURVES_CSV_HEADER + "\n")
         for update, episode_ids in enumerate(batches):
-            batch = _play(envs, expert, csa, train_cfg.seed, _STREAM_TRAIN, episode_ids, False)
+            where = {"update": update, "episode_ids": list(episode_ids)}
+            with _acting(run_dir, f"update {update}", **where):
+                batch = _play(envs, expert, csa, train_cfg.seed, _STREAM_TRAIN, episode_ids, False)
             for traj in batch:
                 traj_fh.write(trajectory_to_json(traj) + "\n")
 
@@ -534,8 +555,7 @@ def train(cfg: GlobalConfig, out_dir=None) -> tuple[MetricReport, list[Trajector
             mean_loss = {name: loss / n_turns for name, loss in losses.items()}
             if non_finite is not None:
                 diag = {
-                    "update": update,
-                    "episode_ids": list(episode_ids),
+                    **where,
                     "first_non_finite": non_finite,
                     "mean_loss": {
                         name: loss if math.isfinite(loss) else None
@@ -568,15 +588,15 @@ def train(cfg: GlobalConfig, out_dir=None) -> tuple[MetricReport, list[Trajector
                 f"{mean_loss.get('expert', 0.0):.6f},{mean_loss['csa']:.6f}\n"
             )
             if step % train_cfg.eval_every == 0 and step < len(batches):
-                report, _ = _evaluate(
-                    cfg, expert, csa, train_cfg.eval_episodes, train_cfg.seed
-                )
+                with _acting(run_dir, f"the evaluation at step {step}", evaluation_step=step):
+                    report, _ = _evaluate(cfg, expert, csa, train_cfg.eval_episodes, train_cfg.seed)
                 metrics_fh.write(report.csv_row() + "\n")
                 save_ckpts(step)
 
-        final_report, final_trajs = _evaluate(
-            cfg, expert, csa, train_cfg.eval_episodes, train_cfg.seed
-        )
+        with _acting(run_dir, "the final evaluation", evaluation_step=len(batches)):
+            final_report, final_trajs = _evaluate(
+                cfg, expert, csa, train_cfg.eval_episodes, train_cfg.seed
+            )
         metrics_fh.write(final_report.csv_row() + "\n")
         save_ckpts(len(batches))
 

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import warnings
 
@@ -134,11 +135,9 @@ class TestExpertAct:
     def test_greedy_is_deterministic_and_rng_free(self, spec):
         policy = _expert(spec, seed=4)
         state = random_expert_state(spec, np.random.default_rng(2))
-        rng = np.random.default_rng(99)
-        (a1,) = expert_act(policy, state, None, greedy=True)
-        (a2,) = expert_act(policy, state, rng, greedy=True)
+        (a1,) = expert_act(policy, state, None)
+        (a2,) = expert_act(policy, state, None)
         assert a1 == a2
-        assert rng.random() == np.random.default_rng(99).random()
 
     def test_length_cap_over_many_draws(self, spec):
         policy = _expert(spec, seed=5)
@@ -204,12 +203,12 @@ class TestExpertLoss:
         policy = _expert(spec, seed=9)
         state = random_expert_state(spec, np.random.default_rng(8))
         rows = expert_rows(policy, [state])
-        (action,) = expert_act(policy, state, None, greedy=True)
+        (action,) = expert_act(policy, state, None)
         lp, ent = _expert_terms(policy, state, action)
         loss, _ = expert_loss(policy, rows, [action], [0.7])
         # add a constant to every output logit via the last-layer bias
         policy.actor.biases[-1] = policy.actor.biases[-1] + 3.7
-        (action2,) = expert_act(policy, state, None, greedy=True)
+        (action2,) = expert_act(policy, state, None)
         lp2, ent2 = _expert_terms(policy, state, action2)
         loss2, _ = expert_loss(policy, rows, [action2], [0.7])
         assert action2 == action
@@ -263,11 +262,9 @@ class TestCsaAct:
     def test_greedy_deterministic(self, spec):
         policy = _csa(spec, seed=14)
         state = random_csa_state(spec, np.random.default_rng(14))
-        rng = np.random.default_rng(5)
-        (r1,) = csa_act(policy, state, None, greedy=True)
-        (r2,) = csa_act(policy, state, rng, greedy=True)
+        (r1,) = csa_act(policy, state, None)
+        (r2,) = csa_act(policy, state, None)
         assert r1 == r2
-        assert rng.random() == np.random.default_rng(5).random()
 
     def test_length_cap(self, spec):
         policy = _csa(spec, seed=15)
@@ -303,7 +300,7 @@ class TestCsaLoss:
         policy.generator.set_params(np.zeros(policy.generator.n_params))
         policy.generator.biases[-1][3] = 60.0
         state = random_csa_state(spec, np.random.default_rng(18))
-        (resp,) = csa_act(policy, state, None, greedy=True)
+        (resp,) = csa_act(policy, state, None)
         _, _, comps = csa_loss(policy, [state], [resp], [0.0])
         assert abs(comps["L_d"]) < 1e-4
 
@@ -442,6 +439,16 @@ class TestBatchedLossesMatchOracles:
             policy, state = self._csa_instance(spec, rng, 220 + trial, constraint)
             self._check_csa(policy, state, random_response(spec, rng), float(rng.normal(0, 1)))
 
+    def test_csa_with_a_cap_far_above_every_response(self, spec):
+        """The loss pads to the longest realized response, not to the
+        length cap: at a cap of 10**9 it allocates what the tiny cap needs
+        and still matches the oracle."""
+        far = dataclasses.replace(spec, max_response_len=10**9)
+        rng = np.random.default_rng(37)
+        for trial in range(5):
+            policy, state = self._csa_instance(far, rng, 260 + trial, SkillSequence((0, 3)))
+            self._check_csa(policy, state, random_response(spec, rng), float(rng.normal(0, 1)))
+
     @pytest.mark.parametrize("constrained", [True, False])
     def test_csa_one_token_and_full_length_without_end(self, spec, constrained):
         from gopo.core import Response, response_markers
@@ -492,7 +499,7 @@ def test_greedy_step_is_the_argmax_of_the_logits(spec):
         logits[1], logits[3] = z1, z3
         p = policy.actor.forward(np.zeros(policy.actor.layer_sizes[0]))
         assert p[1] == p[3]
-        (action,) = expert_act(policy, state, None, greedy=True)
+        (action,) = expert_act(policy, state, None)
         assert action.skills == (want,) * MAX_SKILL_SEQUENCE_LEN
 
 
@@ -502,7 +509,8 @@ def test_act_runs_one_forward_per_step_and_greedy_no_softmax(
     spec, monkeypatch, policy_kind, greedy
 ):
     """Acting runs one ``Mlp.forward(x, logits=True)`` per realized step,
-    greedy or sampled, and no act runs the softmax."""
+    greedy or sampled, each over one ``(1, d)`` row, and no act runs the
+    softmax."""
     def no_softmax(*args, **kwargs):
         raise AssertionError("an act ran the softmax")
 
@@ -521,12 +529,16 @@ def test_act_runs_one_forward_per_step_and_greedy_no_softmax(
         calls = []
         forward = net.forward
         monkeypatch.setattr(
-            net, "forward", lambda x, **kwargs: calls.append(kwargs) or forward(x, **kwargs)
+            net,
+            "forward",
+            lambda x, **kwargs: calls.append((x.shape, kwargs)) or forward(x, **kwargs),
         )
-        (result,) = act(policy, state, rng, greedy=greedy)
+        (result,) = act(policy, state, None if greedy else rng)
         symbols = result.skills if policy_kind == "expert" else result.tokens
         assert len(calls) == min(len(symbols) + 1, cap)
-        assert all(kwargs == {"logits": True} for kwargs in calls)
+        assert all(kwargs == {"logits": True} for _, kwargs in calls)
+        # a single act runs its state's one row
+        assert all(shape == (1, net.layer_sizes[0]) for shape, _ in calls)
 
 
 class TestActMatchesOracle:
@@ -567,9 +579,9 @@ class TestActMatchesOracle:
             state = random_expert_state(spec, rng)
             mine, theirs = self._twins(500 + trial)
             rows = _recording(policy.actor)
-            (action,) = expert_act(policy, state, mine, greedy=greedy)
-            # a greedy act feeds a padded block, its one state at block row 0
-            rows = [row[0] if row.ndim == 2 else row for row in rows]
+            (action,) = expert_act(policy, state, None if greedy else mine)
+            # a single act feeds a one-row block
+            rows = [row[0] for row in rows]
             del policy.actor.forward
             want, want_lp, want_ent = oracle_expert_act(policy, state, theirs, greedy=greedy)
             assert action.skills == want
@@ -608,9 +620,9 @@ class TestActMatchesOracle:
                 state = CsaState(state.utterance, None, state.business_ctx)
             mine, theirs = self._twins(600 + trial)
             rows = _recording(policy.generator)
-            (resp,) = csa_act(policy, state, mine, greedy=greedy)
-            # a responder act feeds a padded block, its one state at block row 0
-            rows = [row[0] if row.ndim == 2 else row for row in rows]
+            (resp,) = csa_act(policy, state, None if greedy else mine)
+            # a single act feeds a one-row block
+            rows = [row[0] for row in rows]
             del policy.generator.forward
             want, want_lp, want_ents = oracle_csa_act(policy, state, theirs, greedy=greedy)
             assert resp.tokens == want
@@ -637,9 +649,9 @@ class TestActMatchesOracle:
 
 
 def _sampled_step(logits, banned, rng):
-    """A sampled act step as ``agents._act`` makes it: the cumulative
-    ``softmax_weights`` of the logits, ``banned`` (if any) zeroed, one
-    ``draw``."""
+    """A sampled act step as ``agents._block_act`` makes it for one row:
+    the cumulative ``softmax_weights`` of the logits, ``banned`` (if any)
+    zeroed, one ``draw``."""
     w = softmax_weights(logits)
     if banned is not None:
         w[banned] = 0.0
@@ -694,23 +706,22 @@ class TestDraw:
         for net in (csa.generator, expert.actor):
             net.set_params(np.full(net.n_params, np.nan))
         with pytest.raises(ValueError, match="logits are not finite"):
-            csa_act(csa, random_csa_state(spec, rng), None, greedy=True)
+            csa_act(csa, random_csa_state(spec, rng), None)
         with pytest.raises(ValueError, match="logits are not finite"):
-            expert_act(expert, random_expert_state(spec, rng), None, greedy=True)
+            expert_act(expert, random_expert_state(spec, rng), None)
 
     def test_greedy_act_on_infinite_maximum_raises(self, spec):
         rng = np.random.default_rng(57)
         csa = _csa(spec, seed=57)
         csa.generator.biases[-1][0] = np.inf
         with pytest.raises(ValueError, match="logits are not finite"):
-            csa_act(csa, random_csa_state(spec, rng), None, greedy=True)
+            csa_act(csa, random_csa_state(spec, rng), None)
 
     @pytest.mark.parametrize("policy_kind", ["expert", "csa"])
     def test_sampled_act_on_infinite_maximum_raises(self, spec, policy_kind):
         """An infinite logit raises before any ``random()`` is drawn and
-        without a warning (``inf - inf`` would warn), in the responder's
-        block, whose padding rows carry the same infinite logit, and in the
-        planner's one-row loop."""
+        without a warning (``inf - inf`` would warn), in either policy's
+        single act."""
         rng = np.random.default_rng(58)
         mine, fresh = np.random.default_rng(59), np.random.default_rng(59)
         if policy_kind == "csa":

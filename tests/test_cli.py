@@ -146,6 +146,27 @@ class TestTrainCommand:
             != (tmp_path / "b" / "trajectories.jsonl").read_bytes()
         )
 
+    @pytest.mark.parametrize("episodes, where", [
+        pytest.param(16, {"update": 1, "episode_ids": list(range(8, 16))}, id="training-batch"),
+        pytest.param(8, {"evaluation_step": 1}, id="evaluation"),
+    ])
+    def test_overflowing_update_exits_2_as_a_divergence(self, tmp_path, capsys, episodes, where):
+        """Update 0 leaves the responder's parameters finite but near
+        1e308, so the next act overflows to non-finite logits: in the next
+        training batch, or in the final evaluation after a single update.
+        The run ends as a divergence, with one ``error:`` line, exit 2 and
+        diagnostics that name where acting diverged, and without a warning
+        (warnings are errors here)."""
+        config = write_tiny_config(
+            tmp_path / "config.json", tmp_path / "run", episodes=episodes, lr_csa=1e308
+        )
+        assert main(["train", str(config)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: non-finite logits while acting in ")
+        assert err.count("\n") == 1
+        diag = json.loads((tmp_path / "run" / "diagnostics.json").read_text())
+        assert diag == {**where, "acting": "logits are not finite"}
+
     def test_invalid_log_level_rejected(self, tiny_config, monkeypatch, capsys):
         monkeypatch.setenv("GOPO_LOG_LEVEL", "verbose")
         rc = main(["train", str(tiny_config)])

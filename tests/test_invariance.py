@@ -13,7 +13,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from gopo.agents import BLOCK, csa_act, csa_block_act, expert_act, expert_block_act
+from gopo.agents import BLOCK, csa_block_act, expert_block_act
 from gopo.core import trajectory_to_json
 from gopo.simenv import DialogueEnv
 from gopo.trainer import (
@@ -76,25 +76,28 @@ def test_play_of_an_episode_does_not_depend_on_its_neighbours(variant, greedy):
     ids=["expert", "csa", "csa-sampled"],
 )
 def test_greedy_act_does_not_depend_on_its_block_row(policy_kind, greedy):
-    """A state acted on alone (block row 0, the other rows padding) gets the
-    symbols it gets at every row of a block whose other rows are other
-    random states, on the trained weights, whose distributions are sharp.
-    Sampled, the state draws from a generator of a fixed seed, the other
-    rows from generators of their own, and the state's generator also ends
-    where it ends alone."""
+    """A state acted on alone (a block act with the state at row 0, the
+    other rows padding) gets the symbols it gets at every row of a block
+    whose other rows are other random states, on the trained weights,
+    whose distributions are sharp.  Sampled, the state draws from a
+    generator of a fixed seed, the other rows from generators of their own,
+    and the state's generator also ends where it ends alone."""
     expert, csa = build_policies(DEFAULT_CFG.env, DEFAULT_CFG.train)
     load_checkpoints(CHECKPOINTS, expert, csa)
     spec = csa.spec
-    policy, act, block_act, random_state = {
-        "expert": (expert, expert_act, expert_block_act, random_expert_state),
-        "csa": (csa, csa_act, csa_block_act, random_csa_state),
+    policy, block_act, random_state = {
+        "expert": (expert, expert_block_act, random_expert_state),
+        "csa": (csa, csa_block_act, random_csa_state),
     }[policy_kind]
     rng = np.random.default_rng(23)
     for trial in range(6):
         state = random_state(spec, rng)
-        mine = None if greedy else np.random.default_rng(700 + trial)
-        (alone,) = act(policy, state, mine, greedy=greedy)
-        after = None if greedy else mine.random()
+        if greedy:
+            (alone,) = block_act(policy, [0], [state])
+        else:
+            mine = np.random.default_rng(700 + trial)
+            (alone,) = block_act(policy, [0], [state], [mine])
+            after = mine.random()
         for row in range(BLOCK):
             states = [random_state(spec, rng) for _ in range(BLOCK)]
             states[row] = state
