@@ -260,7 +260,7 @@ def _block_act(
             finite = np.isfinite(z[block_rows, picks]).tolist()
             picks = picks.tolist()
         else:
-            w = softmax_weights(z if len(live) == len(z) else z[live])
+            w = softmax_weights(z[live])
             if step == 0:
                 w[:, stop] = 0.0
             cdfs = np.add.accumulate(w, axis=1)

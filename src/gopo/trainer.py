@@ -212,7 +212,8 @@ def _play_block(
     ``expert_block_act`` (greedy) or one ``expert_act`` per live episode
     (sampled); then each live episode steps its own environment, which
     scores the turn, and records its turn.  A finished episode's row stays
-    in the block as padding.
+    in the block as padding.  Acts, not scoring, run without overflow
+    warnings; weights gone non-finite raise ``NonFiniteLogits`` there.
 
     With ``expert=None`` (the no-planner ablation) the responder receives a
     null constraint, which the environment scores with planner reward 0.
@@ -222,17 +223,18 @@ def _play_block(
     while obs:
         live = list(obs)
         states = [obs[k].expert_state for k in live]
-        if expert is None:
-            plans = [None] * len(live)
-        elif rngs is None:
-            plans = expert_block_act(expert, live, states)
-        else:
-            plans = [expert_act(expert, s, rngs[k])[0] for k, s in zip(live, states)]
-        csa_states = [
-            CsaState(obs[k].csa_utterance, skills, obs[k].business_ctx)
-            for k, skills in zip(live, plans)
-        ]
-        responses = csa_block_act(csa, live, csa_states, rngs)
+        with np.errstate(over="ignore", invalid="ignore"):
+            if expert is None:
+                plans = [None] * len(live)
+            elif rngs is None:
+                plans = expert_block_act(expert, live, states)
+            else:
+                plans = [expert_act(expert, s, rngs[k])[0] for k, s in zip(live, states)]
+            csa_states = [
+                CsaState(obs[k].csa_utterance, skills, obs[k].business_ctx)
+                for k, skills in zip(live, plans)
+            ]
+            responses = csa_block_act(csa, live, csa_states, rngs)
         for k, state, csa_state, response in zip(live, states, csa_states, responses):
             obs[k], reward, done = envs[k].step(csa_state.constraint, response)
             turns[k].append(TurnRecord(state, csa_state, response, reward))
@@ -452,19 +454,21 @@ def load_checkpoints(ckpt_dir, expert: ExpertPolicy | None, csa: CsaPolicy) -> i
     return step
 
 
+def _diverged(run_dir: Path, diag: dict, message: str) -> TrainingDiverged:
+    """Dump ``diag`` to ``diagnostics.json``; the error that ends the run."""
+    (run_dir / "diagnostics.json").write_text(json.dumps(diag, indent=2, allow_nan=False))
+    return TrainingDiverged(f"{message}; diagnostics dumped")
+
+
 @contextlib.contextmanager
 def _acting(run_dir: Path, what: str, **where):
-    """Acting inside that meets non-finite logits ends the run as a
-    divergence: ``diagnostics.json`` holds ``where`` and says that acting
-    failed.  The overflow and invalid arithmetic that led there do not warn."""
+    """Non-finite logits met while acting inside end the run as a divergence:
+    ``diagnostics.json`` holds ``where`` and says that acting failed."""
     try:
-        with np.errstate(over="ignore", invalid="ignore"):
-            yield
+        yield
     except NonFiniteLogits as exc:
         diag = {**where, "acting": str(exc)}
-        (run_dir / "diagnostics.json").write_text(json.dumps(diag, indent=2, allow_nan=False))
-        message = f"non-finite logits while acting in {what}; diagnostics dumped"
-        raise TrainingDiverged(message) from exc
+        raise _diverged(run_dir, diag, f"non-finite logits while acting in {what}") from exc
 
 
 def train(cfg: GlobalConfig, out_dir=None) -> tuple[MetricReport, list[Trajectory]]:
@@ -487,8 +491,7 @@ def train(cfg: GlobalConfig, out_dir=None) -> tuple[MetricReport, list[Trajector
     update's losses are taken; ``diagnostics.json`` (strict JSON, null for
     a non-finite number) names the update, its episodes, the first episode
     and network whose loss is non-finite, and each network's mean loss.
-    An act on non-finite logits stops it the same way (``_acting``), and
-    the overflow behind them does not warn.
+    An act on non-finite logits stops it the same way (``_acting``).
     """
     train_cfg = cfg.train
     envs = _block_envs(cfg, train_cfg.batch_size)
@@ -562,13 +565,8 @@ def train(cfg: GlobalConfig, out_dir=None) -> tuple[MetricReport, list[Trajector
                         for name, loss in mean_loss.items()
                     },
                 }
-                (run_dir / "diagnostics.json").write_text(
-                    json.dumps(diag, indent=2, allow_nan=False)
-                )
-                raise TrainingDiverged(
-                    f"non-finite {non_finite['network']} loss in episode "
-                    f"{non_finite['episode_id']} at update {update}; diagnostics dumped"
-                )
+                bad = f"{non_finite['network']} loss in episode {non_finite['episode_id']}"
+                raise _diverged(run_dir, diag, f"non-finite {bad} at update {update}")
 
             for name, net in nets.items():
                 # During warmup the planner's actor is frozen while the

@@ -111,6 +111,39 @@ def test_greedy_act_does_not_depend_on_its_block_row(policy_kind, greedy):
             assert got[row] == alone, row
 
 
+@pytest.mark.parametrize(
+    "policy_kind, greedy",
+    [("expert", True), ("csa", True), ("csa", False)],
+    ids=["expert", "csa", "csa-sampled"],
+)
+def test_block_act_pairs_states_with_rows_given_in_any_order(policy_kind, greedy):
+    """A full block whose rows are given out of order: state ``k``, at
+    block row ``rows[k]``, gets what it gets acted on alone at that row
+    (the other rows padding), sampled drawing from that row's generator,
+    and the results come back in the order of ``rows``."""
+    expert, csa = build_policies(DEFAULT_CFG.env, DEFAULT_CFG.train)
+    load_checkpoints(CHECKPOINTS, expert, csa)
+    policy, block_act, random_state = {
+        "expert": (expert, expert_block_act, random_expert_state),
+        "csa": (csa, csa_block_act, random_csa_state),
+    }[policy_kind]
+    rng = np.random.default_rng(29)
+    for _ in range(3):
+        rows = rng.permutation(BLOCK).tolist()
+        assert rows != sorted(rows)
+        states = [random_state(csa.spec, rng) for _ in range(BLOCK)]
+        seeds = rng.integers(2**32, size=BLOCK)
+
+        def act(rows, states):
+            if greedy:
+                return block_act(policy, rows, states)
+            return block_act(policy, rows, states, [np.random.default_rng(s) for s in seeds])
+
+        got = act(rows, states)
+        for row, state, result in zip(rows, states, got):
+            assert act([row], [state]) == [result], row
+
+
 def _contents(run_dir):
     """Every file's bytes; a checkpoint contributes its zip members' bytes,
     because the zip headers carry the time they were written."""
