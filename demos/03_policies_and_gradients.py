@@ -56,7 +56,7 @@ total, grad, comps = csa_loss(csa, [state], [response], [0.7])
 print(f"\ncomposite loss {total:.4f}  components "
       f"L_p {comps['L_p']:.3f}  L_s {comps['L_s']:.3f}  L_d {comps['L_d']:.3f}")
 
-params = csa.generator.get_params()
+params = csa.net.get_params()
 step = 1e-5
 idx = np.argsort(-np.abs(grad))[:8]  # the most influential parameters
 print("\ncoordinate      analytic        finite-diff")
@@ -64,11 +64,11 @@ for i in idx:
     up, down = params.copy(), params.copy()
     up[i] += step
     down[i] -= step
-    csa.generator.set_params(up)
+    csa.net.set_params(up)
     f_up = csa_loss(csa, [state], [response], [0.7])[0]
-    csa.generator.set_params(down)
+    csa.net.set_params(down)
     f_down = csa_loss(csa, [state], [response], [0.7])[0]
-    csa.generator.set_params(params)
+    csa.net.set_params(params)
     fd = (f_up - f_down) / (2 * step)
     print(f"  {i:6d}    {grad[i]:+12.8f}    {fd:+12.8f}")
 

@@ -29,15 +29,14 @@ draw, sampled or greedy.  Both policies act in one loop, ``_block_act``:
 every step is one ``forward(X, logits=True)`` over a block of rows; a
 greedy live row takes the argmax of its logits, the lowest index on a tie,
 and a sampled live row makes one draw from its own generator.  A block act
-(``expert_block_act``, ``csa_block_act``) runs ``BLOCK`` rows, padded with
+(``block_act``, for either policy) runs ``BLOCK`` rows, padded with
 finished and unused rows, so every logit comes from a ``BLOCK``-row
-product and (as measured on OpenBLAS's Haswell kernel, see ``BLOCK``) a
-row's symbols and draws depend neither on its position nor on the other
-rows.  A single act (``expert_act``, ``csa_act``) runs its state's one
-row, greedy when given no generator; a one-row product has a vector's
-bits, the oracles' bits, which a block row's logits do not have.
-Training samples the planner with single acts, so a traced training run
-still sees its act spans.
+product and (on every OpenBLAS kernel checked, see ``BLOCK``) a row's
+symbols and draws depend neither on its position nor on the other rows.
+A single act (``expert_act``, ``csa_act``) runs its state's one row,
+greedy when given no generator; a one-row product's bits, which the
+oracles share, are not a block row's bits.  Training samples the planner
+with single acts, so a traced training run still sees its act spans.
 Log-probabilities and entropies exist only in the teacher-forced loss pass
 (``_sequence_terms``): a sequence's log-probability follows the sampling
 law (masked, renormalized first step), while its entropy is that of the
@@ -45,12 +44,18 @@ raw per-step distributions including the stop symbol.  Every loss here is
 a deterministic function of (parameters, state, action), so all gradients
 are checkable against central finite differences.
 
-Each policy defines its network-input row once: ``first_rows`` builds the
-step-0 rows of stacked feature rows, and ``advance`` turns one row, in
-place, into the next step's row after an emitted symbol.  Acting
-(``_block_act``) advances each live row after each step; teacher
-forcing (``_forced_rows``) replays ``advance`` over each realized
-sequence.  So the losses train on exactly the rows acting fed the network.
+Both policies are sequence policies with one interface, which the act
+loop, the block act and teacher forcing use alike: ``net``, the sequence
+network (the planner's actor, the responder's generator); ``cap``, the
+most symbols a sequence holds; ``stop``, the symbol that ends it early
+(STOP or END); ``features``, a state's feature row; ``action``, the act's
+value (``SkillSequence`` or ``Response``) of the emitted symbols; and the
+network-input row, defined once: ``first_rows`` builds the step-0 rows of
+stacked feature rows, and ``advance`` turns one row, in place, into the
+next step's row after an emitted symbol.  Acting (``_block_act``)
+advances each live row after each step; teacher forcing (``_forced_rows``)
+replays ``advance`` over each realized sequence.  So the losses train on
+exactly the rows acting fed the network.
 
 The losses are teacher-forced over a whole episode: the input rows of every
 realized step of every turn are stacked in turn and step order, so each
@@ -80,14 +85,16 @@ from .simenv import EnvConfig, draw
 
 _BUSINESS_DIM = 6  # order status one-hot (3) + stock level one-hot (3)
 
-# Rows of every block act, greedy or sampled.  A multiple of 4 below 256:
-# measured on OpenBLAS 0.3.31 (Haswell kernel), a row's bits in such a
-# product depend neither on its position nor on the other rows, so neither
-# do its symbols or its generator's draws.  They are not a one-row product's
-# bits (on the trained checkpoints every row's logits differed, by up to
-# 3.6e-15), so a single act of a state can differ from its block row at a
-# tie or a draw's boundary.  Other kernels are unchecked; the block-row and
-# pinned-row tests in tests/test_invariance.py are the check there.
+# Rows of every block act, greedy or sampled.  A multiple of 4 below 256: a
+# row's bits in such a product depend neither on its position nor on the
+# other rows, so neither do its symbols or its generator's draws.  Checked
+# on each OpenBLAS 0.3.31 kernel the CPU runs, SkylakeX, Haswell,
+# Sandybridge, Nehalem and Katmai on an AVX-512 CPU (tests/test_invariance.py);
+# other kernels (ARM) are unchecked.  The bits themselves differ between
+# kernels, so checkpoints are byte-identical per kernel only.  They are not
+# a one-row product's bits (on the trained checkpoints every row's logits
+# differed, by up to 3.6e-15), so a single act of a state can differ from
+# its block row at a tie or a draw's boundary.
 BLOCK = 8
 _BLOCK_ROWS = np.arange(BLOCK)
 # a sampled step's live rows passed ``softmax_weights``'s finiteness check
@@ -211,40 +218,40 @@ def _sequence_terms(
 
 
 def _padded_symbols(
-    sequences: list[tuple[int, ...]], cap: int, stop: int
+    policy, sequences: list[tuple[int, ...]]
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Each realized sequence with its closing ``stop`` (absent at the cap),
-    padded with ``stop`` to the longest one's steps, at most ``cap``: the
-    ``(turns, steps)`` symbol matrix, the number of emitted symbols per
-    turn, and the mask of realized steps."""
+    """Each realized sequence with its closing stop symbol (absent at the
+    cap), padded with the stop symbol to the longest one's steps, at most
+    the cap: the ``(turns, steps)`` symbol matrix, the number of emitted
+    symbols per turn, and the mask of realized steps."""
     n_emitted = np.array([len(seq) for seq in sequences])
-    n_steps = n_emitted + (n_emitted < cap)
-    symbols = np.full((len(sequences), n_steps.max()), stop)
+    n_steps = n_emitted + (n_emitted < policy.cap)
+    symbols = np.full((len(sequences), n_steps.max()), policy.stop)
     for i, seq in enumerate(sequences):
         symbols[i, : len(seq)] = seq
     realized = np.arange(symbols.shape[1]) < n_steps[:, None]
     return symbols, n_emitted, realized
 
 
-def _block_act(
-    policy, net: Mlp, x: np.ndarray, rows, cap: int, stop: int, rngs=None
-) -> list[list[int]]:
+def _block_act(policy, x: np.ndarray, rows, rngs=None) -> list[list[int]]:
     """The one act loop of both policies: ``x`` holds a block of step-0
     rows (``BLOCK`` for a block act, one for a single act), of which
-    ``rows`` are live.  Each step is one ``forward(x, logits=True)`` over
-    the whole block, with ``stop`` masked on the first step; each live row
-    picks a symbol and is advanced in place, until it picks ``stop`` or
-    reaches ``cap`` steps.  Greedy (``rngs`` None), a row takes the argmax
-    of its logits, the lowest index on a tie, and a live row whose chosen
-    logit is not finite raises ``NonFiniteLogits`` (``argmax`` picks the
-    first NaN if there is one).  Sampled, the live rows' ``softmax_weights``
-    are cumulated row-wise and live row ``r`` makes one ``simenv.draw`` from
-    ``rngs[r]``; only live rows are weighed, so a padding row neither raises
-    nor warns, and a live row's non-finite logits raise before any draw.
-    Finished and unused rows stay in ``x`` (padding, never compaction), so
-    a row's symbols do not depend on its position or on the other rows.
-    Returns each live row's emitted symbols, in the order of ``rows``."""
-    forward, advance = net.forward, policy.advance
+    ``rows`` are live.  Each step is one ``forward(x, logits=True)`` of the
+    policy's ``net`` over the whole block, with its ``stop`` symbol masked
+    on the first step; each live row picks a symbol and is advanced in
+    place, until it picks ``stop`` or reaches ``cap`` steps.  Greedy
+    (``rngs`` None), a row takes the argmax of its logits, the lowest index
+    on a tie, and a live row whose chosen logit is not finite raises
+    ``NonFiniteLogits`` (``argmax`` picks the first NaN if there is one).
+    Sampled, the live rows' ``softmax_weights`` are cumulated row-wise and
+    live row ``r`` makes one ``simenv.draw`` from ``rngs[r]``; only live
+    rows are weighed, so a padding row neither raises nor warns, and a live
+    row's non-finite logits raise before any draw.  Finished and unused
+    rows stay in ``x`` (padding, never compaction), so a row's symbols do
+    not depend on its position or on the other rows.  Returns each live
+    row's emitted symbols, in the order of ``rows``."""
+    forward, advance = policy.net.forward, policy.advance
+    cap, stop = policy.cap, policy.stop
     block_rows = _BLOCK_ROWS[: len(x)]
     symbols: list[list[int]] = [[] for _ in range(len(x))]
     live = list(rows)
@@ -283,15 +290,36 @@ def _block_act(
     return [symbols[r] for r in rows]
 
 
+def _one_act(policy, state, rng: np.random.Generator | None) -> tuple:
+    """A single act: ``_block_act`` over the state's one step-0 row, a
+    ``(1, d)`` product, greedy when ``rng`` is None.  Returns the
+    one-element tuple of the act's action."""
+    x = policy.first_rows(policy.features(state)[None])
+    (symbols,) = _block_act(policy, x, [0], None if rng is None else [rng])
+    return (policy.action(symbols),)
+
+
+def block_act(policy, rows, states, rngs=None) -> list:
+    """The actions of up to ``BLOCK`` states of either policy, state ``k``
+    at block row ``rows[k]``, in one ``_block_act`` loop; the other rows
+    are padding (the step-0 rows of zero features).  Greedy without
+    ``rngs``; otherwise sampled, block row ``r`` drawing from ``rngs[r]``."""
+    feats = np.stack([policy.features(s) for s in states])
+    block = np.zeros((BLOCK, feats.shape[1]))
+    block[rows] = feats
+    symbols = _block_act(policy, policy.first_rows(block), rows, rngs)
+    return [policy.action(s) for s in symbols]
+
+
 def _forced_rows(
-    policy, first_rows: np.ndarray, sequences: list[tuple[int, ...]], cap: int
+    policy, first_rows: np.ndarray, sequences: list[tuple[int, ...]]
 ) -> np.ndarray:
     """The teacher-forced input rows of realized sequences: each sequence's
     step-0 row (one row of ``first_rows`` per sequence), then ``advance``
     replayed over its symbols, one row per realized step (the emitted
     symbols and the closing stop, absent at the cap), stacked in sequence
     and step order: the rows acting fed the network."""
-    lengths = [min(len(seq) + 1, cap) for seq in sequences]
+    lengths = [min(len(seq) + 1, policy.cap) for seq in sequences]
     x = np.empty((sum(lengths), first_rows.shape[1]))
     i = 0
     for row, seq, n in zip(first_rows, sequences, lengths):
@@ -310,7 +338,7 @@ def _forced_rows(
 
 
 class ExpertPolicy:
-    """Skill-sequence actor plus state-value critic."""
+    """Skill-sequence actor (``net``) plus state-value critic."""
 
     def __init__(
         self,
@@ -321,21 +349,28 @@ class ExpertPolicy:
     ):
         self.spec = spec
         self.entropy_coeff = float(entropy_coeff)
-        self.stop_index = spec.n_skills
+        self.cap = MAX_SKILL_SEQUENCE_LEN
+        self.stop = spec.n_skills
         actor_seed, critic_seed = np.random.SeedSequence(seed).spawn(2)
-        in_dim = spec.expert_dim + spec.n_skills + MAX_SKILL_SEQUENCE_LEN
-        self.actor = Mlp([in_dim, hidden, spec.n_skills + 1], head="softmax", seed=actor_seed)
+        in_dim = spec.expert_dim + spec.n_skills + self.cap
+        self.net = Mlp([in_dim, hidden, spec.n_skills + 1], head="softmax", seed=actor_seed)
         self.critic = Mlp([spec.expert_dim, hidden, 1], head="linear", seed=critic_seed)
         # where the chosen-skill multi-hot and the slot one-hot start in an
         # actor row
         self._chosen_at = spec.expert_dim
         self._slot_at = spec.expert_dim + spec.n_skills
 
+    def features(self, state: ExpertState) -> np.ndarray:
+        return self.spec.expert_features(state)
+
+    def action(self, skills: list[int]) -> SkillSequence:
+        return SkillSequence(tuple(skills))
+
     def first_rows(self, features: np.ndarray) -> np.ndarray:
         """The slot-0 actor rows of stacked feature rows.  An actor row holds
         the planner features, the chosen-skill multi-hot and the slot
         one-hot; at slot 0 no skill is chosen."""
-        x = np.zeros((len(features), self.actor.layer_sizes[0]))
+        x = np.zeros((len(features), self.net.layer_sizes[0]))
         x[:, : self._chosen_at] = features
         x[:, self._slot_at] = 1.0
         return x
@@ -353,41 +388,21 @@ def expert_act(
     policy: ExpertPolicy, state: ExpertState, rng: np.random.Generator | None
 ) -> tuple[SkillSequence]:
     """A skill sequence sampled from ``rng``, or the greedy one when ``rng``
-    is None: ``_block_act`` over the state's one slot-0 row.  STOP is
-    masked on the first slot, so sequences are never empty.
+    is None: a single act (``_one_act``).  STOP is masked on the first
+    slot, so sequences are never empty.
 
     Returns the one-element tuple ``(SkillSequence,)``: the tuple is kept
     only because the benchmark's traced step counter reads the sequence as
     ``result[0]``.  The sequence's log-probability and entropy come from
     ``expert_loss``.
     """
-    x = policy.first_rows(policy.spec.expert_features(state)[None])
-    rngs = None if rng is None else [rng]
-    (skills,) = _block_act(
-        policy, policy.actor, x, [0], MAX_SKILL_SEQUENCE_LEN, policy.stop_index, rngs
-    )
-    return (SkillSequence(tuple(skills)),)
-
-
-def expert_block_act(policy: ExpertPolicy, rows, states) -> list[SkillSequence]:
-    """Greedy skill sequences of up to ``BLOCK`` planner states, state ``k``
-    at block row ``rows[k]``, in one ``_block_act`` loop; the other rows
-    are padding."""
-    spec = policy.spec
-    feats = np.zeros((BLOCK, spec.expert_dim))
-    for r, state in zip(rows, states):
-        feats[r] = spec.expert_features(state)
-    x = policy.first_rows(feats)
-    plans = _block_act(
-        policy, policy.actor, x, rows, MAX_SKILL_SEQUENCE_LEN, policy.stop_index
-    )
-    return [SkillSequence(tuple(skills)) for skills in plans]
+    return _one_act(policy, state, rng)
 
 
 def expert_rows(policy: ExpertPolicy, states) -> np.ndarray:
     """The feature rows of a sequence of planner states, stacked: the
     critic's input and the head of every actor slot row."""
-    return np.stack([policy.spec.expert_features(s) for s in states])
+    return np.stack([policy.features(s) for s in states])
 
 
 def expert_loss(
@@ -405,18 +420,17 @@ def expert_loss(
     one action and one advantage per row.  The slot rows of every realized
     sequence are stacked, so the actor runs one forward and one backward
     pass."""
-    cap = MAX_SKILL_SEQUENCE_LEN
     sequences = [a.skills for a in actions]
-    symbols, _, realized = _padded_symbols(sequences, cap, policy.stop_index)
-    x = _forced_rows(policy, policy.first_rows(rows), sequences, cap)
-    p = policy.actor.forward(x)
+    symbols, _, realized = _padded_symbols(policy, sequences)
+    x = _forced_rows(policy, policy.first_rows(rows), sequences)
+    p = policy.net.forward(x)
     advantages = np.asarray(advantages, dtype=float)
     alpha = policy.entropy_coeff
     log_q, entropy, u = _sequence_terms(
-        p, symbols[realized], realized.sum(axis=1), policy.stop_index, advantages, alpha
+        p, symbols[realized], realized.sum(axis=1), policy.stop, advantages, alpha
     )
     loss = float(-(advantages @ log_q) - alpha * entropy)
-    return loss, policy.actor.backward(x, u)
+    return loss, policy.net.backward(x, u)
 
 
 def critic_value(policy: ExpertPolicy, rows: np.ndarray) -> np.ndarray:
@@ -441,7 +455,7 @@ def critic_loss(
 
 
 class CsaPolicy:
-    """Constrained autoregressive response generator."""
+    """Constrained autoregressive response generator (``net``)."""
 
     def __init__(
         self,
@@ -452,13 +466,12 @@ class CsaPolicy:
     ):
         self.spec = spec
         self.lambda_pg, self.lambda_skill, self.lambda_div = map(float, loss_weights)
-        self.end_index = spec.vocab_size
+        self.cap = spec.max_response_len
+        self.stop = spec.vocab_size
         # static features + previous-token one-hot + emitted and missing
         # marker multi-hots + position
         in_dim = spec.csa_dim + (spec.vocab_size + 1) + 2 * spec.n_markers + 1
-        self.generator = Mlp(
-            [in_dim, hidden, spec.vocab_size + 1], head="softmax", seed=seed
-        )
+        self.net = Mlp([in_dim, hidden, spec.vocab_size + 1], head="softmax", seed=seed)
         # where the previous-token one-hot and the emitted and missing marker
         # multi-hots start in a generator row
         self._prev_at = spec.csa_dim
@@ -474,7 +487,13 @@ class CsaPolicy:
             tuple((self._emitted_at + m, self._missing_at + m) for m in sorted(markers))
             for markers in spec.token_markers
         )
-        self._max_len = spec.max_response_len
+
+    def features(self, state: CsaState) -> np.ndarray:
+        return self.spec.csa_features(state)
+
+    def action(self, tokens: list[int]) -> Response:
+        markers = response_markers(tokens, self.spec.token_markers)
+        return Response(tokens=tuple(tokens), markers=markers)
 
     def first_rows(self, features: np.ndarray) -> np.ndarray:
         """The step-0 generator rows of stacked feature rows.  A generator
@@ -484,7 +503,7 @@ class CsaPolicy:
         no previous token, nothing is emitted and every required marker is
         missing."""
         spec = self.spec
-        x = np.zeros((len(features), self.generator.layer_sizes[0]))
+        x = np.zeros((len(features), self.net.layer_sizes[0]))
         x[:, : self._prev_at] = features
         required = features[:, spec.n_skills : spec.n_skills + spec.n_markers]
         x[:, self._missing_at : self._missing_at + spec.n_markers] = required
@@ -499,47 +518,21 @@ class CsaPolicy:
         for emitted, missing in self._marker_slots[token]:
             x[emitted] = 1.0
             x[missing] = 0.0
-        x[-1] = (step + 1) / self._max_len
+        x[-1] = (step + 1) / self.cap
 
 
 def csa_act(
     policy: CsaPolicy, state: CsaState, rng: np.random.Generator | None
 ) -> tuple[Response]:
     """A response sampled from ``rng``, or the greedy one when ``rng`` is
-    None: ``_block_act`` over the state's one step-0 row, emitting tokens
-    until END or the length cap, END masked on the first step.
+    None: a single act (``_one_act``), emitting tokens until END or the
+    length cap, END masked on the first step.
 
     Returns the one-element tuple ``(Response,)``: the tuple is kept only
     because the benchmark's traced step counter reads the response as
     ``result[0]``.  The response's log-probability and entropies come from
     ``csa_loss`` (``L_p`` and ``L_d``)."""
-    spec = policy.spec
-    x = policy.first_rows(spec.csa_features(state)[None])
-    rngs = None if rng is None else [rng]
-    (tokens,) = _block_act(
-        policy, policy.generator, x, [0], spec.max_response_len, policy.end_index, rngs
-    )
-    return (_response(tokens, spec),)
-
-
-def csa_block_act(policy: CsaPolicy, rows, states, rngs=None) -> list[Response]:
-    """Responses of up to ``BLOCK`` responder states, state ``k`` at block
-    row ``rows[k]``, in one ``_block_act`` loop; the other rows are padding.
-    Greedy without ``rngs``; otherwise sampled, block row ``r`` drawing
-    from ``rngs[r]``."""
-    spec = policy.spec
-    feats = np.zeros((BLOCK, spec.csa_dim))
-    for r, state in zip(rows, states):
-        feats[r] = spec.csa_features(state)
-    x = policy.first_rows(feats)
-    responses = _block_act(
-        policy, policy.generator, x, rows, spec.max_response_len, policy.end_index, rngs
-    )
-    return [_response(tokens, spec) for tokens in responses]
-
-
-def _response(tokens: list[int], spec: FeatureSpec) -> Response:
-    return Response(tokens=tuple(tokens), markers=response_markers(tokens, spec.token_markers))
+    return _one_act(policy, state, rng)
 
 
 def csa_loss(
@@ -564,20 +557,20 @@ def csa_loss(
     episode's turns, whose losses, components and gradients are summed.
     """
     spec = policy.spec
-    cap, nm = spec.max_response_len, spec.n_markers
+    nm = spec.n_markers
     sequences = [a.tokens for a in actions]
-    symbols, n_tok, realized = _padded_symbols(sequences, cap, policy.end_index)
+    symbols, n_tok, realized = _padded_symbols(policy, sequences)
 
     # Teacher forcing: the step rows of every realized response form one
     # batch, so the generator runs one forward and one backward pass.
-    feats = np.stack([spec.csa_features(s) for s in states])
-    x = _forced_rows(policy, policy.first_rows(feats), sequences, cap)
-    p = policy.generator.forward(x)
+    feats = np.stack([policy.features(s) for s in states])
+    x = _forced_rows(policy, policy.first_rows(feats), sequences)
+    p = policy.net.forward(x)
     required = feats[:, spec.n_skills : spec.n_skills + nm]
     lam_p, lam_s, lam_d = policy.lambda_pg, policy.lambda_skill, policy.lambda_div
     r_a = np.asarray(r_a, dtype=float)
     log_pi, entropy, u = _sequence_terms(
-        p, symbols[realized], realized.sum(axis=1), policy.end_index, lam_p * r_a, lam_d
+        p, symbols[realized], realized.sum(axis=1), policy.stop, lam_p * r_a, lam_d
     )
     loss_pg = float(-(r_a @ log_pi))
     loss_div = -entropy
@@ -600,7 +593,7 @@ def csa_loss(
     g_q = -(prefix[:, :-1] * suffix[:, 1:]) * weight[:, None, :] * on_token[:, :, None]
     u += lam_s * (g_q[realized] @ policy.carriers.T)
 
-    grad = policy.generator.backward(x, u)
+    grad = policy.net.backward(x, u)
     total = lam_p * loss_pg + lam_s * loss_skill + lam_d * loss_div
     components = {"L_p": loss_pg, "L_s": loss_skill, "L_d": loss_div}
     return total, grad, components

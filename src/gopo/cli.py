@@ -17,9 +17,12 @@ each run directory; it rejects a non-UTF-8 file, a metrics row without the
 header's columns or with a non-numeric field after the variant, and a
 curves row without the header's columns or with a non-numeric field.  Exit
 codes: 0 success; 1 invalid configuration, checkpoint, metrics or curves
-file or command-line usage, reported as one ``error: ...`` line on stderr;
-2 runtime failure (a diverged training run or an I/O error).  Log verbosity
-comes from the GOPO_LOG_LEVEL environment variable (error, info, or debug).
+file or command-line usage, reported as one ``error: ...`` line on stderr
+(a checkpoint is invalid also when its finite weights overflow to
+non-finite logits while ``gopo eval`` acts: the line names the checkpoint
+directory and step); 2 runtime failure (a diverged training run or an I/O
+error).  Log verbosity comes from the GOPO_LOG_LEVEL environment variable
+(error, info, or debug).
 """
 
 from __future__ import annotations
@@ -33,6 +36,7 @@ import sys
 from pathlib import Path
 
 from .metrics import METRIC_CSV_HEADER
+from .neural import NonFiniteLogits
 from .simenv import ConfigError
 from .trainer import (
     CURVES_CSV_HEADER,
@@ -109,7 +113,13 @@ def cmd_eval(args) -> int:
     log.info("evaluating the checkpoints of step %d in %s", step, args.checkpoint_dir)
     episodes = args.episodes if args.episodes is not None else cfg.train.eval_episodes
     seed = args.seed if args.seed is not None else cfg.train.seed
-    report, _ = _evaluate(cfg, expert, csa, episodes, seed)
+    try:
+        report, _ = _evaluate(cfg, expert, csa, episodes, seed)
+    except NonFiniteLogits as exc:
+        raise ConfigError(
+            f"the checkpoints of step {step} in {args.checkpoint_dir} overflow "
+            "to non-finite logits while acting"
+        ) from exc
     csv_text = METRIC_CSV_HEADER + "\n" + report.csv_row() + "\n"
     print(csv_text, end="")
     if args.out:

@@ -6,12 +6,11 @@ and a flat parameter view so every gradient in the package can be verified
 against central finite differences.  Everything is float64 numpy; no
 autograd framework.
 
-Networks are batch-first: ``forward`` and ``backward`` take either one input
-vector of shape ``(d,)`` or a batch of ``N`` rows of shape ``(N, d)`` through
-the same code path.  A batch is ``N`` independent rows: ``forward`` returns
-one output row per input row, and ``backward`` returns the flat parameter
-gradient summed over the rows, i.e. the gradient of the sum of the per-row
-losses.  A single vector gives the same bytes as a one-row batch.
+Networks take batches only: ``forward`` and ``backward`` take ``N`` rows of
+shape ``(N, d)``, one input being a one-row batch, and reject a ``(d,)``
+vector.  A batch is ``N`` independent rows: ``forward`` returns one output
+row per input row, and ``backward`` returns the flat parameter gradient
+summed over the rows, i.e. the gradient of the sum of the per-row losses.
 
 ``forward`` applies the head to the raw pre-activation: ``stable_softmax``
 for a softmax head, the identity for a linear head.  ``forward(x,
@@ -103,18 +102,19 @@ class Mlp:
     # -- forward / backward --------------------------------------------------
 
     def _forward_cached(self, x: np.ndarray, acts: list | None = None) -> np.ndarray:
-        """The raw head pre-activation (logits or value) of ``x``, with the
-        input's rank.  When ``acts`` is a list, each layer's input is
-        appended to it, ``x`` first, for ``backward``; ``forward`` passes
+        """The raw head pre-activation (logits or value) of the batch ``x``,
+        one row per input row.  When ``acts`` is a list, each layer's input
+        is appended to it, ``x`` first, for ``backward``; ``forward`` passes
         none, so no activation is kept.  Each layer is one product (the
         ``ndarray.dot`` method: ``np.dot``, the same bits as ``@``, without
         either's dispatch cost), the bias added and, on hidden layers,
-        ``tanh`` taken in place."""
+        ``tanh`` taken in place.  A shape other than ``(N, d)``, a vector
+        among them, raises ``ValueError`` naming the shape."""
         x = np.asarray(x, dtype=float)
-        if x.ndim not in (1, 2) or x.shape[-1] != self.layer_sizes[0]:
+        if x.ndim != 2 or x.shape[1] != self.layer_sizes[0]:
             raise ValueError(
-                f"input shape {x.shape} incompatible with input size "
-                f"{self.layer_sizes[0]}"
+                f"input shape {x.shape} is not a batch of shape "
+                f"(N, {self.layer_sizes[0]})"
             )
         h = x
         last = len(self.weights) - 1
@@ -130,9 +130,8 @@ class Mlp:
     def forward(self, x: np.ndarray, logits: bool = False) -> np.ndarray:
         """Output per input row: probabilities (softmax head) or raw values
         (linear head); with ``logits``, the raw head pre-activation of
-        either head, a fresh array the caller may write to.  Shape
-        ``(out,)`` for a vector, ``(N, out)`` for a batch.  Keeps no
-        activations (see ``_forward_cached``)."""
+        either head, a fresh array the caller may write to, of shape
+        ``(N, out)``.  Keeps no activations (see ``_forward_cached``)."""
         out = self._forward_cached(x)
         if self.head == "softmax" and not logits:
             return stable_softmax(out)
@@ -142,23 +141,19 @@ class Mlp:
         """Flat parameter gradient of the scalar loss whose gradient with
         respect to the network output is ``upstream`` (same shape as
         ``forward(x)``); for a batch, the gradients of the rows are summed."""
-        x = np.asarray(x, dtype=float)
-        # a vector is a batch of one row
         acts: list[np.ndarray] = []
-        out = self._forward_cached(x[None, :] if x.ndim == 1 else x, acts)
-        upstream = np.asarray(upstream, dtype=float)
-        out_shape = out.shape[1:] if x.ndim == 1 else out.shape
-        if upstream.shape != out_shape:
+        out = self._forward_cached(x, acts)
+        g = np.asarray(upstream, dtype=float)
+        if g.shape != out.shape:
             raise ValueError(
-                f"upstream shape {upstream.shape} incompatible with output "
-                f"shape {out_shape}"
+                f"upstream shape {g.shape} incompatible with output "
+                f"shape {out.shape}"
             )
-        g = upstream.reshape(out.shape)
         if self.head == "softmax":
             p_raw = _softmax_raw(out)
             u = g / (1.0 + p_raw.shape[-1] * PROB_FLOOR)
-            # row-wise dot as one BLAS dot per row, so a one-row batch
-            # matches the vector product bitwise
+            # row-wise dot as one BLAS dot per row; kept for the gradient
+            # bits it gives, which the run directories' checkpoints pin
             pu = (p_raw[:, None, :] @ u[:, :, None])[:, :, 0]
             g = p_raw * u - p_raw * pu
         grads: list[np.ndarray] = []

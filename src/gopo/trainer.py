@@ -10,8 +10,9 @@ pull, in episode order.  Episodes, sampled for training or greedy for
 evaluation, are played in lockstep blocks of ``agents.BLOCK`` consecutive
 ids (``_play_block``), each on its own environment, the first pull of a
 block playing all of it.  Every turn of a block is one responder block act
-over all live episodes; the planner acts in one block act when greedy and
-once per live episode when sampled.  A sampled episode draws from its own
+(``agents.block_act``) over all live episodes; the planner acts in one
+block act when greedy and in one single act (``agents.expert_act``) per
+live episode when sampled.  A sampled episode draws from its own
 generator, in the same order as when it is played alone.  Blocks are
 padded, never compacted, so an episode's bytes do not depend on the
 episodes it is played with.
@@ -77,12 +78,11 @@ from .agents import (
     CsaPolicy,
     ExpertPolicy,
     FeatureSpec,
+    block_act,
     critic_loss,
     critic_value,
-    csa_block_act,
     csa_loss,
     expert_act,
-    expert_block_act,
     expert_loss,
     expert_rows,
 )
@@ -208,8 +208,8 @@ def _play_block(
     ``envs[k]`` from ``env_seeds[k]`` and at block row ``k``, and return
     their trajectories in order: greedy without ``rngs``, otherwise sampled,
     episode ``k`` drawing from ``rngs[k]``.  Every turn of the block is one
-    ``csa_block_act`` over the live episodes, after one
-    ``expert_block_act`` (greedy) or one ``expert_act`` per live episode
+    responder ``block_act`` over the live episodes, after one planner
+    ``block_act`` (greedy) or one single ``expert_act`` per live episode
     (sampled); then each live episode steps its own environment, which
     scores the turn, and records its turn.  A finished episode's row stays
     in the block as padding.  Acts, not scoring, run without overflow
@@ -227,14 +227,14 @@ def _play_block(
             if expert is None:
                 plans = [None] * len(live)
             elif rngs is None:
-                plans = expert_block_act(expert, live, states)
+                plans = block_act(expert, live, states)
             else:
                 plans = [expert_act(expert, s, rngs[k])[0] for k, s in zip(live, states)]
             csa_states = [
                 CsaState(obs[k].csa_utterance, skills, obs[k].business_ctx)
                 for k, skills in zip(live, plans)
             ]
-            responses = csa_block_act(csa, live, csa_states, rngs)
+            responses = block_act(csa, live, csa_states, rngs)
         for k, state, csa_state, response in zip(live, states, csa_states, responses):
             obs[k], reward, done = envs[k].step(csa_state.constraint, response)
             turns[k].append(TurnRecord(state, csa_state, response, reward))
@@ -404,8 +404,8 @@ def build_policies(
 
 def _networks(expert: ExpertPolicy | None, csa: CsaPolicy) -> dict[str, Mlp]:
     """The networks of a run by checkpoint name, in saving order."""
-    nets = {} if expert is None else {"expert": expert.actor, "critic": expert.critic}
-    nets["csa"] = csa.generator
+    nets = {} if expert is None else {"expert": expert.net, "critic": expert.critic}
+    nets["csa"] = csa.net
     return nets
 
 

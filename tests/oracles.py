@@ -5,10 +5,11 @@ code paths (two-argument log, slice-based duplicate detection, explicit
 index search) so they share no structure with the package implementation.
 The loss and act oracles build every network-input row from scratch with
 their own builders (``oracle_slot_input``, ``oracle_step_input``), not with
-the policies' ``first_rows``/``advance``, and reuse only the per-row network
-calls; every loss term, upstream gradient, draw and entropy is evaluated one
-step at a time.  ``oracle_bleu`` counts n-grams with ``Counter``s, pair by
-pair, and ``ChoiceDialogueEnv`` draws every user state with ``rng.choice``.
+the policies' ``first_rows``/``advance``, and reuse only the network, called
+on one-row batches; every loss term, upstream gradient, draw and entropy is
+evaluated one step at a time.  ``oracle_bleu`` counts n-grams with
+``Counter``s, pair by pair, and ``ChoiceDialogueEnv`` draws every user state
+with ``rng.choice``.
 ``validate_trajectory`` checks every invariant a trajectory the environment
 plays must hold.
 """
@@ -132,7 +133,7 @@ def oracle_discounted_returns(rewards, gamma):
 def oracle_slot_input(policy, features, chosen, slot):
     """A planner actor row from scratch: the features, the chosen-skill
     multi-hot and the slot one-hot."""
-    x = np.zeros(policy.actor.layer_sizes[0])
+    x = np.zeros(policy.net.layer_sizes[0])
     d = features.size
     x[:d] = features
     x[d : d + policy.spec.n_skills] = chosen
@@ -145,7 +146,7 @@ def oracle_step_input(policy, features, prev_token, emitted_markers, step):
     previous-token one-hot, the emitted-marker multi-hot, the required
     markers not yet emitted, and the position."""
     spec = policy.spec
-    x = np.zeros(policy.generator.layer_sizes[0])
+    x = np.zeros(policy.net.layer_sizes[0])
     d = features.size
     x[:d] = features
     if prev_token is not None:
@@ -174,16 +175,16 @@ def oracle_expert_loss(policy, state, action, advantage):
     backward per slot, summed in slot order."""
     feat = policy.spec.expert_features(state)
     alpha = policy.entropy_coeff
-    stop = policy.stop_index
+    stop = policy.stop
     symbols = list(action.skills)
     if len(symbols) < MAX_SKILL_SEQUENCE_LEN:
         symbols.append(stop)
     chosen = np.zeros(policy.spec.n_skills)
     loss = 0.0
-    grad = np.zeros(policy.actor.n_params)
+    grad = np.zeros(policy.net.n_params)
     for slot, sym in enumerate(symbols):
         x = oracle_slot_input(policy, feat, chosen, slot)
-        p = policy.actor.forward(x)
+        p = policy.net.forward(x[None])[0]
         if slot == 0:
             log_q = math.log(p[sym]) - math.log(1.0 - p[stop])
         else:
@@ -194,7 +195,7 @@ def oracle_expert_loss(policy, state, action, advantage):
         u[sym] += -advantage / p[sym]
         if slot == 0:
             u[stop] += -advantage / (1.0 - p[stop])
-        grad += policy.actor.backward(x, u)
+        grad += policy.net.backward(x[None], u[None])
         if sym != stop:
             chosen[sym] = 1.0
     return loss, grad
@@ -206,7 +207,7 @@ def oracle_csa_loss(policy, state, action, r_a):
     and explicit prefix/suffix products."""
     spec = policy.spec
     feat = spec.csa_features(state)
-    end = policy.end_index
+    end = policy.stop
     tokens = list(action.tokens)
     symbols = tokens + ([end] if len(tokens) < spec.max_response_len else [])
 
@@ -216,7 +217,7 @@ def oracle_csa_loss(policy, state, action, r_a):
     for step, sym in enumerate(symbols):
         x = oracle_step_input(policy, feat, prev, emitted, step)
         inputs.append(x)
-        probs.append(policy.generator.forward(x))
+        probs.append(policy.net.forward(x[None])[0])
         if sym != end:
             for m in spec.token_markers[sym]:
                 emitted[m] = 1.0
@@ -262,7 +263,7 @@ def oracle_csa_loss(policy, state, action, r_a):
     else:
         loss_skill = 0.0
 
-    grad = np.zeros(policy.generator.n_params)
+    grad = np.zeros(policy.net.n_params)
     lam_p, lam_s, lam_d = policy.lambda_pg, policy.lambda_skill, policy.lambda_div
     for step, sym in enumerate(symbols):
         p = probs[step]
@@ -275,7 +276,7 @@ def oracle_csa_loss(policy, state, action, r_a):
                 g_q = -(prefix[step][j] * suffix[step + 1][j]) / len(required)
                 for w in carrier:
                     u[w] += lam_s * g_q
-        grad += policy.generator.backward(inputs[step], u)
+        grad += policy.net.backward(inputs[step][None], u[None])
 
     total = lam_p * loss_pg + lam_s * loss_skill + lam_d * loss_div
     return total, grad, {"L_p": loss_pg, "L_s": loss_skill, "L_d": loss_div}
@@ -296,15 +297,15 @@ def oracle_expert_act(policy, state, rng, greedy=False):
     log_prob = 0.0
     entropy = 0.0
     for slot in range(MAX_SKILL_SEQUENCE_LEN):
-        p = policy.actor.forward(oracle_slot_input(policy, feat, chosen, slot))
+        p = policy.net.forward(oracle_slot_input(policy, feat, chosen, slot)[None])[0]
         entropy += float(-np.sum(p * np.log(p)))
-        q = _oracle_masked(p, policy.stop_index) if slot == 0 else p
+        q = _oracle_masked(p, policy.stop) if slot == 0 else p
         if greedy:
             sym = int(np.argmax(q))
         else:
             sym = int(rng.choice(q.size, p=q / q.sum()))
         log_prob += float(np.log(q[sym]))
-        if sym == policy.stop_index:
+        if sym == policy.stop:
             break
         skills.append(sym)
         chosen[sym] = 1.0
@@ -321,15 +322,15 @@ def oracle_csa_act(policy, state, rng, greedy=False):
     log_prob = 0.0
     entropies = []
     for step in range(policy.spec.max_response_len):
-        p = policy.generator.forward(oracle_step_input(policy, feat, prev, emitted, step))
+        p = policy.net.forward(oracle_step_input(policy, feat, prev, emitted, step)[None])[0]
         entropies.append(float(-np.sum(p * np.log(p))))
-        q = _oracle_masked(p, policy.end_index) if step == 0 else p
+        q = _oracle_masked(p, policy.stop) if step == 0 else p
         if greedy:
             sym = int(np.argmax(q))
         else:
             sym = int(rng.choice(q.size, p=q / q.sum()))
         log_prob += float(np.log(q[sym]))
-        if sym == policy.end_index:
+        if sym == policy.stop:
             break
         tokens.append(sym)
         for m in policy.spec.token_markers[sym]:

@@ -136,7 +136,7 @@ class TestGradientSuite:
         worst = 0.0
         for i in range(self.N_INSTANCES):
             policy = ExpertPolicy(spec, hidden=8, entropy_coeff=float(rng.uniform(0, 0.1)), seed=int(rng.integers(1 << 30)))
-            policy.actor.set_params(rng.normal(0, 0.5, policy.actor.n_params))
+            policy.net.set_params(rng.normal(0, 0.5, policy.net.n_params))
             state = random_expert_state(spec, rng)
             (action,) = expert_act(policy, state, rng)
             adv = float(rng.normal(0, 1))
@@ -144,10 +144,10 @@ class TestGradientSuite:
             _, grad = expert_loss(policy, rows, [action], [adv])
 
             def f(params):
-                policy.actor.set_params(params)
+                policy.net.set_params(params)
                 return expert_loss(policy, rows, [action], [adv])[0]
 
-            fd = central_difference_grad(f, policy.actor.get_params())
+            fd = central_difference_grad(f, policy.net.get_params())
             worst = max(worst, max_rel_error(grad, fd))
         assert worst < self.TOL, f"max relative error {worst}"
         _report(
@@ -186,17 +186,17 @@ class TestGradientSuite:
                 float(rng.uniform(0.0, 0.1)),
             )
             policy = CsaPolicy(spec, hidden=8, loss_weights=weights, seed=int(rng.integers(1 << 30)))
-            policy.generator.set_params(rng.normal(0, 0.4, policy.generator.n_params))
+            policy.net.set_params(rng.normal(0, 0.4, policy.net.n_params))
             state = random_csa_state(spec, rng)
             action = random_response(spec, rng)
             r_a = float(rng.normal(0, 1))
             _, grad, _ = csa_loss(policy, [state], [action], [r_a])
 
             def f(params):
-                policy.generator.set_params(params)
+                policy.net.set_params(params)
                 return csa_loss(policy, [state], [action], [r_a])[0]
 
-            fd = central_difference_grad(f, policy.generator.get_params())
+            fd = central_difference_grad(f, policy.net.get_params())
             worst = max(worst, max_rel_error(grad, fd))
         elapsed = time.monotonic() - start
         assert worst < self.TOL, f"max relative error {worst}"

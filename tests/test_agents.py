@@ -50,7 +50,7 @@ def spec(tiny_env_cfg):
 def _expert(spec, seed=0, entropy_coeff=0.01, zero=False):
     p = ExpertPolicy(spec, hidden=8, entropy_coeff=entropy_coeff, seed=seed)
     if zero:
-        p.actor.set_params(np.zeros(p.actor.n_params))
+        p.net.set_params(np.zeros(p.net.n_params))
         p.critic.set_params(np.zeros(p.critic.n_params))
     return p
 
@@ -58,7 +58,7 @@ def _expert(spec, seed=0, entropy_coeff=0.01, zero=False):
 def _csa(spec, seed=0, weights=(1.0, 0.5, 0.01), zero=False):
     p = CsaPolicy(spec, hidden=8, loss_weights=weights, seed=seed)
     if zero:
-        p.generator.set_params(np.zeros(p.generator.n_params))
+        p.net.set_params(np.zeros(p.net.n_params))
     return p
 
 
@@ -102,8 +102,8 @@ def _acted_log_prob(net, act):
 
     def recorder(x, **kwargs):
         out = forward(x, **kwargs)
-        # a responder act feeds a padded block, its one state at block row 0
-        dists.append(stable_softmax(out[0] if out.ndim == 2 else out))
+        # a single act feeds a one-row block
+        dists.append(stable_softmax(out[0]))
         return out
 
     net.forward = recorder
@@ -153,7 +153,7 @@ class TestExpertAct:
         for _ in range(10):
             state = random_expert_state(spec, rng)
             action, log_prob = _acted_log_prob(
-                policy.actor, lambda: expert_act(policy, state, rng)
+                policy.net, lambda: expert_act(policy, state, rng)
             )
             loss, _ = expert_loss(policy, expert_rows(policy, [state]), [action], [1.0])
             assert loss == pytest.approx(-log_prob, abs=1e-12)
@@ -175,7 +175,7 @@ class TestExpertLoss:
         (action,) = expert_act(policy, state, rng)
         log_prob_before, _ = _expert_terms(policy, state, action)
         _, grad = expert_loss(policy, expert_rows(policy, [state]), [action], [1.0])
-        policy.actor.set_params(policy.actor.get_params() - 1e-3 * grad)
+        policy.net.set_params(policy.net.get_params() - 1e-3 * grad)
         log_prob_after, _ = _expert_terms(policy, state, action)
         assert log_prob_after > log_prob_before
 
@@ -183,20 +183,20 @@ class TestExpertLoss:
         rng = np.random.default_rng(7)
         for trial in range(5):
             policy = _expert(spec, seed=20 + trial, entropy_coeff=0.05)
-            policy.actor.set_params(rng.normal(0, 0.4, policy.actor.n_params))
+            policy.net.set_params(rng.normal(0, 0.4, policy.net.n_params))
             state = random_expert_state(spec, rng)
             (action,) = expert_act(policy, state, rng)
             rows, actions, advs = expert_rows(policy, [state]), [action], [rng.normal(0, 1)]
             _, grad = expert_loss(policy, rows, actions, advs)
 
             def f(params):
-                old = policy.actor.get_params()
-                policy.actor.set_params(params)
+                old = policy.net.get_params()
+                policy.net.set_params(params)
                 val = expert_loss(policy, rows, actions, advs)[0]
-                policy.actor.set_params(old)
+                policy.net.set_params(old)
                 return val
 
-            fd = central_difference_grad(f, policy.actor.get_params())
+            fd = central_difference_grad(f, policy.net.get_params())
             assert max_rel_error(grad, fd) < 1e-4
 
     def test_logit_shift_invariance(self, spec):
@@ -207,7 +207,7 @@ class TestExpertLoss:
         lp, ent = _expert_terms(policy, state, action)
         loss, _ = expert_loss(policy, rows, [action], [0.7])
         # add a constant to every output logit via the last-layer bias
-        policy.actor.biases[-1] = policy.actor.biases[-1] + 3.7
+        policy.net.biases[-1] = policy.net.biases[-1] + 3.7
         (action2,) = expert_act(policy, state, None)
         lp2, ent2 = _expert_terms(policy, state, action2)
         loss2, _ = expert_loss(policy, rows, [action2], [0.7])
@@ -297,8 +297,8 @@ class TestCsaLoss:
     def test_near_deterministic_distributions_have_no_entropy(self, spec):
         policy = _csa(spec, weights=(0.0, 0.0, 1.0), seed=18)
         # huge bias on one token makes every step's distribution one-hot
-        policy.generator.set_params(np.zeros(policy.generator.n_params))
-        policy.generator.biases[-1][3] = 60.0
+        policy.net.set_params(np.zeros(policy.net.n_params))
+        policy.net.biases[-1][3] = 60.0
         state = random_csa_state(spec, np.random.default_rng(18))
         (resp,) = csa_act(policy, state, None)
         _, _, comps = csa_loss(policy, [state], [resp], [0.0])
@@ -312,7 +312,7 @@ class TestCsaLoss:
         )
         policy = _csa(spec, zero=True)
         # concentrate all mass on a token carrying marker 0 and one carrying 5
-        policy.generator.biases[-1][0] = 60.0  # token 0 carries marker 0
+        policy.net.biases[-1][0] = 60.0  # token 0 carries marker 0
         from gopo.core import Response
 
         resp = Response(tokens=(0, 5), markers=frozenset({0, 5}))
@@ -323,12 +323,12 @@ class TestCsaLoss:
     def test_full_expected_coverage_gives_zero_distance(self, spec):
         # alternate huge biases so step parity picks carriers of both markers
         policy = _csa(spec, weights=(0.0, 1.0, 0.0), seed=19)
-        policy.generator.set_params(np.zeros(policy.generator.n_params))
+        policy.net.set_params(np.zeros(policy.net.n_params))
         # prev-token feature flips the favored output between carriers 0 and 5
         d = spec.csa_dim
-        w_in = policy.generator.weights[0]
+        w_in = policy.net.weights[0]
         # bias output towards token 0 always; towards token 5 when prev == 0
-        policy.generator.biases[-1][0] = 30.0
+        policy.net.biases[-1][0] = 30.0
         state = CsaState((0,), SkillSequence((0,)), BusinessContext(0, 0))
         from gopo.core import Response
 
@@ -341,7 +341,7 @@ class TestCsaLoss:
 
     def test_zero_coverage_gives_unit_distance(self, spec):
         policy = _csa(spec, zero=True)
-        policy.generator.biases[-1][9] = 60.0  # token 9 carries no marker
+        policy.net.biases[-1][9] = 60.0  # token 9 carries no marker
         state = CsaState((0,), SkillSequence((1,)), BusinessContext(0, 0))
         from gopo.core import Response
 
@@ -362,27 +362,27 @@ class TestCsaLoss:
         rng = np.random.default_rng(21)
         for trial in range(5):
             policy = _csa(spec, seed=30 + trial, weights=(1.0, 0.5, 0.02))
-            policy.generator.set_params(rng.normal(0, 0.3, policy.generator.n_params))
+            policy.net.set_params(rng.normal(0, 0.3, policy.net.n_params))
             state = random_csa_state(spec, rng)
             resp = random_response(spec, rng)
             r_a = [rng.normal(0, 1)]
             _, grad, _ = csa_loss(policy, [state], [resp], r_a)
 
             def f(params):
-                old = policy.generator.get_params()
-                policy.generator.set_params(params)
+                old = policy.net.get_params()
+                policy.net.set_params(params)
                 val = csa_loss(policy, [state], [resp], r_a)[0]
-                policy.generator.set_params(old)
+                policy.net.set_params(old)
                 return val
 
-            fd = central_difference_grad(f, policy.generator.get_params())
+            fd = central_difference_grad(f, policy.net.get_params())
             assert max_rel_error(grad, fd) < 1e-4
 
     def test_log_prob_matches_act(self, spec):
         policy = _csa(spec, seed=22, weights=(1.0, 0.0, 0.0))
         rng = np.random.default_rng(22)
         state = random_csa_state(spec, rng)
-        resp, log_prob = _acted_log_prob(policy.generator, lambda: csa_act(policy, state, rng))
+        resp, log_prob = _acted_log_prob(policy.net, lambda: csa_act(policy, state, rng))
         _, _, comps = csa_loss(policy, [state], [resp], [1.0])
         assert comps["L_p"] == pytest.approx(-log_prob, abs=1e-12)
 
@@ -403,7 +403,7 @@ class TestBatchedLossesMatchOracles:
         rng = np.random.default_rng(31)
         for trial in range(20):
             policy = _expert(spec, seed=200 + trial, entropy_coeff=float(rng.uniform(0, 0.1)))
-            policy.actor.set_params(rng.normal(0, 0.5, policy.actor.n_params))
+            policy.net.set_params(rng.normal(0, 0.5, policy.net.n_params))
             state = random_expert_state(spec, rng)
             (action,) = expert_act(policy, state, rng)
             self._check_expert(policy, state, action, float(rng.normal(0, 1)))
@@ -411,7 +411,7 @@ class TestBatchedLossesMatchOracles:
     def test_expert_single_skill_and_full_length(self, spec):
         rng = np.random.default_rng(32)
         policy = _expert(spec, seed=210, entropy_coeff=0.05)
-        policy.actor.set_params(rng.normal(0, 0.5, policy.actor.n_params))
+        policy.net.set_params(rng.normal(0, 0.5, policy.net.n_params))
         state = random_expert_state(spec, rng)
         # one skill then STOP; five skills and no STOP slot
         for action in (SkillSequence((2,)), SkillSequence((0, 1, 2, 3, 1))):
@@ -427,7 +427,7 @@ class TestBatchedLossesMatchOracles:
 
     def _csa_instance(self, spec, rng, seed, constraint):
         policy = _csa(spec, seed=seed, weights=(1.0, 1.5, 0.05))
-        policy.generator.set_params(rng.normal(0, 0.4, policy.generator.n_params))
+        policy.net.set_params(rng.normal(0, 0.4, policy.net.n_params))
         state = random_csa_state(spec, rng)
         return policy, CsaState(state.utterance, constraint, state.business_ctx)
 
@@ -494,10 +494,10 @@ def test_greedy_step_is_the_argmax_of_the_logits(spec):
     for z1, z3, want in ((0.0, np.nextafter(0.0, 1.0), 3), (0.0, 0.0, 1)):
         policy = _expert(spec, zero=True)
         # zero weights: every slot's logits are the output biases
-        logits = policy.actor.biases[-1]
+        logits = policy.net.biases[-1]
         logits[:] = -10.0
         logits[1], logits[3] = z1, z3
-        p = policy.actor.forward(np.zeros(policy.actor.layer_sizes[0]))
+        p = policy.net.forward(np.zeros((1, policy.net.layer_sizes[0])))[0]
         assert p[1] == p[3]
         (action,) = expert_act(policy, state, None)
         assert action.skills == (want,) * MAX_SKILL_SEQUENCE_LEN
@@ -520,11 +520,11 @@ def test_act_runs_one_forward_per_step_and_greedy_no_softmax(
     for trial in range(10):
         if policy_kind == "expert":
             policy = _expert(spec, seed=800 + trial)
-            net, act, cap = policy.actor, expert_act, MAX_SKILL_SEQUENCE_LEN
+            net, act, cap = policy.net, expert_act, MAX_SKILL_SEQUENCE_LEN
             state = random_expert_state(spec, rng)
         else:
             policy = _csa(spec, seed=820 + trial)
-            net, act, cap = policy.generator, csa_act, spec.max_response_len
+            net, act, cap = policy.net, csa_act, spec.max_response_len
             state = random_csa_state(spec, rng)
         calls = []
         forward = net.forward
@@ -559,7 +559,7 @@ class TestActMatchesOracle:
         1 the former keeps only ``eps / (1 - p(stop))`` of relative
         precision, so a saturated stop symbol widens the log-probability
         comparison by a few of those units."""
-        return 2 * np.finfo(float).eps / (1.0 - net.forward(row)[stop])
+        return 2 * np.finfo(float).eps / (1.0 - net.forward(row[None])[0, stop])
 
     KINDS = ("random", "zero", "saturated")
 
@@ -575,19 +575,19 @@ class TestActMatchesOracle:
         # gives a five-skill plan
         for trial, hot in enumerate([spec.n_skills, 2] * 6):
             policy = _expert(spec, seed=300 + trial)
-            _set_params(policy.actor, kind, rng, hot)
+            _set_params(policy.net, kind, rng, hot)
             state = random_expert_state(spec, rng)
             mine, theirs = self._twins(500 + trial)
-            rows = _recording(policy.actor)
+            rows = _recording(policy.net)
             (action,) = expert_act(policy, state, None if greedy else mine)
             # a single act feeds a one-row block
             rows = [row[0] for row in rows]
-            del policy.actor.forward
+            del policy.net.forward
             want, want_lp, want_ent = oracle_expert_act(policy, state, theirs, greedy=greedy)
             assert action.skills == want
             assert mine.random() == theirs.random()
             log_prob, entropy = _expert_terms(policy, state, action)
-            slack = self._first_step_slack(policy.actor, rows[0], policy.stop_index)
+            slack = self._first_step_slack(policy.net, rows[0], policy.stop)
             assert log_prob == pytest.approx(want_lp, rel=self.TOL, abs=self.TOL + slack)
             assert entropy == pytest.approx(want_ent, rel=self.TOL, abs=self.TOL)
             if kind == "saturated" and hot != spec.n_skills:
@@ -600,7 +600,7 @@ class TestActMatchesOracle:
                 if slot < len(want):
                     chosen[want[slot]] = 1.0
             _, forced = _recorded_input(
-                policy.actor,
+                policy.net,
                 lambda: expert_loss(policy, expert_rows(policy, [state]), [action], [1.0]),
             )
             assert np.array_equal(np.stack(rows), forced)
@@ -614,21 +614,21 @@ class TestActMatchesOracle:
         # gives a full-length response
         for trial, hot in enumerate([spec.vocab_size, 3] * 6):
             policy = _csa(spec, seed=320 + trial)
-            _set_params(policy.generator, kind, rng, hot)
+            _set_params(policy.net, kind, rng, hot)
             state = random_csa_state(spec, rng, allow_null_constraint=False)
             if not constrained:
                 state = CsaState(state.utterance, None, state.business_ctx)
             mine, theirs = self._twins(600 + trial)
-            rows = _recording(policy.generator)
+            rows = _recording(policy.net)
             (resp,) = csa_act(policy, state, None if greedy else mine)
             # a single act feeds a one-row block
             rows = [row[0] for row in rows]
-            del policy.generator.forward
+            del policy.net.forward
             want, want_lp, want_ents = oracle_csa_act(policy, state, theirs, greedy=greedy)
             assert resp.tokens == want
             assert mine.random() == theirs.random()
             log_prob, entropy = _csa_terms(policy, state, resp)
-            slack = self._first_step_slack(policy.generator, rows[0], policy.end_index)
+            slack = self._first_step_slack(policy.net, rows[0], policy.stop)
             assert log_prob == pytest.approx(want_lp, rel=self.TOL, abs=self.TOL + slack)
             assert entropy == pytest.approx(sum(want_ents), rel=self.TOL, abs=self.TOL)
             if kind == "saturated" and hot != spec.vocab_size:
@@ -643,7 +643,7 @@ class TestActMatchesOracle:
                     prev = want[step]
                     emitted[sorted(spec.token_markers[prev])] = 1.0
             _, forced = _recorded_input(
-                policy.generator, lambda: csa_loss(policy, [state], [resp], [1.0])
+                policy.net, lambda: csa_loss(policy, [state], [resp], [1.0])
             )
             assert np.array_equal(np.stack(rows), forced)
 
@@ -691,7 +691,7 @@ class TestDraw:
 
     def test_sampled_csa_act_with_nan_parameters_raises(self, spec):
         policy = _csa(spec, seed=54)
-        policy.generator.set_params(np.full(policy.generator.n_params, np.nan))
+        policy.net.set_params(np.full(policy.net.n_params, np.nan))
         state = random_csa_state(spec, np.random.default_rng(54))
         mine, fresh = np.random.default_rng(55), np.random.default_rng(55)
         with pytest.raises(ValueError):
@@ -703,7 +703,7 @@ class TestDraw:
         otherwise pick symbol 0 on every step."""
         rng = np.random.default_rng(56)
         csa, expert = _csa(spec, seed=56), _expert(spec, seed=56)
-        for net in (csa.generator, expert.actor):
+        for net in (csa.net, expert.net):
             net.set_params(np.full(net.n_params, np.nan))
         with pytest.raises(ValueError, match="logits are not finite"):
             csa_act(csa, random_csa_state(spec, rng), None)
@@ -713,7 +713,7 @@ class TestDraw:
     def test_greedy_act_on_infinite_maximum_raises(self, spec):
         rng = np.random.default_rng(57)
         csa = _csa(spec, seed=57)
-        csa.generator.biases[-1][0] = np.inf
+        csa.net.biases[-1][0] = np.inf
         with pytest.raises(ValueError, match="logits are not finite"):
             csa_act(csa, random_csa_state(spec, rng), None)
 
@@ -726,10 +726,10 @@ class TestDraw:
         mine, fresh = np.random.default_rng(59), np.random.default_rng(59)
         if policy_kind == "csa":
             policy, act, state = _csa(spec, seed=58), csa_act, random_csa_state(spec, rng)
-            net = policy.generator
+            net = policy.net
         else:
             policy, act = _expert(spec, seed=58), expert_act
-            state, net = random_expert_state(spec, rng), policy.actor
+            state, net = random_expert_state(spec, rng), policy.net
         net.biases[-1][0] = np.inf
         with warnings.catch_warnings():
             warnings.simplefilter("error")
@@ -744,7 +744,7 @@ class TestDiversityDirection:
         # push per-step distributions toward uniform
         policy = _csa(spec, seed=23, weights=(0.0, 0.0, 1.0))
         rng = np.random.default_rng(23)
-        policy.generator.set_params(rng.normal(0, 1.0, policy.generator.n_params))
+        policy.net.set_params(rng.normal(0, 1.0, policy.net.n_params))
         state = random_csa_state(spec, rng)
         resp = random_response(spec, rng)
         n_steps = len(resp.tokens) + (1 if len(resp.tokens) < spec.max_response_len else 0)
@@ -754,11 +754,11 @@ class TestDiversityDirection:
             return -comps["L_d"] / n_steps
 
         before = mean_step_entropy()
-        adam = AdamState.zeros(policy.generator.n_params)
+        adam = AdamState.zeros(policy.net.n_params)
         for _ in range(300):
             _, grad, _ = csa_loss(policy, [state], [resp], [0.0])
-            params, adam = adam_step(policy.generator.get_params(), grad, adam, lr=0.02)
-            policy.generator.set_params(params)
+            params, adam = adam_step(policy.net.get_params(), grad, adam, lr=0.02)
+            policy.net.set_params(params)
         after = mean_step_entropy()
         assert after > before
         assert after == pytest.approx(math.log(spec.vocab_size + 1), rel=0.05)
@@ -818,7 +818,7 @@ class TestEpisodeLossesEqualTurnSums:
         rng = np.random.default_rng(51)
         for trial in range(5):
             policy = _expert(spec, seed=700 + trial, entropy_coeff=float(rng.uniform(0, 0.1)))
-            policy.actor.set_params(rng.normal(0, 0.5, policy.actor.n_params))
+            policy.net.set_params(rng.normal(0, 0.5, policy.net.n_params))
             states, actions, advs = _expert_episode(spec, rng)
             loss, grad = expert_loss(policy, expert_rows(policy, states), actions, advs)
             one_turn = [
@@ -849,7 +849,7 @@ class TestEpisodeLossesEqualTurnSums:
         rng = np.random.default_rng(53)
         for trial in range(5):
             policy = _csa(spec, seed=740 + trial, weights=(1.0, 1.5, 0.05))
-            policy.generator.set_params(rng.normal(0, 0.4, policy.generator.n_params))
+            policy.net.set_params(rng.normal(0, 0.4, policy.net.n_params))
             states, actions, r_as = _csa_episode(spec, rng)
             loss, grad, comps = csa_loss(policy, states, actions, r_as)
             one_turn = [csa_loss(policy, [s], [a], [r]) for s, a, r in zip(states, actions, r_as)]
@@ -867,7 +867,7 @@ class TestEpisodeLossesEqualTurnSums:
         policy = _expert(spec, seed=760)
         states, actions, advs = _expert_episode(spec, rng)
         _, x = _recorded_input(
-            policy.actor, lambda: expert_loss(policy, expert_rows(policy, states), actions, advs)
+            policy.net, lambda: expert_loss(policy, expert_rows(policy, states), actions, advs)
         )
         want = []
         for state, action in zip(states, actions):
@@ -884,7 +884,7 @@ class TestEpisodeLossesEqualTurnSums:
         policy = _csa(spec, seed=761)
         states, actions, r_as = _csa_episode(spec, rng)
         _, x = _recorded_input(
-            policy.generator, lambda: csa_loss(policy, states, actions, r_as)
+            policy.net, lambda: csa_loss(policy, states, actions, r_as)
         )
         want = []
         for state, action in zip(states, actions):
@@ -918,11 +918,11 @@ class TestEpisodeLossGradients:
     def test_expert(self, spec):
         rng = np.random.default_rng(56)
         policy = _expert(spec, seed=780, entropy_coeff=0.05)
-        policy.actor.set_params(rng.normal(0, 0.4, policy.actor.n_params))
+        policy.net.set_params(rng.normal(0, 0.4, policy.net.n_params))
         states, actions, advs = (v[:3] for v in _expert_episode(spec, rng))
         rows = expert_rows(policy, states)
         _, grad = expert_loss(policy, rows, actions, advs)
-        self._check(policy.actor, lambda: expert_loss(policy, rows, actions, advs)[0], grad)
+        self._check(policy.net, lambda: expert_loss(policy, rows, actions, advs)[0], grad)
 
     def test_critic(self, spec):
         rng = np.random.default_rng(57)
@@ -936,10 +936,10 @@ class TestEpisodeLossGradients:
     def test_csa(self, spec):
         rng = np.random.default_rng(58)
         policy = _csa(spec, seed=782, weights=(1.0, 1.5, 0.05))
-        policy.generator.set_params(rng.normal(0, 0.3, policy.generator.n_params))
+        policy.net.set_params(rng.normal(0, 0.3, policy.net.n_params))
         # constrained one-token, null full-length, constrained full-length
         states, actions, r_as = _csa_episode(spec, rng, n_turns=3)
         _, grad, _ = csa_loss(policy, states, actions, r_as)
         self._check(
-            policy.generator, lambda: csa_loss(policy, states, actions, r_as)[0], grad
+            policy.net, lambda: csa_loss(policy, states, actions, r_as)[0], grad
         )

@@ -3,6 +3,9 @@ import dataclasses
 import inspect
 import io
 import json
+import os
+import subprocess
+import sys
 import tempfile
 from pathlib import Path
 
@@ -599,6 +602,41 @@ class TestEvalCommand:
         captured = capsys.readouterr()
         assert rc == 1 and captured.out == ""
         assert captured.err.startswith(f"error: cannot load checkpoint {csa_path}")
+
+    def test_overflowing_checkpoint_exits_1_naming_directory_and_step(self, tmp_path):
+        """Finite responder weights of 1e308 overflow to non-finite logits
+        at the first act: one ``error:`` line naming the checkpoint
+        directory and step, exit 1, and no warning or traceback on stderr
+        (the process runs with Python's default warning filters, so a
+        warning would be printed there)."""
+        ckpts = tmp_path / "ckpts"
+        ckpts.mkdir()
+        for path in (REPO / "perfbench" / "checkpoints").glob("*-300.ckpt"):
+            (ckpts / path.name).write_bytes(path.read_bytes())
+        csa, _ = load_checkpoint(ckpts / "csa-300.ckpt")
+        csa.set_params(np.full(csa.n_params, 1e308))
+        save_checkpoint(ckpts / "csa-300.ckpt", csa)
+        env = dict(
+            os.environ,
+            GOPO_LOG_LEVEL="error",
+            PYTHONPATH=os.pathsep.join(
+                filter(None, [str(REPO / "src"), os.environ.get("PYTHONPATH")])
+            ),
+        )
+        env.pop("PYTHONWARNINGS", None)
+        done = subprocess.run(
+            [
+                sys.executable, "-m", "gopo.cli", "eval", "--checkpoint-dir", str(ckpts),
+                "--config", str(DEFAULT_CONFIG_FILE), "--episodes", "1",
+            ],
+            env=env, capture_output=True, text=True,
+        )
+        assert done.returncode == 1 and done.stdout == ""
+        assert "RuntimeWarning" not in done.stderr
+        assert done.stderr == (
+            f"error: the checkpoints of step 300 in {ckpts} overflow to "
+            "non-finite logits while acting\n"
+        )
 
     def test_mixed_steps_evaluate_latest_common_step(self, tmp_path, capsys):
         # two updates, checkpointed after each: steps 1 and 2

@@ -1,10 +1,12 @@
 """What must not change output bytes: how episodes are grouped into one
 ``_play`` call and into blocks, where a state sits in a block, greedy or
-sampled, and the BLAS thread count of a training or evaluation process."""
+sampled, the BLAS thread count of a training or evaluation process, and,
+for block rows and the pinned evaluation row, the OpenBLAS kernel."""
 
 import dataclasses
 import json
 import os
+import re
 import subprocess
 import sys
 import zipfile
@@ -13,7 +15,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from gopo.agents import BLOCK, csa_block_act, expert_block_act
+from gopo.agents import BLOCK, block_act
 from gopo.core import trajectory_to_json
 from gopo.simenv import DialogueEnv
 from gopo.trainer import (
@@ -72,8 +74,8 @@ def test_play_of_an_episode_does_not_depend_on_its_neighbours(variant, greedy):
 
 @pytest.mark.parametrize(
     "policy_kind, greedy",
-    [("expert", True), ("csa", True), ("csa", False)],
-    ids=["expert", "csa", "csa-sampled"],
+    [("expert", True), ("expert", False), ("csa", True), ("csa", False)],
+    ids=["expert", "expert-sampled", "csa", "csa-sampled"],
 )
 def test_greedy_act_does_not_depend_on_its_block_row(policy_kind, greedy):
     """A state acted on alone (a block act with the state at row 0, the
@@ -85,9 +87,9 @@ def test_greedy_act_does_not_depend_on_its_block_row(policy_kind, greedy):
     expert, csa = build_policies(DEFAULT_CFG.env, DEFAULT_CFG.train)
     load_checkpoints(CHECKPOINTS, expert, csa)
     spec = csa.spec
-    policy, block_act, random_state = {
-        "expert": (expert, expert_block_act, random_expert_state),
-        "csa": (csa, csa_block_act, random_csa_state),
+    policy, random_state = {
+        "expert": (expert, random_expert_state),
+        "csa": (csa, random_csa_state),
     }[policy_kind]
     rng = np.random.default_rng(23)
     for trial in range(6):
@@ -113,8 +115,8 @@ def test_greedy_act_does_not_depend_on_its_block_row(policy_kind, greedy):
 
 @pytest.mark.parametrize(
     "policy_kind, greedy",
-    [("expert", True), ("csa", True), ("csa", False)],
-    ids=["expert", "csa", "csa-sampled"],
+    [("expert", True), ("expert", False), ("csa", True), ("csa", False)],
+    ids=["expert", "expert-sampled", "csa", "csa-sampled"],
 )
 def test_block_act_pairs_states_with_rows_given_in_any_order(policy_kind, greedy):
     """A full block whose rows are given out of order: state ``k``, at
@@ -123,9 +125,9 @@ def test_block_act_pairs_states_with_rows_given_in_any_order(policy_kind, greedy
     and the results come back in the order of ``rows``."""
     expert, csa = build_policies(DEFAULT_CFG.env, DEFAULT_CFG.train)
     load_checkpoints(CHECKPOINTS, expert, csa)
-    policy, block_act, random_state = {
-        "expert": (expert, expert_block_act, random_expert_state),
-        "csa": (csa, csa_block_act, random_csa_state),
+    policy, random_state = {
+        "expert": (expert, random_expert_state),
+        "csa": (csa, random_csa_state),
     }[policy_kind]
     rng = np.random.default_rng(29)
     for _ in range(3):
@@ -198,3 +200,94 @@ def test_pinned_eval_row_at_one_blas_thread():
         "1", "eval", "--checkpoint-dir", str(CHECKPOINTS), "--config", str(DEFAULT_CONFIG_FILE)
     )
     assert out.splitlines()[-1] == want
+
+
+# OpenBLAS core types to try, with the CPU flags (as /proc/cpuinfo names
+# them) each needs; a name the library does not build falls back to
+# another kernel, which is then checked once
+KERNELS = {
+    "SkylakeX": {"avx512f", "avx512bw", "avx512vl"},
+    "Cooperlake": {"avx512f", "avx512bw", "avx512vl", "avx512_bf16"},
+    "Haswell": {"avx2", "fma"},
+    "Zen": {"avx2", "fma"},
+    "Sandybridge": {"avx"},
+    "Nehalem": {"sse4_2"},
+    "Prescott": {"pni"},
+}
+
+# In a process of its own kernel: every row of a block of random rows keeps
+# its logits' bits at a random row of another block, on the planner's and
+# the responder's default network shapes (trained weights), then the
+# pinned checkpoints are evaluated, printing their row.
+_KERNEL_CHILD = """
+import sys
+import numpy as np
+from gopo.agents import BLOCK
+from gopo.cli import load_config, main
+from gopo.trainer import build_policies, load_checkpoints
+
+config, checkpoints = sys.argv[1:]
+cfg, _ = load_config(config)
+expert, csa = build_policies(cfg.env, cfg.train)
+load_checkpoints(checkpoints, expert, csa)
+rng = np.random.default_rng(31)
+for net in (expert.net, csa.net):
+    d = net.layer_sizes[0]
+    for _ in range(40):
+        x = rng.normal(0, 1, (BLOCK, d))
+        z = net.forward(x, logits=True)
+        for i in range(BLOCK):
+            other = rng.normal(0, 1, (BLOCK, d))
+            j = int(rng.integers(BLOCK))
+            other[j] = x[i]
+            got = net.forward(other, logits=True)[j]
+            assert np.array_equal(got, z[i]), (net.layer_sizes, i, j)
+main(["eval", "--checkpoint-dir", checkpoints, "--config", config])
+"""
+
+
+def _kernel_run(coretype, *args):
+    """``python -W error`` with ``args`` in a process of its own whose
+    OpenBLAS runs the kernel ``coretype`` names; returns the finished
+    process and the kernel OpenBLAS reported choosing (None if it reported
+    none)."""
+    env = dict(
+        os.environ,
+        OPENBLAS_CORETYPE=coretype,
+        OPENBLAS_VERBOSE="2",
+        PYTHONPATH=os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")])),
+    )
+    done = subprocess.run(
+        [sys.executable, "-W", "error", *args], env=env, capture_output=True, text=True
+    )
+    core = re.search(r"^Core: (\S+)$", done.stderr, re.MULTILINE)
+    return done, core and core[1]
+
+
+def test_block_rows_and_pinned_row_hold_on_every_runnable_kernel():
+    """Each OpenBLAS kernel the CPU can run, in a process of its own (the
+    library picks its kernel when it loads): block rows keep their bits
+    whatever their position and neighbours, and the pinned checkpoints'
+    evaluation prints the pinned row."""
+    try:
+        cpuinfo = Path("/proc/cpuinfo").read_text()
+        flags = set(re.search(r"^flags\s*:(.*)$", cpuinfo, re.MULTILINE)[1].split())
+    except (OSError, TypeError):
+        pytest.skip("no CPU flags to read")
+    want = json.loads((CHECKPOINTS / "PROVENANCE.json").read_text())["metrics_csv_final_row"]
+    checked = set()
+    for coretype, needs in KERNELS.items():
+        if not needs <= flags:
+            continue
+        _, core = _kernel_run(coretype, "-c", "import numpy")
+        if core is None:
+            pytest.skip("numpy's BLAS reports no OpenBLAS core")
+        if core in checked:
+            continue
+        checked.add(core)
+        done, ran = _kernel_run(
+            core, "-c", _KERNEL_CHILD, str(DEFAULT_CONFIG_FILE), str(CHECKPOINTS)
+        )
+        assert ran == core and done.returncode == 0, (core, done.stderr)
+        assert done.stdout.splitlines()[-1] == want, core
+    assert checked

@@ -22,19 +22,19 @@ class TestForward:
     def test_zero_weights_softmax_is_uniform(self):
         net = Mlp([3, 6, 4], head="softmax", seed=0)
         net.set_params(np.zeros(net.n_params))
-        out = net.forward(np.array([1.0, -2.0, 0.5]))
+        out = net.forward(np.array([[1.0, -2.0, 0.5]]))[0]
         assert out == pytest.approx([0.25] * 4, abs=1e-12)
 
     def test_zero_weights_linear_is_zero(self):
         net = Mlp([3, 6, 2], head="linear", seed=0)
         net.set_params(np.zeros(net.n_params))
-        out = net.forward(np.array([1.0, -2.0, 0.5]))
+        out = net.forward(np.array([[1.0, -2.0, 0.5]]))[0]
         assert out == pytest.approx([0.0, 0.0], abs=0)
 
     def test_golden_softmax_vector(self):
         # recorded once from this implementation at the pinned seed
         net = Mlp([3, 5, 4], head="softmax", seed=1234)
-        out = net.forward(np.array([0.3, -1.2, 0.75]))
+        out = net.forward(np.array([[0.3, -1.2, 0.75]]))[0]
         golden = [
             0.35526491586288395,
             0.09658628821287939,
@@ -45,23 +45,23 @@ class TestForward:
 
     def test_golden_linear_vector(self):
         net = Mlp([3, 5, 2], head="linear", seed=1234)
-        out = net.forward(np.array([0.3, -1.2, 0.75]))
+        out = net.forward(np.array([[0.3, -1.2, 0.75]]))[0]
         assert out == pytest.approx([2.584739272601977, 0.23407206788726778], abs=1e-12)
 
     def test_softmax_sums_to_one_and_positive(self):
         net = Mlp([4, 8, 5], head="softmax", seed=3)
         for _ in range(20):
-            p = net.forward(RNG.normal(0, 2, 4))
+            p = net.forward(RNG.normal(0, 2, (1, 4)))[0]
             assert p.sum() == pytest.approx(1.0, abs=1e-9)
             assert np.all(p > 0)
 
     @pytest.mark.parametrize("head", ["softmax", "linear"])
     def test_forward_is_the_head_applied_to_logits(self, head):
-        # bitwise, for a vector and for a batch: acting takes the argmax of
+        # bitwise, for one row and for a batch: acting takes the argmax of
         # ``forward(x, logits=True)`` as the argmax of the distribution
         net = Mlp([5, 8, 6], head=head, seed=8)
         rng = np.random.default_rng(62)
-        for x in (rng.normal(0, 1, 5), rng.normal(0, 1, (7, 5))):
+        for x in (rng.normal(0, 1, (1, 5)), rng.normal(0, 1, (7, 5))):
             z = net.forward(x, logits=True)
             assert z.shape == net.forward(x).shape
             want = stable_softmax(z) if head == "softmax" else z
@@ -75,7 +75,7 @@ class TestForward:
     ])
     def test_forward_is_bitwise_the_activation_list_reference(self, sizes, head):
         # the list-free forward (``ndarray.dot`` products) against the
-        # activation list built with ``@``, in every BLAS class: a vector (gemv), and batches of
+        # activation list built with ``@``, in every BLAS class: batches of
         # 1, {2, 3}, {4 ... 255} and >= 256 rows
         net = Mlp(sizes, head=head, seed=9)
         rng = np.random.default_rng(63)
@@ -87,9 +87,7 @@ class TestForward:
             z = acts[-1] @ net.weights[-1] + net.biases[-1]
             return stable_softmax(z) if head == "softmax" and not logits else z
 
-        inputs = [rng.normal(0, 1, sizes[0])] + [
-            rng.normal(0, 1, (n, sizes[0])) for n in (1, 2, 3, 4, 255, 256, 257)
-        ]
+        inputs = [rng.normal(0, 1, (n, sizes[0])) for n in (1, 2, 3, 4, 255, 256, 257)]
         for x in inputs:
             for logits in (False, True):
                 assert np.array_equal(net.forward(x, logits=logits), reference(x, logits))
@@ -97,7 +95,7 @@ class TestForward:
     def test_dimension_mismatch_rejected(self):
         net = Mlp([3, 4, 2], seed=0)
         with pytest.raises(ValueError):
-            net.forward(np.zeros(5))
+            net.forward(np.zeros((1, 5)))
 
     def test_softmax_stable_for_huge_logits(self):
         for scale in (1.0, 100.0, 1e3):
@@ -121,28 +119,28 @@ class TestForward:
     def test_extreme_weights_no_nan(self):
         net = Mlp([3, 8, 4], head="softmax", seed=5)
         net.set_params(RNG.normal(0, 300.0, net.n_params))
-        p = net.forward(np.array([1.0, 1.0, 1.0]))
+        p = net.forward(np.array([[1.0, 1.0, 1.0]]))
         assert np.all(np.isfinite(p)) and np.all(p > 0)
 
 
 class TestBackward:
     def test_zero_upstream_gives_zero_grad(self):
         net = Mlp([3, 6, 4], head="softmax", seed=1)
-        g = net.backward(np.array([0.2, 0.4, -0.5]), np.zeros(4))
+        g = net.backward(np.array([[0.2, 0.4, -0.5]]), np.zeros((1, 4)))
         assert np.all(g == 0.0)
 
     @pytest.mark.parametrize("head,out_dim", [("softmax", 5), ("linear", 3)])
     def test_matches_finite_differences(self, head, out_dim):
         for trial in range(5):
             net = Mlp([4, 7, out_dim], head=head, seed=100 + trial)
-            x = RNG.normal(0, 1, 4)
-            upstream = RNG.normal(0, 1, out_dim)
+            x = RNG.normal(0, 1, (1, 4))
+            upstream = RNG.normal(0, 1, (1, out_dim))
             analytic = net.backward(x, upstream)
 
             def scalar_loss(params, net=net, x=x, upstream=upstream):
                 old = net.get_params()
                 net.set_params(params)
-                val = float(net.forward(x) @ upstream)
+                val = float(np.sum(net.forward(x) * upstream))
                 net.set_params(old)
                 return val
 
@@ -151,8 +149,8 @@ class TestBackward:
 
     def test_additivity_over_duplicated_inputs(self):
         net = Mlp([3, 5, 2], head="linear", seed=7)
-        x = np.array([0.1, -0.7, 1.3])
-        u = np.array([0.4, -0.2])
+        x = np.array([[0.1, -0.7, 1.3]])
+        u = np.array([[0.4, -0.2]])
         single = net.backward(x, u)
         double = net.backward(x, u) + net.backward(x, u)
         assert double == pytest.approx(2 * single)
@@ -160,7 +158,7 @@ class TestBackward:
     def test_upstream_shape_checked(self):
         net = Mlp([3, 5, 2], head="linear", seed=7)
         with pytest.raises(ValueError):
-            net.backward(np.zeros(3), np.zeros(4))
+            net.backward(np.zeros((1, 3)), np.zeros((1, 4)))
 
 
 class TestBatch:
@@ -174,7 +172,7 @@ class TestBatch:
             net = Mlp([6, 9, 7, 4], head=head, seed=40 + trial)
             x = RNG.normal(0, 1, (11, 6))
             batch = net.forward(x)
-            rows = np.stack([net.forward(r) for r in x])
+            rows = np.concatenate([net.forward(r[None]) for r in x])
             assert batch.shape == (11, 4)
             assert scaled_diff(batch, rows) <= self.TOL
 
@@ -185,17 +183,22 @@ class TestBatch:
             x = RNG.normal(0, 1, (11, 6))
             upstream = RNG.normal(0, 1, (11, 4))
             batch = net.backward(x, upstream)
-            summed = sum(net.backward(r, u) for r, u in zip(x, upstream))
+            summed = sum(net.backward(r[None], u[None]) for r, u in zip(x, upstream))
             assert batch.shape == (net.n_params,)
             assert scaled_diff(batch, summed) <= self.TOL
 
     @pytest.mark.parametrize("head", ["softmax", "linear"])
-    def test_one_row_batch_is_bitwise_the_vector(self, head):
+    def test_a_vector_is_rejected(self, head):
+        # one input is a one-row batch; a ``(d,)`` vector is refused, by shape
         net = Mlp([5, 8, 3], head=head, seed=60)
         x = RNG.normal(0, 1, 5)
         u = RNG.normal(0, 1, 3)
-        assert np.array_equal(net.forward(x[None, :])[0], net.forward(x))
-        assert np.array_equal(net.backward(x[None, :], u[None, :]), net.backward(x, u))
+        with pytest.raises(ValueError, match=r"input shape \(5,\) is not a batch"):
+            net.forward(x)
+        with pytest.raises(ValueError, match=r"input shape \(5,\) is not a batch"):
+            net.backward(x, u)
+        net.forward(x[None])
+        net.backward(x[None], u[None])
 
     def test_batch_backward_matches_finite_differences(self):
         net = Mlp([4, 7, 5], head="softmax", seed=70)
@@ -250,7 +253,7 @@ class TestParameterVector:
         net2 = Mlp([4, 6, 3], head="softmax", seed=99)
         net2.set_params(flat)
         assert np.array_equal(net2.get_params(), flat)
-        x = np.array([0.5, 0.5, -0.5, 1.0])
+        x = np.array([[0.5, 0.5, -0.5, 1.0]])
         assert np.array_equal(net.forward(x), net2.forward(x))
 
     def test_layout_size_checked(self):
@@ -360,5 +363,5 @@ class TestCheckpoint:
         net = Mlp([4, 8, 3], head="softmax", seed=5)
         save_checkpoint(tmp_path / "n.ckpt", net)
         net2, _ = load_checkpoint(tmp_path / "n.ckpt")
-        x = RNG.normal(0, 1, 4)
+        x = RNG.normal(0, 1, (1, 4))
         assert np.array_equal(net.forward(x), net2.forward(x))

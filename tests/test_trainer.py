@@ -113,9 +113,9 @@ class TestPolicies:
         expert, csa = build_policies(tiny_env_cfg, cfg)
         assert (expert is not None) == has_planner
         if has_planner:
-            assert expert.actor.layer_sizes[1] == expert.critic.layer_sizes[1] == 12
+            assert expert.net.layer_sizes[1] == expert.critic.layer_sizes[1] == 12
             assert expert.entropy_coeff == 0.03
-        assert csa.generator.layer_sizes[1] == 12
+        assert csa.net.layer_sizes[1] == 12
         assert (csa.lambda_pg, csa.lambda_skill, csa.lambda_div) == (0.7, 1.3, 0.02)
 
     @pytest.mark.parametrize("variant", ["full", "no-expert", "untrained"])
@@ -126,9 +126,9 @@ class TestPolicies:
         expert, csa = build_policies(tiny_env_cfg, dataclasses.replace(cfg, seed=11))
         step = load_checkpoints(ckpts, expert, csa)
         assert step == (0 if variant == "untrained" else 2)
-        nets = {"csa": csa.generator}
+        nets = {"csa": csa.net}
         if expert is not None:
-            nets.update(expert=expert.actor, critic=expert.critic)
+            nets.update(expert=expert.net, critic=expert.critic)
         assert {p.name for p in ckpts.glob(f"*-{step}.ckpt")} == {
             f"{name}-{step}.ckpt" for name in nets
         }
@@ -341,7 +341,7 @@ class TestTrain:
         import gopo.trainer as trainer_mod
 
         def poisoned(policy, state, action, r_a):
-            return float("nan"), np.zeros(policy.generator.n_params), {}
+            return float("nan"), np.zeros(policy.net.n_params), {}
 
         monkeypatch.setattr(trainer_mod, "csa_loss", poisoned)
         with pytest.raises(TrainingDiverged):
