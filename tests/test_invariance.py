@@ -242,7 +242,7 @@ for net in (expert.net, csa.net):
             other[j] = x[i]
             got = net.forward(other, logits=True)[j]
             assert np.array_equal(got, z[i]), (net.layer_sizes, i, j)
-main(["eval", "--checkpoint-dir", checkpoints, "--config", config])
+sys.exit(main(["eval", "--checkpoint-dir", checkpoints, "--config", config]))
 """
 
 
